@@ -446,26 +446,32 @@ def run_convergence(case: BenchmarkCase, kind: str, quad_n: int,
     report = ConvergenceReport(case_id=case.id, element_kind=kind,
                                quad_n=quad_n, slenderness=case.slenderness)
     for level in range(levels):
-        mesh = case.mesh_at_level(level)
-        t0 = time.perf_counter()
-        res = solve_case(case, mesh, kind, quad_n)
-        row = {
-            "level": level, "n_el_u": mesh[0], "n_el_v": mesh[1],
-            "n_dof": res.n_dof, "deflection": res.deflection,
-            "normalized": res.normalized,
-            "e_n11": None, "e_m11": None, "Em": None, "Eb": None, "Et": None,
-        }
-        if with_errors and case.analytic is not None:
-            row["e_n11"] = l2_resultant_error(res.solution, case.analytic["n11"],
-                                              "n11")
-            row["e_m11"] = l2_resultant_error(res.solution, case.analytic["m11"],
-                                              "m11")
-        if with_energies:
-            rep = energies(res.solution, gauss_rule(quad_n))
-            row["Em"], row["Eb"], row["Et"] = rep.Em, rep.Eb, rep.Et
-        row["wall_s"] = time.perf_counter() - t0
+        row, _ = solve_row(case, level, case.mesh_at_level(level), kind, quad_n,
+                           with_errors, with_energies)
         report.rows.append(row)
     return report
+
+
+def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
+              quad_n: int, with_errors: bool = False,
+              with_energies: bool = False) -> tuple[dict, CaseResult]:
+    """Solve one mesh; return its report row (with its wall time) and result."""
+    t0 = time.perf_counter()
+    res = solve_case(case, mesh, kind, quad_n)
+    row = {
+        "level": level, "n_el_u": mesh[0], "n_el_v": mesh[1],
+        "n_dof": res.n_dof, "deflection": res.deflection,
+        "normalized": res.normalized,
+        "e_n11": None, "e_m11": None, "Em": None, "Eb": None, "Et": None,
+    }
+    if with_errors and case.analytic is not None:
+        row["e_n11"] = l2_resultant_error(res.solution, case.analytic["n11"], "n11")
+        row["e_m11"] = l2_resultant_error(res.solution, case.analytic["m11"], "m11")
+    if with_energies:
+        rep = energies(res.solution, gauss_rule(quad_n))
+        row["Em"], row["Eb"], row["Et"] = rep.Em, rep.Eb, rep.Et
+    row["wall_s"] = time.perf_counter() - t0
+    return row, res
 
 
 def write_report_csv(report: ConvergenceReport, stream) -> None:

@@ -9,11 +9,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .cases import (ConvergenceReport, make_case, run_convergence, solve_case,
-                    write_report_csv)
+                    solve_row, write_report_csv)
 from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import write_field
@@ -54,8 +55,14 @@ def _single_mesh(case, n_per_side: int) -> tuple[int, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.levels is not None and args.levels < 1:
-        parser.error("--levels must be >= 1")
+    for flag in ("levels", "elements_per_side", "sample_density"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 1")
+    for flag in ("slenderness", "thickness"):
+        value = getattr(args, flag)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            parser.error(f"--{flag} must be a positive finite number")
     if args.levels is not None and args.elements_per_side is not None:
         parser.error("--levels and --elements-per-side are exclusive")
 
@@ -65,20 +72,12 @@ def main(argv=None) -> int:
 
     try:
         if args.elements_per_side is not None:
-            mesh = _single_mesh(case, args.elements_per_side)
             report = ConvergenceReport(case_id=case.id, element_kind=args.element,
                                        quad_n=args.quad,
                                        slenderness=case.slenderness)
-            import time as _time
-            t0 = _time.perf_counter()
-            res = solve_case(case, mesh, args.element, args.quad)
-            row = {"level": 0, "n_el_u": mesh[0], "n_el_v": mesh[1],
-                   "n_dof": res.n_dof, "deflection": res.deflection,
-                   "normalized": res.normalized, "e_n11": None, "e_m11": None,
-                   "Em": None, "Eb": None, "Et": None,
-                   "wall_s": _time.perf_counter() - t0}
+            row, last = solve_row(case, 0, _single_mesh(case, args.elements_per_side),
+                                  args.element, args.quad)
             report.rows.append(row)
-            last = res
         else:
             levels = args.levels if args.levels is not None else 5
             report = run_convergence(case, args.element, args.quad, levels)

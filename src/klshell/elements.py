@@ -20,8 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SingularGeometryError
-from .nurbs import (NurbsSurface, _basis_ders_at_span, basis_eval, find_span,
-                    surface_eval)
+from .nurbs import NurbsSurface, find_spans, rational_eval
 from .shell import ShellMaterial, bending_rows, constitutive_voigt, frame_arrays, membrane_rows
 from .solver import SparseSymmetric
 
@@ -42,13 +41,6 @@ class QuadratureRule:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def nodes_1d(self) -> np.ndarray:
-        m = round(len(self.weights) ** 0.5)
-        x = self.points[::m, 0]
-        if not np.array_equal(np.repeat(x, m), self.points[:, 0]):
-            raise ValueError("rule is not a u-major tensor product")
-        return x
 
 
 def gauss_1d(n: int):
@@ -120,24 +112,32 @@ class Patch:
     def n_dof(self) -> int:
         return 3 * self.surface.n_cp
 
-    def element_spans(self, eid: int) -> tuple[int, int]:
+    def element_spans(self, eid):
+        """Spans (su, sv) of an element, or arrays of them for an array of ids."""
         nb = len(self.spans_v)
-        return int(self.spans_u[eid // nb]), int(self.spans_v[eid % nb])
+        return self.spans_u[eid // nb], self.spans_v[eid % nb]
 
-    def element_bounds(self, eid: int):
+    def element_bounds(self, eid):
         su, sv = self.element_spans(eid)
         ku, kv = self.surface.kv_u.knots, self.surface.kv_v.knots
         return (ku[su], ku[su + 1]), (kv[sv], kv[sv + 1])
 
     def element_dofs(self, eid: int) -> np.ndarray:
-        return (3 * self.conn[eid][:, None] + np.arange(3)).ravel()
+        return _dofs(self.conn[[eid]])[0]
+
+    def locate(self, theta) -> np.ndarray:
+        """Ids of the elements containing the parametric points theta (..., 2).
+
+        A point on an interior knot line belongs to the element above it and
+        the right end of the range to the last element, as in find_span.
+        """
+        theta = np.asarray(theta, dtype=float)
+        a = np.searchsorted(self.spans_u, find_spans(self.surface.kv_u, theta[..., 0]))
+        b = np.searchsorted(self.spans_v, find_spans(self.surface.kv_v, theta[..., 1]))
+        return a * len(self.spans_v) + b
 
     def element_containing(self, t1: float, t2: float) -> int:
-        su = find_span(self.surface.kv_u, t1)
-        sv = find_span(self.surface.kv_v, t2)
-        a = int(np.searchsorted(self.spans_u, su))
-        b = int(np.searchsorted(self.spans_v, sv))
-        return a * len(self.spans_v) + b
+        return int(self.locate((t1, t2)))
 
     def cp_index(self, iu: int, iv: int) -> int:
         return iu * self.surface.kv_v.n_basis + iv
@@ -147,105 +147,69 @@ class Patch:
 # Batched evaluation over elements
 # ---------------------------------------------------------------------------
 
-def _dir_tables(kv, xi):
-    """Per-span basis tables at mapped 1D parent points.
+def _dofs(conn):
+    """Global dof indices (ne, 3*nfun) of element connectivity rows (ne, nfun)."""
+    return (3 * conn[:, :, None] + np.arange(3)).reshape(len(conn), -1)
 
-    Returns (theta, half, V) with theta (n_span, m), half-widths (n_span,),
-    and V (n_span, m, 3, p+1) holding value/1st/2nd derivative rows.
+
+_CHUNK = 2048
+
+
+def _chunks(n: int):
+    """Consecutive index batches of at most _CHUNK that cover range(n)."""
+    for start in range(0, n, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, n))
+
+
+def _batch_eval(patch: Patch, eids, theta, order: int = 2):
+    """Geometry and rational basis arrays at parametric points of elements.
+
+    ``theta`` (ne, nq, 2) holds points of the elements ``eids``.  Returns a
+    dict with conn (ne, nfun) and arrays of leading shape (ne, nq): r, r1,
+    r2, r11, r22, r12 (..., 3) and N, N1, N2, N11, N22, N12 (..., nfun), up
+    to the requested derivative order.
     """
-    spans = kv.spans()
-    m = len(xi)
-    p = kv.degree
-    V = np.empty((len(spans), m, 3, p + 1))
-    theta = np.empty((len(spans), m))
-    half = np.empty(len(spans))
-    for a, s in enumerate(spans):
-        lo, hi = kv.knots[s], kv.knots[s + 1]
-        half[a] = 0.5 * (hi - lo)
-        for q, x in enumerate(xi):
-            th = lo + 0.5 * (x + 1.0) * (hi - lo)
-            theta[a, q] = th
-            d = _basis_ders_at_span(kv.knots, p, s, th, 2)
-            V[a, q, : d.shape[0]] = d
-            V[a, q, d.shape[0]:] = 0.0
-    return theta, half, V
-
-
-_DPAIRS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-
-
-def _batch_eval(patch: Patch, eids, xi_u, xi_v, order: int = 2):
-    """Geometry and rational basis arrays on a batch of elements.
-
-    Quadrature grid is the tensor product of the parent points xi_u, xi_v
-    (u-major).  Returns a dict of arrays with leading shape (ne, nq).
-    """
-    s = patch.surface
-    th_u, half_u, Vu = _dir_tables(s.kv_u, np.asarray(xi_u, dtype=float))
-    th_v, half_v, Vv = _dir_tables(s.kv_v, np.asarray(xi_v, dtype=float))
-    nb = len(patch.spans_v)
     eids = np.asarray(eids, dtype=int)
-    ai, bi = eids // nb, eids % nb
+    su, sv = patch.element_spans(eids)
+    R = rational_eval(patch.surface, su[:, None], sv[:, None],
+                      theta[..., 0], theta[..., 1], order)
+    ev = {"conn": patch.conn[eids]}
+    for d, row in zip(("", "1", "2", "11", "22", "12"), R):
+        ev["N" + d], ev["r" + d] = row[..., :-4], row[..., -4:-1]
+    return ev
 
-    Au = Vu[ai]  # (ne, mu, 3, pu+1)
-    Av = Vv[bi]
-    ne, mu = Au.shape[0], Au.shape[1]
-    mv = Av.shape[1]
-    nq = mu * mv
-    nfun = Au.shape[-1] * Av.shape[-1]
 
-    conn = patch.conn[eids]
-    Ph = s.homogeneous().reshape(-1, 4)[conn]        # (ne, nfun, 4)
-    wloc = s.weights.ravel()[conn]                   # (ne, nfun)
+def _boxes(patch, eids):
+    """Lower and upper corners (ne, 2) of the elements' parametric boxes."""
+    (ulo, uhi), (vlo, vhi) = patch.element_bounds(np.asarray(eids, dtype=int))
+    return np.stack([ulo, vlo], axis=-1), np.stack([uhi, vhi], axis=-1)
 
-    pairs = _DPAIRS[:1] if order == 0 else (_DPAIRS[:3] if order == 1 else _DPAIRS)
-    B = {}
-    S = {}
-    for d1, d2 in pairs:
-        t = np.einsum("eqi,erj->eqrij", Au[:, :, d1, :], Av[:, :, d2, :])
-        B[(d1, d2)] = t.reshape(ne, nq, nfun)
-        S[(d1, d2)] = np.einsum("eqA,eAc->eqc", B[(d1, d2)], Ph)
 
-    out = {
-        "theta": np.stack(
-            [th_u[ai][:, :, None].repeat(mv, axis=2).reshape(ne, nq),
-             th_v[bi][:, None, :].repeat(mu, axis=1).reshape(ne, nq)], axis=-1),
-        "half": np.stack([half_u[ai], half_v[bi]], axis=-1),  # (ne, 2)
-        "conn": conn,
-    }
+def _to_parent(patch, eids, theta):
+    """Parent coordinates (ne, 2) of parametric points theta (ne, 2) of elements."""
+    lo, hi = _boxes(patch, eids)
+    return 2.0 * (theta - lo) / (hi - lo) - 1.0
 
-    W = S[(0, 0)][..., 3]
-    r = S[(0, 0)][..., :3] / W[..., None]
-    out["r"] = r
-    if order >= 1:
-        W1, W2 = S[(1, 0)][..., 3], S[(0, 1)][..., 3]
-        r1 = (S[(1, 0)][..., :3] - W1[..., None] * r) / W[..., None]
-        r2 = (S[(0, 1)][..., :3] - W2[..., None] * r) / W[..., None]
-        out["r1"], out["r2"] = r1, r2
-    if order >= 2:
-        W11, W22, W12 = S[(2, 0)][..., 3], S[(0, 2)][..., 3], S[(1, 1)][..., 3]
-        out["r11"] = (S[(2, 0)][..., :3] - W11[..., None] * r
-                      - 2.0 * W1[..., None] * r1) / W[..., None]
-        out["r22"] = (S[(0, 2)][..., :3] - W22[..., None] * r
-                      - 2.0 * W2[..., None] * r2) / W[..., None]
-        out["r12"] = (S[(1, 1)][..., :3] - W12[..., None] * r
-                      - W1[..., None] * r2 - W2[..., None] * r1) / W[..., None]
 
-    # rational basis functions (same quotient rule applied per function)
-    N = B[(0, 0)] * wloc[:, None, :] / W[..., None]
-    out["N"] = N
-    if order >= 1:
-        N1 = (B[(1, 0)] * wloc[:, None, :] - N * W1[..., None]) / W[..., None]
-        N2 = (B[(0, 1)] * wloc[:, None, :] - N * W2[..., None]) / W[..., None]
-        out["N1"], out["N2"] = N1, N2
-    if order >= 2:
-        out["N11"] = (B[(2, 0)] * wloc[:, None, :] - 2.0 * N1 * W1[..., None]
-                      - N * W11[..., None]) / W[..., None]
-        out["N22"] = (B[(0, 2)] * wloc[:, None, :] - 2.0 * N2 * W2[..., None]
-                      - N * W22[..., None]) / W[..., None]
-        out["N12"] = (B[(1, 1)] * wloc[:, None, :] - N1 * W2[..., None]
-                      - N2 * W1[..., None] - N * W12[..., None]) / W[..., None]
-    return out
+def _parent_eval(patch, eids, xi, order: int = 2):
+    """_batch_eval at the parent points xi (nq, 2) of every element.
+
+    Adds "half" (ne, 2), the half-widths of the elements' parametric boxes.
+    """
+    lo, hi = _boxes(patch, eids)
+    theta = lo[:, None, :] + 0.5 * (xi + 1.0) * (hi - lo)[:, None, :]
+    ev = _batch_eval(patch, eids, theta, order)
+    ev["half"] = 0.5 * (hi - lo)
+    return ev
+
+
+def _rule_eval(patch, eids, rule, order: int = 2):
+    """_parent_eval at the rule's points, plus the area weights "dA" (ne, nq)."""
+    ev = _parent_eval(patch, eids, rule.points, order)
+    jac = np.linalg.norm(np.cross(ev["r1"], ev["r2"]), axis=-1)
+    ev["dA"] = (rule.weights[None, :] * jac
+                * (ev["half"][:, 0] * ev["half"][:, 1])[:, None])
+    return ev
 
 
 def _voigt(rows):
@@ -256,47 +220,55 @@ def _voigt(rows):
 
 
 def _corner_membrane_rows(patch, eids):
-    """Voigt membrane rows at the four element corners, (ne, 4, 3, 3*nfun)."""
-    ev = _batch_eval(patch, eids, [-1.0, 1.0], [-1.0, 1.0], order=1)
-    rows = membrane_rows(ev["N1"], ev["N2"], ev["r1"], ev["r2"])
-    return _voigt(rows)
+    """Compatible membrane rows at the four element corners, (ne, 4, 3, 3*nfun)."""
+    ev = _parent_eval(patch, eids, _CORNERS, order=1)
+    return membrane_rows(ev["N1"], ev["N2"], ev["r1"], ev["r2"])
 
 
-def _corner_weights(rule: QuadratureRule):
-    """Bilinear corner interpolation table L (nq, 4), corner order as _CORNERS."""
-    xi, eta = rule.points[:, 0], rule.points[:, 1]
-    cols = [(1.0 + su * xi) * (1.0 + sv * eta) * 0.25 for su, sv in _CORNERS]
+def _corner_weights(xi):
+    """Bilinear corner interpolation weights (..., 4) at parent points xi (..., 2).
+
+    Corner order as _CORNERS.
+    """
+    xi = np.asarray(xi, dtype=float)
+    cols = [(1.0 + su * xi[..., 0]) * (1.0 + sv * xi[..., 1]) * 0.25
+            for su, sv in _CORNERS]
     return np.stack(cols, axis=-1)
+
+
+def _membrane_strain_rows(patch, eids, ev, xi, kind):
+    """Membrane strain rows of an element kind, (ne, nq, 3, 3*nfun), plain 12.
+
+    ``cs`` takes the compatible rows at the points of ``ev``.  ``cas``
+    evaluates the compatible rows at the four element corners and
+    interpolates them bilinearly to the parent points ``xi`` of those points,
+    (nq, 2) shared or (ne, nq, 2) per element.
+    """
+    if kind == CS:
+        return membrane_rows(ev["N1"], ev["N2"], ev["r1"], ev["r2"])
+    if kind != CAS:
+        raise ValueError(f"unknown element kind {kind!r}")
+    if patch.surface.kv_u.degree != 2 or patch.surface.kv_v.degree != 2:
+        raise ValueError("cas elements are defined for quadratic patches only")
+    L = np.broadcast_to(_corner_weights(xi), ev["N"].shape[:2] + (4,))
+    return np.einsum("eql,elai->eqai", L, _corner_membrane_rows(patch, eids))
 
 
 def _stiffness_batch(patch, eids, mat, rule, kind):
     """Membrane and bending element stiffness for a batch, (ne, nd, nd) each."""
-    xi1d = rule.nodes_1d()
-    ev = _batch_eval(patch, eids, xi1d, xi1d, order=2)
+    ev = _rule_eval(patch, eids, rule)
     try:
         fr = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])
     except SingularGeometryError as exc:
         raise SingularGeometryError(f"elements {list(eids)}: {exc}") from exc
 
-    wdA = (rule.weights[None, :] * fr["jac"]
-           * (ev["half"][:, 0] * ev["half"][:, 1])[:, None])
-
     Bk = _voigt(bending_rows(ev, fr))
     Db = constitutive_voigt(fr["a_inv"], mat.bending_stiffness, mat.nu)
-    k_kappa = np.einsum("eqai,eqab,eqbj,eq->eij", Bk, Db, Bk, wdA, optimize=True)
+    k_kappa = np.einsum("eqai,eqab,eqbj,eq->eij", Bk, Db, Bk, ev["dA"], optimize=True)
 
-    if kind == CS:
-        Bm = _voigt(membrane_rows(ev["N1"], ev["N2"], ev["r1"], ev["r2"]))
-    elif kind == CAS:
-        if patch.surface.kv_u.degree != 2 or patch.surface.kv_v.degree != 2:
-            raise ValueError("cas elements are defined for quadratic patches only")
-        Bc = _corner_membrane_rows(patch, eids)
-        L = _corner_weights(rule)
-        Bm = np.einsum("ql,elai->eqai", L, Bc)
-    else:
-        raise ValueError(f"unknown element kind {kind!r}")
+    Bm = _voigt(_membrane_strain_rows(patch, eids, ev, rule.points, kind))
     Dm = constitutive_voigt(fr["a_inv"], mat.membrane_stiffness, mat.nu)
-    k_eps = np.einsum("eqai,eqab,eqbj,eq->eij", Bm, Dm, Bm, wdA, optimize=True)
+    k_eps = np.einsum("eqai,eqab,eqbj,eq->eij", Bm, Dm, Bm, ev["dA"], optimize=True)
     return k_eps, k_kappa
 
 
@@ -421,7 +393,8 @@ def _mpc_transform(n, fixed_mask, rows):
     slave_of = {}
     max_depth = len(rows) + 2
 
-    def expand_into(out, d, coef, depth):
+    def expand(out, d, coef, depth):
+        """Add coef * U[d] to out, written in dofs that are not slaves."""
         if depth > max_depth:
             raise ValueError("multipoint constraint chain too deep")
         if fixed_mask[d] or coef == 0.0:
@@ -431,13 +404,13 @@ def _mpc_transform(n, fixed_mask, rows):
             out[int(d)] = out.get(int(d), 0.0) + coef
         else:
             for dm, wm in entry:
-                expand_into(out, int(dm), coef * wm, depth + 1)
+                expand(out, int(dm), coef * wm, depth + 1)
 
     for lc in rows:
         out = {}
         for d, c in zip(np.asarray(lc.dofs, dtype=int),
                         np.asarray(lc.coeffs, dtype=float)):
-            expand_into(out, int(d), float(c), 0)
+            expand(out, int(d), float(c), 0)
         out = {d: c for d, c in out.items() if c != 0.0}
         if not out:
             continue
@@ -456,23 +429,11 @@ def _mpc_transform(n, fixed_mask, rows):
     col_of = -np.ones(n, dtype=np.int64)
     col_of[free] = np.arange(len(free))
 
-    def expand_final(d, coef, out, depth):
-        if depth > max_depth:
-            raise ValueError("multipoint constraint chain too deep")
-        if fixed_mask[d] or coef == 0.0:
-            return
-        entry = slave_of.get(int(d))
-        if entry is None:
-            out[int(d)] = out.get(int(d), 0.0) + coef
-        else:
-            for dm, wm in entry:
-                expand_final(int(dm), coef * wm, out, depth + 1)
-
     ti, tj, tv = list(free), list(range(len(free))), [1.0] * len(free)
     for slave, entry in slave_of.items():
         out = {}
         for d, w in entry:
-            expand_final(int(d), float(w), out, 0)
+            expand(out, int(d), float(w), 0)
         for d, w in sorted(out.items()):
             if w == 0.0:
                 continue
@@ -518,9 +479,6 @@ def apply_constraints(system: GlobalSystem) -> ReducedSystem:
 # Assembly and loads
 # ---------------------------------------------------------------------------
 
-_CHUNK = 2048
-
-
 def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
              kind: str) -> GlobalSystem:
     """Scatter-add all element stiffness matrices into the global matrix.
@@ -531,20 +489,23 @@ def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
     n = patch.n_dof
     nd = patch.conn.shape[1] * 3
     rows_, cols_, vals_ = [], [], []
-    for start in range(0, patch.n_elements, _CHUNK):
-        eids = np.arange(start, min(start + _CHUNK, patch.n_elements))
+    for eids in _chunks(patch.n_elements):
         k_eps, k_kappa = _stiffness_batch(patch, eids, mat, rule, kind)
-        k = k_eps + k_kappa
-        dofs = (3 * patch.conn[eids][:, :, None]
-                + np.arange(3)[None, None, :]).reshape(len(eids), nd)
+        dofs = _dofs(patch.conn[eids])
         rows_.append(np.repeat(dofs, nd, axis=1).ravel())
         cols_.append(np.tile(dofs, (1, nd)).ravel())
-        vals_.append(k.ravel())
+        vals_.append((k_eps + k_kappa).ravel())
     K = sp.coo_matrix(
         (np.concatenate(vals_), (np.concatenate(rows_), np.concatenate(cols_))),
         shape=(n, n)).tocsr()
     K.sum_duplicates()
     return GlobalSystem(SparseSymmetric.from_csr(K), np.zeros(n), Constraint.empty())
+
+
+def _add_forces(F, conn, Fe):
+    """F[dofs] += Fe (ne, nfun, 3) element by element, in order."""
+    np.add.at(F, _dofs(conn).ravel(), Fe.ravel())
+    return F
 
 
 def load_area(patch: Patch, rule: QuadratureRule, f) -> np.ndarray:
@@ -554,19 +515,11 @@ def load_area(patch: Patch, rule: QuadratureRule, f) -> np.ndarray:
     (..., 3) to force densities (..., 3).
     """
     F = np.zeros(patch.n_dof)
-    const = None if callable(f) else np.asarray(f, dtype=float)
-    xi1d = rule.nodes_1d()
-    for start in range(0, patch.n_elements, _CHUNK):
-        eids = np.arange(start, min(start + _CHUNK, patch.n_elements))
-        ev = _batch_eval(patch, eids, xi1d, xi1d, order=1)
-        jac = np.linalg.norm(np.cross(ev["r1"], ev["r2"]), axis=-1)
-        wdA = (rule.weights[None, :] * jac
-               * (ev["half"][:, 0] * ev["half"][:, 1])[:, None])
-        fv = f(ev["r"]) if const is None else np.broadcast_to(
-            const, ev["r"].shape)
-        Fe = np.einsum("eqA,eqc,eq->eAc", ev["N"], fv, wdA)
-        np.add.at(F, (3 * ev["conn"][:, :, None]
-                      + np.arange(3)[None, None, :]).ravel(), Fe.ravel())
+    for eids in _chunks(patch.n_elements):
+        ev = _rule_eval(patch, eids, rule, order=1)
+        fv = f(ev["r"]) if callable(f) else np.broadcast_to(
+            np.asarray(f, dtype=float), ev["r"].shape)
+        _add_forces(F, ev["conn"], np.einsum("eqA,eqc,eq->eAc", ev["N"], fv, ev["dA"]))
     return F
 
 
@@ -578,7 +531,7 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
 
     ``edge`` is one of 'u0', 'u1', 'v0', 'v1' (the boundary where that
     parameter takes the given end value); ``q`` is a constant 3-vector or a
-    callable on positions.
+    callable mapping positions (..., 3) to line force densities (..., 3).
     """
     if edge not in _EDGES:
         raise ValueError(f"{edge!r} is not a patch boundary edge")
@@ -588,32 +541,26 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     fixed_kv = s.kv_v if run_dir == "u" else s.kv_u
     fixed_val = fixed_kv.start if fixed_frac == 0.0 else fixed_kv.end
 
-    const = None if callable(q) else np.asarray(q, dtype=float)
+    # Gauss points of every span along the edge, span-major
     x1, w1 = gauss_1d(n_gauss)
-    F = np.zeros(patch.n_dof)
-    for span in run_kv.spans():
-        lo, hi = run_kv.knots[span], run_kv.knots[span + 1]
-        half = 0.5 * (hi - lo)
-        for xq, wq in zip(x1, w1):
-            t_run = lo + 0.5 * (xq + 1.0) * (hi - lo)
-            t1, t2 = (t_run, fixed_val) if run_dir == "u" else (fixed_val, t_run)
-            be = basis_eval(s, t1, t2)
-            r, r1, r2 = surface_eval(s, t1, t2, order=1)
-            tangent = r1 if run_dir == "u" else r2
-            ds = np.linalg.norm(tangent)
-            qv = q(r) if const is None else const
-            eid = patch.element_containing(t1, t2)
-            dofs = patch.element_dofs(eid)
-            F[dofs] += (np.outer(be.N, qv) * (wq * half * ds)).ravel()
-    return F
+    spans = run_kv.spans()
+    lo, hi = run_kv.knots[spans][:, None], run_kv.knots[spans + 1][:, None]
+    t_run = (lo + 0.5 * (x1 + 1.0) * (hi - lo)).ravel()
+    w_run = (w1 * (0.5 * (hi - lo))).ravel()
+    t_fix = np.full_like(t_run, fixed_val)
+    theta = np.stack((t_run, t_fix) if run_dir == "u" else (t_fix, t_run), axis=-1)
+
+    ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :], order=1)
+    ds = np.linalg.norm(ev["r1" if run_dir == "u" else "r2"][:, 0], axis=-1)
+    qv = q(ev["r"][:, 0]) if callable(q) else np.broadcast_to(
+        np.asarray(q, dtype=float), (len(theta), 3))
+    Fe = ev["N"][:, 0, :, None] * qv[:, None, :] * (w_run * ds)[:, None, None]
+    return _add_forces(np.zeros(patch.n_dof), ev["conn"], Fe)
 
 
 def load_point(patch: Patch, theta, P) -> np.ndarray:
     """Load vector for a concentrated force at a parametric point."""
-    t1, t2 = theta
-    be = basis_eval(patch.surface, t1, t2)
-    eid = patch.element_containing(t1, t2)
-    dofs = patch.element_dofs(eid)
-    F = np.zeros(patch.n_dof)
-    F[dofs] += np.outer(be.N, np.asarray(P, dtype=float)).ravel()
-    return F
+    theta = np.array([theta], dtype=float)
+    ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :], order=0)
+    Fe = ev["N"][:, 0, :, None] * np.asarray(P, dtype=float)
+    return _add_forces(np.zeros(patch.n_dof), ev["conn"], Fe)

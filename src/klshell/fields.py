@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (CAS, CS, Patch, QuadratureRule, _batch_eval,
-                       _corner_weights, tensor_rule)
-from .nurbs import basis_eval
-from .shell import (CARTESIAN, ResultantTriple, ShellMaterial, bending_rows,
-                    constitutive_voigt, frame_arrays, membrane_rows)
-
-_VOIGT = np.array([1.0, 1.0, 2.0])
+from .elements import (Patch, QuadratureRule, _batch_eval, _chunks, _dofs,
+                       _membrane_strain_rows, _rule_eval, _to_parent, tensor_rule)
+from .shell import (_VOIGT, CARTESIAN, ResultantTriple, ShellMaterial,
+                    bending_rows, cartesian_components, constitutive_voigt,
+                    effective_membrane_forces, frame_arrays, resultant_law)
 
 
 @dataclass(eq=False)
@@ -37,9 +35,7 @@ class SolutionField:
         self.U = U
 
     def local_dofs(self, eids) -> np.ndarray:
-        return self.U.reshape(-1)[
-            (3 * self.patch.conn[eids][:, :, None]
-             + np.arange(3)[None, None, :]).reshape(len(eids), -1)]
+        return self.U.reshape(-1)[_dofs(self.patch.conn[eids])]
 
 
 @dataclass(frozen=True)
@@ -59,93 +55,55 @@ class EnergyReport:
         return self.Eb / self.Et
 
 
+def _displacements(sol, ev):
+    """u = sum_A N_A U_A at the points of ev, (ne, nq, 3)."""
+    return np.einsum("eqA,eAc->eqc", ev["N"], sol.U[ev["conn"]])
+
+
 def displacement_at(sol: SolutionField, t1: float, t2: float) -> np.ndarray:
     """u(theta) = sum_A N_A(theta) U_A."""
-    be = basis_eval(sol.patch.surface, t1, t2)
-    eid = sol.patch.element_containing(t1, t2)
-    return be.N @ sol.U[sol.patch.conn[eid]]
+    theta = np.array([[t1, t2]], dtype=float)
+    ev = _batch_eval(sol.patch, sol.patch.locate(theta), theta[:, None, :], order=0)
+    return _displacements(sol, ev)[0, 0]
 
 
-def _strain_fields(sol, eids, xi_u, xi_v):
-    """Strains, frames and geometry on a tensor grid over a batch of elements.
+def _strain_fields(sol, eids, ev, xi):
+    """Strains and frames at the points of ev, parent coordinates xi.
 
     Membrane strains follow the element kind; curvatures are compatible.
-    Returns (ev, fr, eps, kappa) with eps/kappa of shape (ne, nq, 3) in
+    Returns (fr, eps, kappa) with eps/kappa of shape (ne, nq, 3) in
     component order (11, 22, 12), plain 12 storage.
     """
-    patch = sol.patch
-    ev = _batch_eval(patch, eids, xi_u, xi_v, order=2)
     fr = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])
     Uloc = sol.local_dofs(eids)
-
-    kaprows = bending_rows(ev, fr)
-    kappa = np.einsum("eqaj,ej->eqa", kaprows, Uloc)
-
-    if sol.kind == CS:
-        mrows = membrane_rows(ev["N1"], ev["N2"], ev["r1"], ev["r2"])
-        eps = np.einsum("eqaj,ej->eqa", mrows, Uloc)
-    elif sol.kind == CAS:
-        cev = _batch_eval(patch, eids, [-1.0, 1.0], [-1.0, 1.0], order=1)
-        crows = membrane_rows(cev["N1"], cev["N2"], cev["r1"], cev["r2"])
-        eps_c = np.einsum("elaj,ej->ela", crows, Uloc)
-        xi_u = np.asarray(xi_u, dtype=float)
-        xi_v = np.asarray(xi_v, dtype=float)
-        grid = np.stack([np.repeat(xi_u, len(xi_v)),
-                         np.tile(xi_v, len(xi_u))], axis=-1)
-        L = _corner_weights(QuadratureRule(grid, np.zeros(len(grid))))
-        eps = np.einsum("ql,ela->eqa", L, eps_c)
-    else:
-        raise ValueError(f"unknown element kind {sol.kind!r}")
-    return ev, fr, eps, kappa
+    kappa = np.einsum("eqaj,ej->eqa", bending_rows(ev, fr), Uloc)
+    mrows = _membrane_strain_rows(sol.patch, eids, ev, xi, sol.kind)
+    return fr, np.einsum("eqaj,ej->eqa", mrows, Uloc), kappa
 
 
-def _resultant_fields(sol, eids, xi_u, xi_v):
-    """Local-Cartesian resultant components on a tensor grid, batched.
+def _resultant_fields(sol, eids, ev, xi):
+    """Local-Cartesian resultant components at the points of ev.
 
-    Returns (ev, dict) where the dict maps 'n', 'm', 'neff' to arrays of
-    shape (ne, nq, 3) holding the (11, 22, 12) physical components.
+    Returns a dict mapping 'n', 'm', 'neff' to arrays of shape (ne, nq, 3)
+    holding the (11, 22, 12) physical components.
     """
     mat = sol.mat
-    ev, fr, eps, kappa = _strain_fields(sol, eids, xi_u, xi_v)
-    Dm = constitutive_voigt(fr["a_inv"], mat.membrane_stiffness, mat.nu)
-    Db = constitutive_voigt(fr["a_inv"], mat.bending_stiffness, mat.nu)
-    n = np.einsum("eqab,eqb->eqa", Dm, eps * _VOIGT)
-    m = np.einsum("eqab,eqb->eqa", Db, kappa * _VOIGT)
-
-    # n_eff^ab = n^ab - m^al b^b_l, same coupling sign as effective_membrane
-    bm = fr["b_mixed"]
-    neff = np.empty_like(n)
-    neff[..., 0] = n[..., 0] - m[..., 0] * bm[..., 0, 0] - m[..., 2] * bm[..., 0, 1]
-    neff[..., 1] = n[..., 1] - m[..., 2] * bm[..., 1, 0] - m[..., 1] * bm[..., 1, 1]
-    off1 = m[..., 0] * bm[..., 1, 0] + m[..., 2] * bm[..., 1, 1]
-    off2 = m[..., 2] * bm[..., 0, 0] + m[..., 1] * bm[..., 0, 1]
-    neff[..., 2] = n[..., 2] - 0.5 * (off1 + off2)
-
-    T = np.empty(n.shape[:-1] + (2, 2))
-    T[..., 0, 0] = np.einsum("...i,...i->...", fr["e1"], fr["a1"])
-    T[..., 0, 1] = np.einsum("...i,...i->...", fr["e1"], fr["a2"])
-    T[..., 1, 0] = np.einsum("...i,...i->...", fr["e2"], fr["a1"])
-    T[..., 1, 1] = np.einsum("...i,...i->...", fr["e2"], fr["a2"])
-
-    def to_cart(c):
-        M = np.empty(c.shape[:-1] + (2, 2))
-        M[..., 0, 0] = c[..., 0]
-        M[..., 1, 1] = c[..., 1]
-        M[..., 0, 1] = M[..., 1, 0] = c[..., 2]
-        H = np.einsum("...ab,...bc,...dc->...ad", T, M, T)
-        out = np.empty_like(c)
-        out[..., 0] = H[..., 0, 0]
-        out[..., 1] = H[..., 1, 1]
-        out[..., 2] = 0.5 * (H[..., 0, 1] + H[..., 1, 0])
-        return out
-
-    return ev, {"n": to_cart(n), "m": to_cart(m), "neff": to_cart(neff)}
+    fr, eps, kappa = _strain_fields(sol, eids, ev, xi)
+    n = resultant_law(eps, fr["a_inv"], mat.membrane_stiffness, mat.nu)
+    m = resultant_law(kappa, fr["a_inv"], mat.bending_stiffness, mat.nu)
+    neff = effective_membrane_forces(n, m, fr["b_mixed"])
+    return {key: cartesian_components(c, fr["e1"], fr["e2"], fr["a1"], fr["a2"])
+            for key, c in (("n", n), ("m", m), ("neff", neff))}
 
 
-def _parent_coords(patch, eid, t1, t2):
-    (ulo, uhi), (vlo, vhi) = patch.element_bounds(eid)
-    return (2.0 * (t1 - ulo) / (uhi - ulo) - 1.0,
-            2.0 * (t2 - vlo) / (vhi - vlo) - 1.0)
+def _point_fields(sol, theta, eids):
+    """Geometry, displacements and resultants at points theta (n, 2) of elements eids.
+
+    Returns (ev, u, res) with leading shape (n, 1).
+    """
+    ev = _batch_eval(sol.patch, eids, theta[:, None, :], order=2)
+    xi = _to_parent(sol.patch, eids, theta)[:, None, :]
+    return ev, _displacements(sol, ev), _resultant_fields(sol, eids, ev, xi)
 
 
 def resultants_at(sol: SolutionField, t1: float, t2: float, eid: int | None = None):
@@ -154,15 +112,11 @@ def resultants_at(sol: SolutionField, t1: float, t2: float, eid: int | None = No
     Returns (n_hat, m_hat, neff_hat) as local-Cartesian ResultantTriples.
     ``eid`` overrides the containing element (useful on shared edges).
     """
-    if eid is None:
-        eid = sol.patch.element_containing(t1, t2)
-    xi, eta = _parent_coords(sol.patch, eid, t1, t2)
-    _, res = _resultant_fields(sol, [eid], [xi], [eta])
-    out = []
-    for key in ("n", "m", "neff"):
-        c = res[key][0, 0]
-        out.append(ResultantTriple(c[0], c[1], c[2], basis=CARTESIAN))
-    return tuple(out)
+    theta = np.array([[t1, t2]], dtype=float)
+    eids = sol.patch.locate(theta) if eid is None else np.array([eid])
+    _, _, res = _point_fields(sol, theta, eids)
+    return tuple(ResultantTriple(*res[key][0, 0], basis=CARTESIAN)
+                 for key in ("n", "m", "neff"))
 
 
 def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
@@ -171,22 +125,17 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
     Using the same rule as assembly reproduces the discrete identity
     E_t = 0.5 * U K U for the matching element kind.
     """
-    xi1d = rule.nodes_1d()
     Em = 0.0
     Eb = 0.0
-    patch = sol.patch
-    chunk = 2048
-    for start in range(0, patch.n_elements, chunk):
-        eids = np.arange(start, min(start + chunk, patch.n_elements))
-        ev, fr, eps, kappa = _strain_fields(sol, eids, xi1d, xi1d)
+    for eids in _chunks(sol.patch.n_elements):
+        ev = _rule_eval(sol.patch, eids, rule)
+        fr, eps, kappa = _strain_fields(sol, eids, ev, rule.points)
         Dm = constitutive_voigt(fr["a_inv"], sol.mat.membrane_stiffness, sol.mat.nu)
         Db = constitutive_voigt(fr["a_inv"], sol.mat.bending_stiffness, sol.mat.nu)
-        wdA = (rule.weights[None, :] * fr["jac"]
-               * (ev["half"][:, 0] * ev["half"][:, 1])[:, None])
         sm = eps * _VOIGT
         sb = kappa * _VOIGT
-        Em += 0.5 * np.einsum("eqa,eqab,eqb,eq->", sm, Dm, sm, wdA)
-        Eb += 0.5 * np.einsum("eqa,eqab,eqb,eq->", sb, Db, sb, wdA)
+        Em += 0.5 * np.einsum("eqa,eqab,eqb,eq->", sm, Dm, sm, ev["dA"])
+        Eb += 0.5 * np.einsum("eqa,eqab,eqb,eq->", sb, Db, sb, ev["dA"])
     return EnergyReport(Em=float(Em), Eb=float(Eb), Et=float(Em + Eb))
 
 
@@ -203,21 +152,15 @@ def l2_resultant_error(sol: SolutionField, analytic, which: str,
         raise ValueError(f"unknown resultant component {which!r}")
     name, comp = key[which]
     rule = tensor_rule(n_fine)
-    xi1d = rule.nodes_1d()
     num = 0.0
     den = 0.0
-    patch = sol.patch
-    chunk = 2048
-    for start in range(0, patch.n_elements, chunk):
-        eids = np.arange(start, min(start + chunk, patch.n_elements))
-        ev, res = _resultant_fields(sol, eids, xi1d, xi1d)
-        jac = np.linalg.norm(np.cross(ev["r1"], ev["r2"]), axis=-1)
-        wdA = (rule.weights[None, :] * jac
-               * (ev["half"][:, 0] * ev["half"][:, 1])[:, None])
+    for eids in _chunks(sol.patch.n_elements):
+        ev = _rule_eval(sol.patch, eids, rule)
+        res = _resultant_fields(sol, eids, ev, rule.points)
         exact = analytic(ev["r"])
         diff = res[name][..., comp] - exact
-        num += np.sum(diff ** 2 * wdA)
-        den += np.sum(exact ** 2 * wdA)
+        num += np.sum(diff ** 2 * ev["dA"])
+        den += np.sum(exact ** 2 * ev["dA"])
     if den <= 0.0:
         raise ValueError("analytic field has zero L2 norm: error undefined")
     return float(np.sqrt(num) / np.sqrt(den))
@@ -227,7 +170,8 @@ def write_field(sol: SolutionField, stream, header: dict, density: int = 20) -> 
     """Sample the solution on a uniform parametric grid in a plain-text table.
 
     Header lines are '# key: value'; data rows are
-    "t1 t2 x y z ux uy uz n11 n22 n12 m11 m22 m12 neff11".
+    "t1 t2 x y z ux uy uz n11 n22 n12 m11 m22 m12 neff11", t1-major.  Each
+    sample is evaluated in the element that contains it (``Patch.locate``).
     """
     own = isinstance(stream, str)
     f = open(stream, "w", encoding="ascii") if own else stream
@@ -238,16 +182,13 @@ def write_field(sol: SolutionField, stream, header: dict, density: int = 20) -> 
         s = sol.patch.surface
         tu = np.linspace(s.kv_u.start, s.kv_u.end, density)
         tv = np.linspace(s.kv_v.start, s.kv_v.end, density)
-        for t1 in tu:
-            for t2 in tv:
-                eid = sol.patch.element_containing(t1, t2)
-                xi, eta = _parent_coords(sol.patch, eid, t1, t2)
-                ev, res = _resultant_fields(sol, [eid], [xi], [eta])
-                r = ev["r"][0, 0]
-                u = displacement_at(sol, t1, t2)
-                n, m, neff = (res["n"][0, 0], res["m"][0, 0], res["neff"][0, 0])
-                vals = [t1, t2, *r, *u, *n, *m, neff[0]]
-                f.write(" ".join(format(v, ".17g") for v in vals) + "\n")
+        theta = np.stack(np.meshgrid(tu, tv, indexing="ij"), axis=-1).reshape(-1, 2)
+        for idx in _chunks(len(theta)):
+            ev, u, res = _point_fields(sol, theta[idx], sol.patch.locate(theta[idx]))
+            table = np.concatenate([theta[idx], ev["r"][:, 0], u[:, 0], res["n"][:, 0],
+                                    res["m"][:, 0], res["neff"][:, 0, :1]], axis=1)
+            for row in table:
+                f.write(" ".join(format(v, ".17g") for v in row) + "\n")
     finally:
         if own:
             f.close()

@@ -65,26 +65,24 @@ class KnotVector:
                          if k[i + 1] > k[i]], dtype=int)
 
 
-def find_span(kv: KnotVector, theta: float) -> int:
-    """Return i with knots[i] <= theta < knots[i+1].
+def find_spans(kv: KnotVector, theta) -> np.ndarray:
+    """Array form of :func:`find_span`: span indices of the points ``theta``.
 
     The right endpoint maps to the last nonempty span so that boundary
     points remain evaluable.
     """
-    k, p, n = kv.knots, kv.degree, kv.n_basis
-    if theta < k[0] or theta > k[-1]:
-        raise DomainError(f"parameter {theta} outside knot range [{k[0]}, {k[-1]}]")
-    if theta >= k[n]:
-        return n - 1
-    # binary search over the open range
-    lo, hi = p, n
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if theta < k[mid]:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    k, n = kv.knots, kv.n_basis
+    theta = np.asarray(theta, dtype=float)
+    outside = (theta < k[0]) | (theta > k[-1])
+    if np.any(outside):
+        raise DomainError(f"parameter {theta[outside].flat[0]} outside knot range "
+                          f"[{k[0]}, {k[-1]}]")
+    return np.minimum(np.searchsorted(k, theta, side="right") - 1, n - 1)
+
+
+def find_span(kv: KnotVector, theta: float) -> int:
+    """Return i with knots[i] <= theta < knots[i+1] (last span at the right end)."""
+    return int(find_spans(kv, theta))
 
 
 def basis_ders(kv: KnotVector, theta: float, order: int = 0) -> np.ndarray:
@@ -97,53 +95,54 @@ def basis_ders(kv: KnotVector, theta: float, order: int = 0) -> np.ndarray:
     """
     if order > 2:
         raise ValueError(f"derivative order {order} unsupported (max 2)")
-    span = find_span(kv, theta)
-    return _basis_ders_at_span(kv.knots, kv.degree, span, theta, order)
+    return _basis_ders_at_span(kv.knots, kv.degree, find_span(kv, theta), theta, order)
 
 
 def _basis_ders_at_span(knots, p, span, theta, order):
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu = np.ones((p + 1, p + 1))
+    """B-spline values and derivatives on arrays of (span, theta).
+
+    ``span`` and ``theta`` broadcast to a common shape (...); returns
+    (..., order+1, p+1).  The recurrence (The NURBS Book, A2.3) runs
+    elementwise over the points and loops over the degree only.
+    """
+    span, theta = np.broadcast_arrays(np.asarray(span), np.asarray(theta, dtype=float))
+    left = [None] + [theta - knots[span + 1 - j] for j in range(1, p + 1)]
+    right = [None] + [knots[span + j] - theta for j in range(1, p + 1)]
+    ndu = [[np.ones(theta.shape)] * (p + 1) for _ in range(p + 1)]
     for j in range(1, p + 1):
-        left[j] = theta - knots[span + 1 - j]
-        right[j] = knots[span + j] - theta
         saved = 0.0
         for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
-        ndu[j, j] = saved
+        ndu[j][j] = saved
 
-    nders = min(order, p)
-    ders = np.zeros((order + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-
-    a = np.ones((2, p + 1))
+    ders = np.zeros(theta.shape + (order + 1, p + 1))
     for r in range(p + 1):
+        ders[..., 0, r] = ndu[r][p]
+        a = [[1.0] * (p + 1), [1.0] * (p + 1)]
         s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nders + 1):
+        for k in range(1, min(order, p) + 1):
             d = 0.0
             rk, pk = r - k, p - k
             if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
+                a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
+                d = a[s2][0] * ndu[rk][pk]
             j1 = 1 if rk >= -1 else -rk
             j2 = k - 1 if r - 1 <= pk else p - r
             for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
+                a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
+                d += a[s2][j] * ndu[rk + j][pk]
             if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
+                a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
+                d += a[s2][k] * ndu[r][pk]
+            ders[..., k, r] = d
             s1, s2 = s2, s1
 
     fac = float(p)
-    for k in range(1, nders + 1):
-        ders[k, :] *= fac
+    for k in range(1, min(order, p) + 1):
+        ders[..., k, :] *= fac
         fac *= p - k
     return ders
 
@@ -211,79 +210,76 @@ class BasisEval:
     N12: np.ndarray
 
 
-def _tensor_homogeneous(surface, t1, t2, order):
-    """Homogeneous sums S = sum_A B_A(theta) * (w_A P_A, w_A) and derivatives."""
-    du = basis_ders(surface.kv_u, t1, order)
-    dv = basis_ders(surface.kv_v, t2, order)
-    su, sv = find_span(surface.kv_u, t1), find_span(surface.kv_v, t2)
+# Rows of the batched rational evaluator: the value and the parametric
+# derivatives 1, 2, 11, 22, 12, as (d1, d2) derivative orders per direction.
+_DERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+_N_ROWS = (1, 3, 6)
+
+
+def quotient_rule(S: np.ndarray) -> np.ndarray:
+    """Values and derivatives of R = S / W, where W = S[..., -1].
+
+    ``S`` stacks homogeneous sums on axis 0 in the row order of ``_DERS``
+    (1, 3 or 6 rows); the result has the same layout.
+    """
+    W = S[..., -1:]
+    R = np.empty_like(S)
+    R[0] = S[0] / W[0]
+    for a in range(1, min(len(S), 3)):
+        R[a] = (S[a] - R[0] * W[a]) / W[0]
+    if len(S) > 3:
+        for aa, a in ((3, 1), (4, 2)):
+            R[aa] = (S[aa] - 2.0 * R[a] * W[a] - R[0] * W[aa]) / W[0]
+        R[5] = (S[5] - R[1] * W[2] - R[2] * W[1] - R[0] * W[5]) / W[0]
+    return R
+
+
+def rational_eval(surface: NurbsSurface, su, sv, t1, t2, order: int = 2) -> np.ndarray:
+    """Rational basis functions and surface derivatives at arrays of points.
+
+    The points (t1, t2) lie in the spans (su, sv); the four arrays broadcast
+    to a common shape (...).  Returns R of shape (k, ..., nfun + 4), k = 1, 3
+    or 6 rows for order 0, 1 or 2 in the row order (value, 1, 2, 11, 22, 12).
+    Columns [:nfun] hold the rational basis functions supported on the span
+    pair (u-major), [nfun:nfun+3] the position and [-1] the constant 1: one
+    quotient rule on the stacked numerators [w_A B_A | sum_A B_A (w_A P_A, w_A)]
+    gives both.
+    """
+    if order > 2:
+        raise ValueError(f"derivative order {order} unsupported (max 2)")
     pu, pv = surface.kv_u.degree, surface.kv_v.degree
-    h = surface.homogeneous()[su - pu: su + 1, sv - pv: sv + 1]  # (pu+1, pv+1, 4)
+    Du = _basis_ders_at_span(surface.kv_u.knots, pu, su, t1, order)
+    Dv = _basis_ders_at_span(surface.kv_v.knots, pv, sv, t2, order)
+    iu = np.asarray(su)[..., None] - pu + np.arange(pu + 1)
+    iv = np.asarray(sv)[..., None] - pv + np.arange(pv + 1)
+    idx = iu[..., :, None] * surface.kv_v.n_basis + iv[..., None, :]
+    H = surface.homogeneous().reshape(-1, 4)[idx.reshape(idx.shape[:-2] + (-1,))]
+    B = np.stack([Du[..., d1, :, None] * Dv[..., d2, None, :]
+                  for d1, d2 in _DERS[:_N_ROWS[order]]])
+    B = B.reshape(B.shape[:-2] + (-1,))
+    return quotient_rule(np.concatenate(
+        [B * H[..., 3], np.einsum("k...A,...Ac->k...c", B, H)], axis=-1))
 
-    def S(d1, d2):
-        return np.einsum("i,j,ijc->c", du[d1], dv[d2], h)
 
-    out = {(0, 0): S(0, 0)}
-    if order >= 1:
-        out[(1, 0)] = S(1, 0)
-        out[(0, 1)] = S(0, 1)
-    if order >= 2:
-        out[(2, 0)] = S(2, 0)
-        out[(1, 1)] = S(1, 1)
-        out[(0, 2)] = S(0, 2)
-    return out, (su, sv), (du, dv)
+def _rational_at(surface, t1, t2, order):
+    su, sv = find_span(surface.kv_u, t1), find_span(surface.kv_v, t2)
+    return su, sv, rational_eval(surface, su, sv, t1, t2, order)
 
 
 def surface_eval(surface: NurbsSurface, t1: float, t2: float, order: int = 2):
     """Evaluate position and parametric derivatives of the surface.
 
     Returns (r,) for order 0, (r, r1, r2) for order 1 and
-    (r, r1, r2, r11, r22, r12) for order 2.  Derivatives of the rational
-    map are obtained by quotient-rule expansion of the homogeneous form.
+    (r, r1, r2, r11, r22, r12) for order 2.
     """
-    if order > 2:
-        raise ValueError(f"derivative order {order} unsupported (max 2)")
-    S, _, _ = _tensor_homogeneous(surface, t1, t2, order)
-    return _project(S, order)
-
-
-def _project(S, order):
-    w = S[(0, 0)][3]
-    r = S[(0, 0)][:3] / w
-    if order == 0:
-        return (r,)
-    w1, w2 = S[(1, 0)][3], S[(0, 1)][3]
-    r1 = (S[(1, 0)][:3] - w1 * r) / w
-    r2 = (S[(0, 1)][:3] - w2 * r) / w
-    if order == 1:
-        return (r, r1, r2)
-    w11, w22, w12 = S[(2, 0)][3], S[(0, 2)][3], S[(1, 1)][3]
-    r11 = (S[(2, 0)][:3] - w11 * r - 2.0 * w1 * r1) / w
-    r22 = (S[(0, 2)][:3] - w22 * r - 2.0 * w2 * r2) / w
-    r12 = (S[(1, 1)][:3] - w12 * r - w1 * r2 - w2 * r1) / w
-    return (r, r1, r2, r11, r22, r12)
+    _, _, R = _rational_at(surface, t1, t2, order)
+    return tuple(R[:, -4:-1])
 
 
 def basis_eval(surface: NurbsSurface, t1: float, t2: float) -> BasisEval:
     """Rational basis functions with first and second partials at a point."""
-    S, (su, sv), (du, dv) = _tensor_homogeneous(surface, t1, t2, 2)
-    pu, pv = surface.kv_u.degree, surface.kv_v.degree
-    wgrid = surface.weights[su - pu: su + 1, sv - pv: sv + 1]
-
-    W = S[(0, 0)][3]
-    W1, W2 = S[(1, 0)][3], S[(0, 1)][3]
-    W11, W22, W12 = S[(2, 0)][3], S[(0, 2)][3], S[(1, 1)][3]
-
-    def B(d1, d2):
-        return np.outer(du[d1], dv[d2]) * wgrid  # weighted tensor B-spline
-
-    N = B(0, 0) / W
-    N1 = (B(1, 0) - N * W1) / W
-    N2 = (B(0, 1) - N * W2) / W
-    N11 = (B(2, 0) - 2.0 * N1 * W1 - N * W11) / W
-    N22 = (B(0, 2) - 2.0 * N2 * W2 - N * W22) / W
-    N12 = (B(1, 1) - N1 * W2 - N2 * W1 - N * W12) / W
-    return BasisEval(su, sv, N.ravel(), N1.ravel(), N2.ravel(),
-                     N11.ravel(), N22.ravel(), N12.ravel())
+    su, sv, R = _rational_at(surface, t1, t2, 2)
+    return BasisEval(su, sv, *R[:, :-4])
 
 
 # ---------------------------------------------------------------------------

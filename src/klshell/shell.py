@@ -216,61 +216,12 @@ def bending_strain_op(frame: SurfaceFrame, basis: BasisEval) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Constitutive laws
+# Constitutive laws and resultant transforms
 # ---------------------------------------------------------------------------
+# Batched over leading dimensions; strain and resultant vectors hold the
+# components (11, 22, 12), plain 12 storage.
 
-def _law_matrix(strain_mat, a_inv, scale, nu):
-    """c * [ (1-nu) A E A + nu A tr(A E) ] for symmetric E and A = a_inv."""
-    AE = a_inv @ strain_mat
-    return scale * ((1.0 - nu) * (AE @ a_inv.T).T
-                    + nu * np.trace(AE) * a_inv)
-
-
-def membrane_law(eps: StrainTriple, frame: SurfaceFrame,
-                 mat: ShellMaterial) -> ResultantTriple:
-    """Contravariant membrane forces from covariant membrane strains."""
-    n = _law_matrix(eps.as_matrix(), frame.a_inv, mat.membrane_stiffness, mat.nu)
-    return ResultantTriple(n[0, 0], n[1, 1], 0.5 * (n[0, 1] + n[1, 0]))
-
-
-def bending_law(kappa: StrainTriple, frame: SurfaceFrame,
-                mat: ShellMaterial) -> ResultantTriple:
-    """Contravariant bending moments from covariant bending pseudo-strains."""
-    m = _law_matrix(kappa.as_matrix(), frame.a_inv, mat.bending_stiffness, mat.nu)
-    return ResultantTriple(m[0, 0], m[1, 1], 0.5 * (m[0, 1] + m[1, 0]))
-
-
-def effective_membrane(n: ResultantTriple, m: ResultantTriple,
-                       frame: SurfaceFrame) -> ResultantTriple:
-    """Effective membrane forces n_eff^ab = n^ab - m^al b^b_l (curvilinear).
-
-    The moment-curvature coupling carries the shape-operator sign: with this
-    pairing n_eff reproduces the force transmitted through a cross-section
-    (e.g. the tangential tip-load component on a statically determinate
-    arch), which the opposite sign does not for any surface orientation.
-    """
-    if n.basis != CURVILINEAR or m.basis != CURVILINEAR:
-        raise BasisConventionError("effective_membrane expects curvilinear inputs")
-    ne = n.as_matrix() - m.as_matrix() @ frame.b_mixed.T
-    return ResultantTriple(ne[0, 0], ne[1, 1], 0.5 * (ne[0, 1] + ne[1, 0]))
-
-
-def to_local_cartesian(res: ResultantTriple, frame: SurfaceFrame) -> ResultantTriple:
-    """Transform contravariant coefficients to the local Cartesian basis.
-
-    hat{n}^ab = n^gm (e_a . a_g)(a_m . e_b); the output carries physical
-    units (force/length for membrane, force for moments).
-    """
-    if res.basis != CURVILINEAR:
-        raise BasisConventionError("resultant is already in a local Cartesian basis")
-    T = np.empty((2, 2))
-    T[0, 0] = frame.e1 @ frame.a1
-    T[0, 1] = frame.e1 @ frame.a2
-    T[1, 0] = frame.e2 @ frame.a1
-    T[1, 1] = frame.e2 @ frame.a2
-    h = T @ res.as_matrix() @ T.T
-    return ResultantTriple(h[0, 0], h[1, 1], 0.5 * (h[0, 1] + h[1, 0]),
-                           basis=CARTESIAN)
+_VOIGT = np.array([1.0, 1.0, 2.0])
 
 
 def constitutive_voigt(a_inv, scale, nu):
@@ -293,3 +244,84 @@ def constitutive_voigt(a_inv, scale, nu):
     if np.ndim(scale) > 0:
         return D * scale[..., None, None]
     return D * scale
+
+
+def resultant_law(strain, a_inv, scale, nu):
+    """Contravariant resultants c [(1-nu) A E A + nu A tr(A E)], A = a_inv."""
+    return np.einsum("...ab,...b->...a", constitutive_voigt(a_inv, scale, nu),
+                     strain * _VOIGT)
+
+
+def effective_membrane_forces(n, m, b_mixed):
+    """Effective membrane forces n_eff^ab = n^ab - m^al b^b_l, symmetrized.
+
+    The moment-curvature coupling carries the shape-operator sign: with this
+    pairing n_eff reproduces the force transmitted through a cross-section
+    (e.g. the tangential tip-load component on a statically determinate
+    arch), which the opposite sign does not for any surface orientation.
+    """
+    bm = b_mixed
+    neff = np.empty_like(n)
+    neff[..., 0] = n[..., 0] - m[..., 0] * bm[..., 0, 0] - m[..., 2] * bm[..., 0, 1]
+    neff[..., 1] = n[..., 1] - m[..., 2] * bm[..., 1, 0] - m[..., 1] * bm[..., 1, 1]
+    off1 = m[..., 0] * bm[..., 1, 0] + m[..., 2] * bm[..., 1, 1]
+    off2 = m[..., 2] * bm[..., 0, 0] + m[..., 1] * bm[..., 0, 1]
+    neff[..., 2] = n[..., 2] - 0.5 * (off1 + off2)
+    return neff
+
+
+def cartesian_components(c, e1, e2, a1, a2):
+    """Local Cartesian components hat{c}^ab = c^gm (e_a . a_g)(a_m . e_b).
+
+    The output carries physical units (force/length for membrane forces,
+    force for moments).
+    """
+    T = np.empty(c.shape[:-1] + (2, 2))
+    T[..., 0, 0] = _dot(e1, a1)
+    T[..., 0, 1] = _dot(e1, a2)
+    T[..., 1, 0] = _dot(e2, a1)
+    T[..., 1, 1] = _dot(e2, a2)
+    M = np.empty(c.shape[:-1] + (2, 2))
+    M[..., 0, 0] = c[..., 0]
+    M[..., 1, 1] = c[..., 1]
+    M[..., 0, 1] = M[..., 1, 0] = c[..., 2]
+    H = np.einsum("...ab,...bc,...dc->...ad", T, M, T)
+    out = np.empty_like(c)
+    out[..., 0] = H[..., 0, 0]
+    out[..., 1] = H[..., 1, 1]
+    out[..., 2] = 0.5 * (H[..., 0, 1] + H[..., 1, 0])
+    return out
+
+
+def _vec(triple):
+    return np.array([triple.c11, triple.c22, triple.c12], dtype=float)
+
+
+def membrane_law(eps: StrainTriple, frame: SurfaceFrame,
+                 mat: ShellMaterial) -> ResultantTriple:
+    """Contravariant membrane forces from covariant membrane strains."""
+    return ResultantTriple(*resultant_law(_vec(eps), frame.a_inv,
+                                          mat.membrane_stiffness, mat.nu))
+
+
+def bending_law(kappa: StrainTriple, frame: SurfaceFrame,
+                mat: ShellMaterial) -> ResultantTriple:
+    """Contravariant bending moments from covariant bending pseudo-strains."""
+    return ResultantTriple(*resultant_law(_vec(kappa), frame.a_inv,
+                                          mat.bending_stiffness, mat.nu))
+
+
+def effective_membrane(n: ResultantTriple, m: ResultantTriple,
+                       frame: SurfaceFrame) -> ResultantTriple:
+    """Effective membrane forces (curvilinear); see effective_membrane_forces."""
+    if n.basis != CURVILINEAR or m.basis != CURVILINEAR:
+        raise BasisConventionError("effective_membrane expects curvilinear inputs")
+    return ResultantTriple(*effective_membrane_forces(_vec(n), _vec(m), frame.b_mixed))
+
+
+def to_local_cartesian(res: ResultantTriple, frame: SurfaceFrame) -> ResultantTriple:
+    """Transform contravariant coefficients to the local Cartesian basis."""
+    if res.basis != CURVILINEAR:
+        raise BasisConventionError("resultant is already in a local Cartesian basis")
+    c = cartesian_components(_vec(res), frame.e1, frame.e2, frame.a1, frame.a2)
+    return ResultantTriple(*c, basis=CARTESIAN)

@@ -75,6 +75,22 @@ class TestExitCodes:
                       "--elements-per-side", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--elements-per-side", "0"],
+        ["--elements-per-side", "-3"],
+        ["--slenderness", "0"],
+        ["--slenderness", "-5"],
+        ["--slenderness", "nan"],
+        ["--thickness", "inf"],
+        ["--sample-density", "-2"],
+    ])
+    def test_bad_value_is_exit_2_before_solving(self, argv, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--benchmark", "strip", *argv, "--outdir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise NumericalError("synthetic failure")

@@ -9,7 +9,7 @@ from conftest import ALL_SURFACES
 from klshell import (KnotVector, NurbsSurface, Patch, ShellMaterial,
                      SolutionField, apply_constraints, assemble, displacement_at,
                      energies, gauss_rule, l2_resultant_error, make_uniform,
-                     resultants_at, solve_spd, write_field)
+                     resultants_at, solve_spd, surface_eval, write_field)
 from klshell.cases import build_loads, make_case
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -170,3 +170,39 @@ class TestFieldSampler:
         assert len(row) == 15
         # first sample sits at the clamped corner: position (0, R, z)
         assert abs(row[2]) < 1e-12 and abs(row[3] - 10.0) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    def test_rows_match_point_queries(self, kind):
+        """Each row equals displacement_at and resultants_at at its (t1, t2).
+
+        At density 5 on a 2x2 mesh the samples with t = 0.5 lie on the
+        interior knot lines, where the bending moments jump between
+        elements, so each row depends on which element owns its point.
+        """
+        patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 2, 2))
+        U = np.random.default_rng(17).standard_normal((patch.n_cp, 3)) * 1e-3
+        sol = SolutionField(patch, U, kind, MAT)
+        buf = io.StringIO()
+        write_field(sol, buf, {}, density=5)
+        rows = np.array([[float(x) for x in line.split()]
+                         for line in buf.getvalue().splitlines()
+                         if not line.startswith("#")])
+        assert rows.shape == (25, 15)
+        expect = []
+        for t1, t2 in rows[:, :2]:
+            r, = surface_eval(patch.surface, t1, t2, order=0)
+            n, m, neff = resultants_at(sol, t1, t2)
+            expect.append([t1, t2, *r, *displacement_at(sol, t1, t2),
+                           n.c11, n.c22, n.c12, m.c11, m.c22, m.c12, neff.c11])
+        expect = np.array(expect)
+        scale = np.abs(expect).max(axis=0)
+        assert np.all(np.abs(rows - expect) <= 1e-12 * scale)
+
+        # the owner matters: the element below the knot line t1 = 0.5 gives
+        # other moments at the same points
+        jump = 0.0
+        for row in rows[rows[:, 0] == 0.5]:
+            below = patch.element_containing(0.25, row[1])
+            m_below = resultants_at(sol, 0.5, row[1], eid=below)[1]
+            jump = max(jump, abs(m_below.c11 - row[11]))
+        assert jump > 1e-6 * scale[11]

@@ -12,6 +12,7 @@ from klshell import (DomainError, KnotVector, NurbsSurface, basis_ders,
                      basis_eval, find_span, make_uniform,
                      refine_uniform, surface_eval, surface_from_text,
                      surface_to_text)
+from klshell.nurbs import _basis_ders_at_span
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 KV2_MID = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
@@ -64,6 +65,17 @@ class TestBasisDers:
         vals = basis_ders(KV2, 0.5, order=1)
         assert np.allclose(vals[1], [-1.0, 0.0, 1.0], atol=1e-15)
 
+    def test_arrays_match_points(self):
+        """One array call equals the one-point calls, point by point."""
+        kv = KnotVector([0.0] * 4 + [0.15, 0.4, 0.45, 0.8] + [1.0] * 4, 3)
+        t = np.random.default_rng(2).random((6, 5))
+        t[0, :3] = (0.0, 0.4, 1.0)
+        spans = np.vectorize(lambda x: find_span(kv, x))(t)
+        arr = _basis_ders_at_span(kv.knots, kv.degree, spans, t, 2)
+        assert arr.shape == (6, 5, 3, 4)
+        for idx in np.ndindex(t.shape):
+            assert np.array_equal(arr[idx], basis_ders(kv, t[idx], order=2))
+
     def test_order_cap(self):
         with pytest.raises(ValueError):
             basis_ders(KV2, 0.5, order=3)
@@ -75,6 +87,17 @@ class TestBasisDers:
         assert abs(vals[0].sum() - 1.0) < 1e-14
         assert abs(vals[1].sum()) < 1e-12
         assert abs(vals[2].sum()) < 1e-11
+        # degrees 1-4 on a non-uniform open knot vector
+        for p in range(1, 5):
+            kv = KnotVector([0.0] * (p + 1) + [0.15, 0.4, 0.45, 0.8] + [1.0] * (p + 1), p)
+            vals = basis_ders(kv, t, order=2)
+            assert vals.shape == (3, p + 1)
+            assert np.all(vals[0] >= 0.0)
+            assert abs(vals[0].sum() - 1.0) < 1e-14
+            for d in (1, 2):
+                assert abs(vals[d].sum()) < 1e-14 * max(1.0, np.abs(vals[d]).sum())
+            if p == 1:
+                assert np.all(vals[2] == 0.0)
 
 
 def quarter_arc_strip():
