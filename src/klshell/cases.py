@@ -30,8 +30,9 @@ from .elements import (Constraint, LinearConstraint, Patch, apply_constraints,
                        assemble, edge_cp_lines, fix_cps, gauss_rule, load_area,
                        load_edge_line, load_point)
 from .fields import SolutionField, displacement_at, energies, l2_resultant_error
-from .nurbs import KnotVector, NurbsSurface, make_uniform, surface_eval
-from .shell import ShellMaterial, frame_at
+from .nurbs import (KnotVector, NurbsSurface, find_spans, make_uniform,
+                    rational_eval, surface_eval)
+from .shell import ShellMaterial, frame_arrays
 from .solver import relative_residual, solve_spd
 
 SQ2_2 = np.sqrt(2.0) / 2.0
@@ -192,40 +193,23 @@ def _lookup_reference(table, slenderness):
     return None
 
 
-def _greville(kv, j):
-    p = kv.degree
-    return float(np.mean(kv.knots[j + 1: j + 1 + p]))
-
-
-def _edge_stations(patch: Patch, edge: str):
-    """Greville collocation data along an edge: (theta, cp_row0, cp_row1)."""
-    s = patch.surface
-    nu, nv = s.shape
-    along_kv = s.kv_v if edge in ("u0", "u1") else s.kv_u
-    for j in range(along_kv.n_basis):
-        g = _greville(along_kv, j)
-        if edge == "u0":
-            yield (s.kv_u.start, g), (0, j), (1, j)
-        elif edge == "u1":
-            yield (s.kv_u.end, g), (nu - 1, j), (nu - 2, j)
-        elif edge == "v0":
-            yield (g, s.kv_v.start), (j, 0), (j, 1)
-        elif edge == "v1":
-            yield (g, s.kv_v.end), (j, nv - 1), (j, nv - 2)
-        else:
-            raise ValueError(f"unknown edge {edge!r}")
-
-
 def _rotation_rows(patch: Patch, edge: str):
-    """Zero-rotation-about-the-edge rows: a3 . (U_row1 - U_row0) = 0."""
-    rows = []
-    for theta, cp0, cp1 in _edge_stations(patch, edge):
-        a3 = frame_at(patch.surface, *theta).a3
-        g0, g1 = patch.cp_index(*cp0), patch.cp_index(*cp1)
-        dofs = np.array([3 * g1, 3 * g1 + 1, 3 * g1 + 2,
-                         3 * g0, 3 * g0 + 1, 3 * g0 + 2])
-        rows.append(LinearConstraint(dofs, np.concatenate([a3, -a3])))
-    return tuple(rows)
+    """Zero-rotation-about-the-edge rows: a3 . (U_row1 - U_row0) = 0,
+    collocated at the Greville stations of the edge."""
+    s = patch.surface
+    g0, g1 = edge_cp_lines(patch, edge, 2).reshape(2, -1)
+    along_u = edge in ("v0", "v1")
+    kv = s.kv_u if along_u else s.kv_v
+    j = np.arange(kv.n_basis)[:, None] + 1 + np.arange(kv.degree)
+    g = np.mean(kv.knots[j], axis=1)
+    at = np.full_like(g, {"u0": s.kv_u.start, "u1": s.kv_u.end,
+                          "v0": s.kv_v.start, "v1": s.kv_v.end}[edge])
+    t1, t2 = (g, at) if along_u else (at, g)
+    R = rational_eval(s, find_spans(s.kv_u, t1), find_spans(s.kv_v, t2), t1, t2)
+    a3 = frame_arrays(*R[1:, :, -4:-1])["a3"]
+    dofs = 3 * np.stack([g1, g1, g1, g0, g0, g0], axis=1) + [0, 1, 2, 0, 1, 2]
+    coeffs = np.concatenate([a3, -a3], axis=1)
+    return tuple(LinearConstraint(d, c) for d, c in zip(dofs, coeffs))
 
 
 def clamp_constraints(patch: Patch, edge: str):
@@ -455,7 +439,11 @@ def run_convergence(case: BenchmarkCase, kind: str, quad_n: int,
 def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
               quad_n: int, with_errors: bool = False,
               with_energies: bool = False) -> tuple[dict, CaseResult]:
-    """Solve one mesh; return its report row (with its wall time) and result."""
+    """Solve one mesh; return its report row and result.
+
+    The row also carries the wall time and the solver's relative residual,
+    which ``write_report_csv`` leaves out.
+    """
     t0 = time.perf_counter()
     res = solve_case(case, mesh, kind, quad_n)
     row = {
@@ -463,6 +451,7 @@ def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
         "n_dof": res.n_dof, "deflection": res.deflection,
         "normalized": res.normalized,
         "e_n11": None, "e_m11": None, "Em": None, "Eb": None, "Et": None,
+        "residual": res.residual,
     }
     if with_errors and case.analytic is not None:
         row["e_n11"] = l2_resultant_error(res.solution, case.analytic["n11"], "n11")

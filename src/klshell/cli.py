@@ -18,6 +18,7 @@ from .cases import (ConvergenceReport, make_case, run_convergence, solve_case,
 from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import write_field
+from .solver import RESIDUAL_RTOL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,6 +93,10 @@ def main(argv=None) -> int:
         print(f"level {row['level']}  elems {row['n_el_u']}x{row['n_el_v']}"
               f"  dofs {row['n_dof']}  deflection {row['deflection']:+.6e}"
               f"{norm}  [{row.get('wall_s', 0.0):.2f}s]")
+        if row["residual"] > RESIDUAL_RTOL:
+            print(f"level {row['level']} accepted at the evaluation floor: "
+                  f"residual {row['residual']:.1e} > rtol {RESIDUAL_RTOL:.0e}",
+                  file=sys.stderr)
 
     write_report_csv(report, os.path.join(args.outdir, "report.csv"))
 

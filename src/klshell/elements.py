@@ -85,16 +85,10 @@ class Patch:
         self.spans_u = s.kv_u.spans()
         self.spans_v = s.kv_v.spans()
         pu, pv = s.kv_u.degree, s.kv_v.degree
-        nv = s.kv_v.n_basis
-        offs_u = np.arange(-pu, 1)
-        offs_v = np.arange(-pv, 1)
-        conn = np.empty((len(self.spans_u), len(self.spans_v),
-                         (pu + 1) * (pv + 1)), dtype=np.int64)
-        for a, su in enumerate(self.spans_u):
-            for b, sv in enumerate(self.spans_v):
-                grid = (su + offs_u)[:, None] * nv + (sv + offs_v)[None, :]
-                conn[a, b] = grid.ravel()
-        self.conn = conn.reshape(-1, (pu + 1) * (pv + 1))
+        iu = self.spans_u[:, None] + np.arange(-pu, 1)
+        iv = self.spans_v[:, None] + np.arange(-pv, 1)
+        grid = iu[:, None, :, None] * s.kv_v.n_basis + iv[None, :, None, :]
+        self.conn = grid.reshape(-1, (pu + 1) * (pv + 1)).astype(np.int64)
 
     @property
     def n_el(self) -> tuple[int, int]:
@@ -325,21 +319,11 @@ def fix_cps(patch: Patch, cp_indices, components=(0, 1, 2)) -> Constraint:
 def edge_cp_lines(patch: Patch, edge: str, n_lines: int = 1):
     """Control point indices of the first n_lines grid lines at a patch edge."""
     nu, nv = patch.surface.shape
-    iu = np.arange(nu)
-    iv = np.arange(nv)
-    out = []
-    for k in range(n_lines):
-        if edge == "u0":
-            out.extend(patch.cp_index(k, j) for j in iv)
-        elif edge == "u1":
-            out.extend(patch.cp_index(nu - 1 - k, j) for j in iv)
-        elif edge == "v0":
-            out.extend(patch.cp_index(i, k) for i in iu)
-        elif edge == "v1":
-            out.extend(patch.cp_index(i, nv - 1 - k) for i in iu)
-        else:
-            raise ValueError(f"unknown edge {edge!r}")
-    return np.array(out, dtype=np.int64)
+    k, i, j = np.arange(n_lines)[:, None], np.arange(nu), np.arange(nv)
+    lines = {"u0": (k, j), "u1": (nu - 1 - k, j), "v0": (i, k), "v1": (i, nv - 1 - k)}
+    if edge not in lines:
+        raise ValueError(f"unknown edge {edge!r}")
+    return patch.cp_index(*lines[edge]).ravel().astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)

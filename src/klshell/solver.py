@@ -30,22 +30,27 @@ RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SparseSymmetric:
-    """Symmetric sparse matrix stored as its upper triangle in CSR form."""
+    """Symmetric sparse matrix: its upper triangle and the full CSR form.
+
+    Both are built once.  The upper triangle keeps the stored pattern
+    (explicit zeros included); the full form mirrors it, so it is exactly
+    symmetric whatever roundoff the input carried.
+    """
 
     n: int
     upper: sp.csr_matrix
+    full: sp.csr_matrix
 
     @staticmethod
     def from_csr(K: sp.csr_matrix) -> "SparseSymmetric":
-        K = sp.csr_matrix(K)
-        upper = sp.triu(K, format="csr")
+        upper = sp.triu(sp.csr_matrix(K), format="csr")
         upper.sort_indices()
-        return SparseSymmetric(K.shape[0], upper)
+        full = sp.csr_matrix(upper + sp.triu(upper, k=1).T)
+        return SparseSymmetric(K.shape[0], upper, full)
 
     def to_csr(self) -> sp.csr_matrix:
-        strict = sp.triu(self.upper, k=1)
-        full = self.upper + strict.T
-        return sp.csr_matrix(full)
+        """The full form; the stored matrix itself, not a copy."""
+        return self.full
 
     @property
     def nnz(self) -> int:
@@ -155,7 +160,8 @@ def solve_spd(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
     Raises :class:`IndefiniteSystemError` on a non-positive pivot,
     :class:`SingularSystemError` on factorization breakdown, and
     :class:`NumericalError` if iterative refinement cannot reach
-    ``||KU - F|| <= rtol ||F||``.
+    ``||KU - F|| <= max(rtol, floor) ||F||``, where ``floor`` is the
+    evaluation floor of the returned U (see :func:`_refine`).
     """
     A = _as_csr(K)
     F = np.asarray(F, dtype=float)
@@ -164,25 +170,16 @@ def solve_spd(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
         return np.zeros_like(F)
 
     lu, used_fallback = _factor_checked(A)
-    rel, U = _refine(lu, A, F, norm_f, rtol, max_refine)
-    if rel > rtol and not used_fallback:
+    Al, absA = A.astype(np.longdouble), abs(A)
+    rel, floor, U, _ = _refine(lu, Al, absA, F, norm_f, rtol, max_refine)
+    if rel > max(rtol, floor) and not used_fallback:
         # primary factors can be polluted by a roundoff pivot of a
         # zero-energy mode (refinement then stalls or diverges); retry
         # against the shifted factorization
         lu = _shifted_factor(A, "refinement stalled on primary factors")
-        rel2, U2 = _refine(lu, A, F, norm_f, rtol, max_refine)
-        if rel2 < rel:
-            rel, U = rel2, U2
-    if rel <= rtol:
-        return U
-    # Attainable-accuracy floor: evaluating F - K U at unit roundoff u leaves
-    # noise ~ u * || |K| |U| || no matter how accurate U is.  Self-equilibrated
-    # thin-shell systems cancel up to ~10 orders between K U products and F,
-    # so the floor can sit above rtol; the solve is then as good as the
-    # arithmetic can certify and is accepted.
-    absA = abs(A)
-    floor = float(np.finfo(np.longdouble).eps
-                  * np.linalg.norm(absA @ np.abs(U).astype(float)) / norm_f)
+        retry = _refine(lu, Al, absA, F, norm_f, rtol, max_refine)
+        if retry[0] < rel:
+            rel, floor, U, _ = retry
     if rel <= max(rtol, floor):
         return U
     raise NumericalError(f"residual {rel:.3e} above tolerance {rtol:.1e} "
@@ -190,30 +187,51 @@ def solve_spd(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
                          f"after {max_refine} refinement steps")
 
 
-def _refine(lu, A, F, norm_f, rtol, max_refine):
+def _floor(absA, U, norm_f) -> float:
+    """Attainable-accuracy floor of the relative residual at U.
+
+    Evaluating F - K U at unit roundoff u leaves noise ~ u * || |K| |U| || no
+    matter how accurate U is.  Self-equilibrated thin-shell systems cancel up
+    to ~10 orders between K U products and F, so the floor can sit above
+    rtol; a solve at the floor is as good as the arithmetic can certify.
+    """
+    return float(np.finfo(np.longdouble).eps
+                 * np.linalg.norm(absA @ np.abs(U).astype(float)) / norm_f)
+
+
+def _refine(lu, Al, absA, F, norm_f, rtol, max_refine):
     """Iterative refinement with residuals in extended precision.
 
-    Returns the iterate with the smallest relative residual.  The refined
+    ``Al`` is the matrix cast to long double and ``absA`` its entrywise
+    absolute value.  Returns (rel, floor, U, reason) for the iterate U with
+    the smallest relative residual rel, its evaluation floor (:func:`_floor`)
+    and why refinement stopped: ``"rtol"`` once rel <= rtol, ``"floor"`` once
+    the best iterate is at or below its floor and a step fails to halve its
+    residual, ``"stall"`` after 30 steps without halving, on divergence (a
+    polluted factorization) or after ``max_refine`` steps.  The refined
     iterate keeps its extended-precision bits: rounding it to float64 would
     perturb K @ U by ~eps * || |K| |U| ||, which for loads scaling with t^3
-    can exceed rtol * ||F|| on its own.  Divergence (a polluted
-    factorization) and stalls exit early.
+    can exceed rtol * ||F|| on its own.
     """
     Fl = F.astype(np.longdouble)
     U = lu.solve(F).astype(np.longdouble)
     best = None
     since_improved = 0
+    reason = "stall"
     for _ in range(max_refine):
-        r = Fl - A @ U
+        r = Fl - Al @ U
         rel = float(np.linalg.norm(r.astype(float)) / norm_f)
-        if best is None or rel < 0.5 * best[0]:
-            best = (rel, U.copy())
-            since_improved = 0
-        else:
-            since_improved += 1
-            if rel < best[0]:
-                best = (rel, U.copy())
-        if rel <= rtol or since_improved >= 30 or rel > 1e3 * best[0]:
+        halved = best is None or rel < 0.5 * best[0]
+        if halved or rel < best[0]:
+            best = (rel, _floor(absA, U, norm_f), U.copy())
+        since_improved = 0 if halved else since_improved + 1
+        if rel <= rtol:
+            reason = "rtol"
+            break
+        if not halved and best[0] <= best[1]:
+            reason = "floor"
+            break
+        if since_improved >= 30 or rel > 1e3 * best[0]:
             break
         U = U + lu.solve(r.astype(float))
-    return best
+    return best + (reason,)

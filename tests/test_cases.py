@@ -5,9 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from klshell import make_uniform, surface_eval
-from klshell.cases import (ConvergenceReport, make_case, run_convergence,
-                           write_report_csv)
+from klshell import Patch, frame_at, make_uniform, surface_eval
+from klshell.cases import (ConvergenceReport, _rotation_rows, make_case,
+                           run_convergence, write_report_csv)
 
 
 class TestGeometryExactness:
@@ -120,6 +120,33 @@ class TestConvergenceDriver:
             f8 = c8["Em"] / c8["Et"]
             f256 = c256["Em"] / c256["Et"]
             assert abs(f8 - f256) <= 0.02 * f256
+
+
+class TestConstraintRows:
+    @pytest.mark.parametrize("case_id", ["hemisphere", "hypar"])
+    @pytest.mark.parametrize("edge", ["u0", "u1", "v0", "v1"])
+    def test_rotation_rows_match_per_station_frames(self, case_id, edge):
+        """Each batched row is a3 . (U_row1 - U_row0) with a3 from frame_at
+        at its Greville station."""
+        s = make_uniform(make_case(case_id).surface, 7, 5)
+        patch = Patch(s)
+        nu, nv = s.shape
+        along = s.kv_v if edge in ("u0", "u1") else s.kv_u
+        rows = _rotation_rows(patch, edge)
+        assert len(rows) == along.n_basis
+        for j, lc in enumerate(rows):
+            g = float(np.mean(along.knots[j + 1: j + 1 + along.degree]))
+            theta, cp0, cp1 = {
+                "u0": ((0.0, g), (0, j), (1, j)),
+                "u1": ((1.0, g), (nu - 1, j), (nu - 2, j)),
+                "v0": ((g, 0.0), (j, 0), (j, 1)),
+                "v1": ((g, 1.0), (j, nv - 1), (j, nv - 2)),
+            }[edge]
+            a3 = frame_at(s, *theta).a3
+            g0, g1 = patch.cp_index(*cp0), patch.cp_index(*cp1)
+            assert list(lc.dofs) == [3 * g1, 3 * g1 + 1, 3 * g1 + 2,
+                                     3 * g0, 3 * g0 + 1, 3 * g0 + 2]
+            assert np.max(np.abs(lc.coeffs - np.concatenate([a3, -a3]))) <= 1e-14
 
 
 class TestReportCsv:

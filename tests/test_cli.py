@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import klshell.cli as cli
+from klshell.cases import ConvergenceReport
 from klshell.errors import NumericalError
 
 
@@ -61,6 +62,23 @@ class TestRuns:
             rows = (out / "report.csv").read_text().strip().split("\n")[1:]
             vals[q] = np.array([float(r.split(",")[4]) for r in rows])
         assert np.all(np.abs(vals["2"] - vals["3"]) < 0.01 * np.abs(vals["3"]))
+
+
+class TestFloorAcceptance:
+    @pytest.mark.parametrize("slenderness,at_floor", [("1e4", True), ("1e2", False)])
+    def test_reported_on_stderr_only(self, tmp_path, capsys, slenderness, at_floor):
+        rc = cli.main(["--benchmark", "hypar", "--element", "cas",
+                       "--slenderness", slenderness, "--elements-per-side", "32",
+                       "--outdir", str(tmp_path)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        line = "level 0 accepted at the evaluation floor: residual "
+        assert (line in captured.err) == at_floor
+        assert ("> rtol 1e-10" in captured.err) == at_floor
+        assert "evaluation floor" not in captured.out
+        header, row = (tmp_path / "report.csv").read_text().strip().split("\n")
+        assert header == ",".join(ConvergenceReport.COLUMNS)
+        assert len(row.split(",")) == len(ConvergenceReport.COLUMNS)
 
 
 class TestExitCodes:

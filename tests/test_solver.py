@@ -4,9 +4,43 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from klshell import (IndefiniteSystemError, SingularSystemError, SparseSymmetric,
-                     solve_spd)
-from klshell.solver import relative_residual
+import klshell.cases as cases
+import klshell.solver as solver
+from klshell import (IndefiniteSystemError, NumericalError, SingularSystemError,
+                     SparseSymmetric, solve_spd)
+from klshell.cases import make_case, solve_case
+from klshell.solver import _shifted_factor, relative_residual
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count factorizations and triangular solves made through ``splu``."""
+    counts = {"factorizations": 0, "solves": 0}
+    real_splu = solver.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            counts["solves"] += 1
+            return self._lu.solve(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    def splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return CountingLU(real_splu(*args, **kwargs))
+
+    monkeypatch.setattr(solver, "splu", splu)
+    return counts
+
+
+def spd_system(n=40, seed=3):
+    rng = np.random.default_rng(seed)
+    B = rng.random((n, n))
+    return sp.csr_matrix(B @ B.T + n * np.eye(n)), rng.random(n)
 
 
 class TestBasicSolves:
@@ -34,6 +68,8 @@ class TestBasicSolves:
         S = SparseSymmetric.from_csr(K)
         assert S.n == 6
         assert np.allclose(S.to_csr().toarray(), K.toarray(), atol=1e-15)
+        assert np.array_equal(S.upper.toarray(), np.triu(S.to_csr().toarray()))
+        assert S.nnz == 21
 
 
 class TestResidualContract:
@@ -81,3 +117,84 @@ class TestErrorClassification:
         F = K @ np.array([1.0, -1.0, 0.5, 2.0])  # in the range space
         U = np.asarray(solve_spd(K, np.asarray(F)), float)
         assert relative_residual(K, U, F) <= 1e-10
+
+
+class TestFloorStop:
+    """Refinement stops at the evaluation floor with one factorization."""
+
+    @pytest.mark.parametrize("case_id,slenderness,mesh,reason", [
+        ("hypar", 1e4, (32, 16), "floor"),
+        ("hemisphere", 2.5e4, (16, 16), "floor"),
+        ("hypar", 1e2, (32, 16), "rtol"),
+    ])
+    def test_single_factorization(self, counted, monkeypatch, case_id,
+                                  slenderness, mesh, reason):
+        solves, reasons = [], []
+        real_solve, real_refine = cases.solve_spd, solver._refine
+
+        def solve_spd(K, F):
+            U = real_solve(K, F)
+            solves.append((K.to_csr(), F, U))
+            return U
+
+        def refine(*args):
+            out = real_refine(*args)
+            reasons.append(out[3])
+            return out
+
+        monkeypatch.setattr(cases, "solve_spd", solve_spd)
+        monkeypatch.setattr(solver, "_refine", refine)
+        res = solve_case(make_case(case_id, slenderness=slenderness), mesh, "cas")
+        assert counted["factorizations"] == 1
+        assert counted["solves"] <= 4
+        assert reasons == [reason]
+        (K, F, U), = solves
+        floor = (np.finfo(np.longdouble).eps
+                 * np.linalg.norm(abs(K) @ np.abs(np.asarray(U, float)))
+                 / np.linalg.norm(F))
+        assert res.residual <= max(1e-10, floor)
+
+    def test_stall_above_floor_gets_the_shifted_retry(self, counted, monkeypatch):
+        """A primary solve stalled above max(rtol, floor) is refactored shifted."""
+        real_refine, calls = solver._refine, []
+
+        def stalled_first(*args):
+            out = real_refine(*args)
+            calls.append(out[3])
+            return (1e-3, 0.0, out[2], "stall") if len(calls) == 1 else out
+
+        monkeypatch.setattr(solver, "_refine", stalled_first)
+        K, F = spd_system()
+        U = solve_spd(K, F)
+        assert counted["factorizations"] == 2 and len(calls) == 2
+        assert relative_residual(K, U, F) <= 1e-10
+
+    def test_stall_above_floor_after_the_retry_raises(self, counted, monkeypatch):
+        monkeypatch.setattr(solver, "_refine",
+                            lambda lu, Al, absA, F, *rest:
+                            (1e-3, 0.0, np.zeros(len(F)), "stall"))
+        K, F = spd_system()
+        with pytest.raises(NumericalError):
+            solve_spd(K, F)
+        assert counted["factorizations"] == 2
+
+
+class TestInverseIterationCertificate:
+    """_shifted_factor separates semidefinite from indefinite systems."""
+
+    @staticmethod
+    def _matrix(smallest):
+        rng = np.random.default_rng(20231)
+        Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        lam = np.linspace(1.0, 30.0, 30)
+        lam[0] = smallest * lam.max()
+        A = Q @ np.diag(lam) @ Q.T
+        return sp.csr_matrix(0.5 * (A + A.T))
+
+    def test_zero_eigenvalue_is_semidefinite(self):
+        lu = _shifted_factor(self._matrix(0.0), "test")
+        assert lu.shape == (30, 30)
+
+    def test_negative_eigenvalue_is_indefinite(self):
+        with pytest.raises(IndefiniteSystemError):
+            _shifted_factor(self._matrix(-1e-6), "test")
