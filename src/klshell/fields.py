@@ -139,31 +139,38 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
     return EnergyReport(Em=float(Em), Eb=float(Eb), Et=float(Em + Eb))
 
 
-def l2_resultant_error(sol: SolutionField, analytic, which: str,
-                       n_fine: int = 5) -> float:
-    """Relative L2 error of a resultant component against an analytic field.
+def l2_resultant_error(sol: SolutionField, analytic, which, n_fine: int = 5):
+    """Relative L2 error of resultant components against analytic fields.
 
-    ``analytic`` maps midsurface positions (..., 3) to the exact value of the
-    chosen component; ``which`` is 'n11', 'm11' or 'neff11'.  The integrals
-    use an n_fine x n_fine Gauss rule per element (default 5x5).
+    ``which`` is 'n11', 'm11' or 'neff11' and ``analytic`` maps midsurface
+    positions (..., 3) to the exact value of that component; the result is a
+    float.  Given a tuple of components and a tuple of fields, the errors
+    come back as a tuple from one evaluation of the resultants.  The
+    integrals use an n_fine x n_fine Gauss rule per element (default 5x5).
     """
     key = {"n11": ("n", 0), "m11": ("m", 0), "neff11": ("neff", 0)}
-    if which not in key:
-        raise ValueError(f"unknown resultant component {which!r}")
-    name, comp = key[which]
+    single = isinstance(which, str)
+    names = (which,) if single else tuple(which)
+    fields = (analytic,) if single else tuple(analytic)
+    for w in names:
+        if w not in key:
+            raise ValueError(f"unknown resultant component {w!r}")
     rule = tensor_rule(n_fine)
-    num = 0.0
-    den = 0.0
+    num = np.zeros(len(names))
+    den = np.zeros(len(names))
     for eids in _chunks(sol.patch.n_elements):
         ev = _rule_eval(sol.patch, eids, rule)
         res = _resultant_fields(sol, eids, ev, rule.points)
-        exact = analytic(ev["r"])
-        diff = res[name][..., comp] - exact
-        num += np.sum(diff ** 2 * ev["dA"])
-        den += np.sum(exact ** 2 * ev["dA"])
-    if den <= 0.0:
+        for i, (w, exact_at) in enumerate(zip(names, fields, strict=True)):
+            name, comp = key[w]
+            exact = exact_at(ev["r"])
+            diff = res[name][..., comp] - exact
+            num[i] += np.sum(diff ** 2 * ev["dA"])
+            den[i] += np.sum(exact ** 2 * ev["dA"])
+    if np.any(den <= 0.0):
         raise ValueError("analytic field has zero L2 norm: error undefined")
-    return float(np.sqrt(num) / np.sqrt(den))
+    errors = tuple(float(np.sqrt(a) / np.sqrt(b)) for a, b in zip(num, den))
+    return errors[0] if single else errors
 
 
 def write_field(sol: SolutionField, stream, header: dict, density: int = 20) -> None:

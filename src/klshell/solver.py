@@ -1,8 +1,12 @@
 """Direct solution of the reduced symmetric positive definite system.
 
-A sparse LU factorization in symmetric mode (diagonal pivoting, symmetric
-fill-reducing ordering) plays the role of a Cholesky-type factorization:
-positive pivots certify positive definiteness, and iterative refinement
+The primary factorization is LAPACK banded Cholesky in the order the
+system arrives in: the natural control-point order of a tensor-product
+patch keeps the stiffness in a narrow band, and a Cholesky that completes
+with positive pivots certifies positive definiteness.  Systems it rejects
+go to a sparse LU factorization in symmetric mode (diagonal pivoting,
+symmetric fill-reducing ordering), which tolerates the roundoff pivots of
+zero-energy modes, and then to a shifted retry.  Iterative refinement
 pushes the relative residual below the contract tolerance even for the
 severely ill-conditioned systems produced at high slenderness, where the
 bending block scales with the cube of the thickness.
@@ -21,11 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
 from .errors import IndefiniteSystemError, NumericalError, SingularSystemError
 
 RESIDUAL_RTOL = 1e-10
+
+# Banded Cholesky is tried only while bw^2 <= _BAND_GUARD * n (bw the
+# half-bandwidth, n the dof count).  On the benchmark patches in natural
+# control-point order bw^2 / n is ~1.2 (strip), 6.3 (128x64 hypar, bw 400),
+# 13 (16x16 scordelis) and 22-25 (square hemisphere, whose rotation ties
+# widen the band: 24.7 at 16x16, 21.8 at 128x128).  Even the widest that
+# passes factors faster as a band than by SuperLU (128x128 hemisphere, 1 core:
+# 2.7 s against 3.8 s).  A matrix with long-range couplings (bw ~ n) fails
+# the guard before its dense (bw + 1) x n band is allocated.
+_BAND_GUARD = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +87,62 @@ def relative_residual(K, U: np.ndarray, F: np.ndarray) -> float:
     return float(np.linalg.norm(r.astype(float)) / nf)
 
 
-def _symmetric_lu(M: sp.csr_matrix):
-    return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+@dataclass(frozen=True, eq=False)
+class SolveTrace:
+    """An accepted solve: the solution, its residual and how it got there."""
+
+    U: np.ndarray        # refined iterate (long double unless F = 0)
+    residual: float      # ||K U - F|| / ||F||, extended-precision product
+    floor: float         # evaluation floor at U (see _floor)
+    reason: str          # "rtol" (residual <= rtol) or "floor"
+    path: str            # factor refined against: "band", "superlu", "shifted"
+                         # ("none" for F = 0)
+
+
+class _BandCholesky:
+    """Banded Cholesky factor of LAPACK upper band storage ``ab``.
+
+    Raises LinAlgError unless every pivot is positive and finite; a finite
+    diagonal of the factor implies a finite factor, since each column's
+    off-diagonal entries feed its own pivot.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        self.cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        if not np.all(np.isfinite(self.cb[-1])):
+            raise LinAlgError("non-finite pivot in banded Cholesky")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self.cb, False), b, check_finite=False)
+
+
+def _factorize(path: str, M):
+    """Factor ``M`` along ``path``; every factorization of a solve is made here.
+
+    "band": banded Cholesky of upper band storage; "superlu": SuperLU in
+    symmetric mode (diagonal pivoting, MMD ordering of A^T + A); "lu":
+    SuperLU with partial pivoting.  The factor has a ``solve`` method.
+    """
+    if path == "band":
+        return _BandCholesky(M)
+    if path == "superlu":
+        return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    return splu(M.tocsc())
+
+
+def _upper_band(upper: sp.csr_matrix) -> np.ndarray | None:
+    """LAPACK upper band storage of an upper-triangular CSR matrix, or None
+    if its bandwidth fails the guard (see ``_BAND_GUARD``)."""
+    n = upper.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(upper.indptr))
+    offset = upper.indices - rows
+    bw = int(offset.max(initial=0))
+    if bw * bw > _BAND_GUARD * n:
+        return None
+    ab = np.zeros((bw + 1, n), order="F")  # LAPACK's layout: factored in place
+    ab[bw - offset, upper.indices] = upper.data
+    return ab
 
 
 def _pivots_clean(lu) -> bool:
@@ -115,10 +183,10 @@ def _shifted_factor(A: sp.csr_matrix, reason: str):
         raise SingularSystemError(f"no positive diagonal to shift: {reason}")
     shifted = sp.csr_matrix(A + sigma * sp.identity(A.shape[0], format="csr"))
     try:
-        lu = _symmetric_lu(shifted)
+        lu = _factorize("superlu", shifted)
     except RuntimeError:
         try:
-            lu = splu(shifted.tocsc())
+            lu = _factorize("lu", shifted)
         except RuntimeError as exc:
             raise SingularSystemError(f"{reason}; {exc}") from exc
     rayleigh = _nearest_zero_eig(A, lu)
@@ -131,30 +199,38 @@ def _shifted_factor(A: sp.csr_matrix, reason: str):
     return lu
 
 
-def _factor_checked(A: sp.csr_matrix):
+def _factor_checked(A: sp.csr_matrix, upper: sp.csr_matrix):
     """Factor a symmetric matrix, certifying positive (semi)definiteness.
 
-    The primary path uses diagonal pivoting in symmetric mode: all-positive
-    pivots certify positive definiteness.  Corner-interpolated assumed-strain
-    patches can carry interior zero-energy membrane modes; their roundoff
-    pivots are tolerated, but they can also make diagonal pivoting break
-    down (division by a roundoff pivot), in which case the shifted fallback
-    is used.  Returns (lu, used_fallback).
+    Banded Cholesky of ``upper`` (the upper triangle of ``A``) comes first:
+    if it completes, its positive pivots certify positive definiteness.
+    Corner-interpolated assumed-strain patches can carry interior zero-energy
+    membrane modes, whose roundoff pivots stop Cholesky; those systems, and
+    bands wider than the guard, go to diagonal pivoting in symmetric mode,
+    which tolerates the roundoff pivots (all-positive pivots certify).  When
+    diagonal pivoting breaks down too (division by a roundoff pivot), the
+    shifted fallback is used.  Returns (factor, path) with path "band",
+    "superlu" or "shifted".
     """
-    sym_fail = None
+    ab = _upper_band(upper)
+    if ab is not None:
+        try:
+            return _factorize("band", ab), "band"
+        except LinAlgError:
+            del ab  # the failed factor is not kept while SuperLU runs
     try:
-        lu = _symmetric_lu(A)
+        lu = _factorize("superlu", A)
         if _pivots_clean(lu):
-            return lu, False
+            return lu, "superlu"
         sym_fail = "non-positive pivots in symmetric factorization"
     except RuntimeError as exc:
         sym_fail = str(exc)
-    return _shifted_factor(A, sym_fail), True
+    return _shifted_factor(A, sym_fail), "shifted"
 
 
-def solve_spd(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
-              max_refine: int = 400) -> np.ndarray:
-    """Solve K U = F for symmetric positive definite K.
+def solve_traced(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
+                 max_refine: int = 400) -> SolveTrace:
+    """Solve K U = F for symmetric positive definite K; return a SolveTrace.
 
     ``K`` may be a :class:`SparseSymmetric` or any scipy sparse matrix.
     Raises :class:`IndefiniteSystemError` on a non-positive pivot,
@@ -164,27 +240,38 @@ def solve_spd(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
     evaluation floor of the returned U (see :func:`_refine`).
     """
     A = _as_csr(K)
+    upper = K.upper if isinstance(K, SparseSymmetric) else sp.triu(A, format="csr")
     F = np.asarray(F, dtype=float)
     norm_f = np.linalg.norm(F)
     if norm_f == 0.0:
-        return np.zeros_like(F)
+        return SolveTrace(np.zeros_like(F), 0.0, 0.0, "rtol", "none")
 
-    lu, used_fallback = _factor_checked(A)
+    factor, path = _factor_checked(A, upper)
     Al, absA = A.astype(np.longdouble), abs(A)
-    rel, floor, U, _ = _refine(lu, Al, absA, F, norm_f, rtol, max_refine)
-    if rel > max(rtol, floor) and not used_fallback:
+    rel, floor, U, _ = _refine(factor, Al, absA, F, norm_f, rtol, max_refine)
+    if rel > max(rtol, floor) and path != "shifted":
         # primary factors can be polluted by a roundoff pivot of a
         # zero-energy mode (refinement then stalls or diverges); retry
         # against the shifted factorization
-        lu = _shifted_factor(A, "refinement stalled on primary factors")
-        retry = _refine(lu, Al, absA, F, norm_f, rtol, max_refine)
+        factor = _shifted_factor(A, "refinement stalled on primary factors")
+        retry = _refine(factor, Al, absA, F, norm_f, rtol, max_refine)
         if retry[0] < rel:
             rel, floor, U, _ = retry
+            path = "shifted"
     if rel <= max(rtol, floor):
-        return U
+        return SolveTrace(U, rel, floor, "rtol" if rel <= rtol else "floor", path)
     raise NumericalError(f"residual {rel:.3e} above tolerance {rtol:.1e} "
                          f"and above the evaluation floor {floor:.3e} "
                          f"after {max_refine} refinement steps")
+
+
+def solve_spd(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
+              max_refine: int = 400) -> np.ndarray:
+    """Solve K U = F for symmetric positive definite K; return U.
+
+    The errors raised are those of :func:`solve_traced`.
+    """
+    return solve_traced(K, F, rtol, max_refine).U
 
 
 def _floor(absA, U, norm_f) -> float:
@@ -199,7 +286,7 @@ def _floor(absA, U, norm_f) -> float:
                  * np.linalg.norm(absA @ np.abs(U).astype(float)) / norm_f)
 
 
-def _refine(lu, Al, absA, F, norm_f, rtol, max_refine):
+def _refine(factor, Al, absA, F, norm_f, rtol, max_refine):
     """Iterative refinement with residuals in extended precision.
 
     ``Al`` is the matrix cast to long double and ``absA`` its entrywise
@@ -214,7 +301,7 @@ def _refine(lu, Al, absA, F, norm_f, rtol, max_refine):
     can exceed rtol * ||F|| on its own.
     """
     Fl = F.astype(np.longdouble)
-    U = lu.solve(F).astype(np.longdouble)
+    U = factor.solve(F).astype(np.longdouble)
     best = None
     since_improved = 0
     reason = "stall"
@@ -233,5 +320,5 @@ def _refine(lu, Al, absA, F, norm_f, rtol, max_refine):
             break
         if since_improved >= 30 or rel > 1e3 * best[0]:
             break
-        U = U + lu.solve(r.astype(float))
+        U = U + factor.solve(r.astype(float))
     return best + (reason,)

@@ -51,8 +51,8 @@ class BenchCache:
         key = (kind, quad, slenderness, n_el)
         if key not in self._strip:
             case, res = self.solve("strip", slenderness, (n_el, 1), kind, quad)
-            e_n11 = l2_resultant_error(res.solution, case.analytic["n11"], "n11")
-            e_m11 = l2_resultant_error(res.solution, case.analytic["m11"], "m11")
+            e_n11, e_m11 = l2_resultant_error(
+                res.solution, (case.analytic["n11"], case.analytic["m11"]), ("n11", "m11"))
             rep = energies(res.solution, gauss_rule(quad))
             self._strip[key] = {
                 "deflection": res.deflection, "normalized": res.normalized,

@@ -152,6 +152,19 @@ class TestL2Error:
         with pytest.raises(ValueError):
             l2_resultant_error(sol, lambda pos: np.ones(pos.shape[:-1]), "n22")
 
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    def test_tuple_matches_single_components(self, kind):
+        """One pass over several components gives each single call's float."""
+        case, sol, _ = solved_case("strip", 1e2, (8, 1), kind)
+        names = ("n11", "m11", "neff11")
+        fields = tuple(case.analytic[w] for w in names)
+        errors = l2_resultant_error(sol, fields, names)
+        assert isinstance(errors, tuple) and len(errors) == 3
+        assert errors == tuple(l2_resultant_error(sol, f, w)
+                               for f, w in zip(fields, names))
+        with pytest.raises(ValueError):
+            l2_resultant_error(sol, fields[:2], names)
+
 
 class TestFieldSampler:
     def test_format_and_row_count(self):

@@ -3,37 +3,43 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError
 
 import klshell.cases as cases
 import klshell.solver as solver
 from klshell import (IndefiniteSystemError, NumericalError, SingularSystemError,
                      SparseSymmetric, solve_spd)
 from klshell.cases import make_case, solve_case
+from klshell.elements import Patch, apply_constraints, assemble, gauss_rule
+from klshell.nurbs import make_uniform
 from klshell.solver import _shifted_factor, relative_residual
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count factorizations and triangular solves made through ``splu``."""
-    counts = {"factorizations": 0, "solves": 0}
-    real_splu = solver.splu
+    """Count completed factorizations (band Cholesky and SuperLU alike) and
+    the triangular solves made with them, at ``solver._factorize``."""
+    counts = {"factorizations": 0, "solves": 0, "paths": []}
+    real_factorize = solver._factorize
 
-    class CountingLU:
-        def __init__(self, lu):
-            self._lu = lu
+    class CountingFactor:
+        def __init__(self, factor):
+            self._factor = factor
 
         def solve(self, *args, **kwargs):
             counts["solves"] += 1
-            return self._lu.solve(*args, **kwargs)
+            return self._factor.solve(*args, **kwargs)
 
         def __getattr__(self, name):
-            return getattr(self._lu, name)
+            return getattr(self._factor, name)
 
-    def splu(*args, **kwargs):
+    def factorize(path, M):
+        factor = real_factorize(path, M)
         counts["factorizations"] += 1
-        return CountingLU(real_splu(*args, **kwargs))
+        counts["paths"].append(path)
+        return CountingFactor(factor)
 
-    monkeypatch.setattr(solver, "splu", splu)
+    monkeypatch.setattr(solver, "_factorize", factorize)
     return counts
 
 
@@ -130,19 +136,19 @@ class TestFloorStop:
     def test_single_factorization(self, counted, monkeypatch, case_id,
                                   slenderness, mesh, reason):
         solves, reasons = [], []
-        real_solve, real_refine = cases.solve_spd, solver._refine
+        real_solve, real_refine = cases.solve_traced, solver._refine
 
-        def solve_spd(K, F):
-            U = real_solve(K, F)
-            solves.append((K.to_csr(), F, U))
-            return U
+        def solve_traced(K, F):
+            trace = real_solve(K, F)
+            solves.append((K.to_csr(), F, trace.U))
+            return trace
 
         def refine(*args):
             out = real_refine(*args)
             reasons.append(out[3])
             return out
 
-        monkeypatch.setattr(cases, "solve_spd", solve_spd)
+        monkeypatch.setattr(cases, "solve_traced", solve_traced)
         monkeypatch.setattr(solver, "_refine", refine)
         res = solve_case(make_case(case_id, slenderness=slenderness), mesh, "cas")
         assert counted["factorizations"] == 1
@@ -153,6 +159,7 @@ class TestFloorStop:
                  * np.linalg.norm(abs(K) @ np.abs(np.asarray(U, float)))
                  / np.linalg.norm(F))
         assert res.residual <= max(1e-10, floor)
+        assert res.residual == relative_residual(K, U, F)
 
     def test_stall_above_floor_gets_the_shifted_retry(self, counted, monkeypatch):
         """A primary solve stalled above max(rtol, floor) is refactored shifted."""
@@ -198,3 +205,78 @@ class TestInverseIterationCertificate:
     def test_negative_eigenvalue_is_indefinite(self):
         with pytest.raises(IndefiniteSystemError):
             _shifted_factor(self._matrix(-1e-6), "test")
+
+
+def reduced_system(case_id, slenderness, mesh, kind="cas"):
+    """The constrained (K, F) that ``solve_case`` hands to the solver."""
+    case = make_case(case_id, slenderness=slenderness)
+    patch = Patch(make_uniform(case.surface, *mesh))
+    system = assemble(patch, case.material, gauss_rule(3), kind)
+    system.F = cases.build_loads(case, patch, 3)
+    system.constraints, system.linear = case.constraints(patch)
+    reduced = apply_constraints(system)
+    return reduced.K, reduced.F
+
+
+def grid_laplacian(m):
+    """5-point Laplacian of an m x m grid with Dirichlet ends, natural order."""
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    return sp.csr_matrix(sp.kron(sp.identity(m), T) + sp.kron(T, sp.identity(m)))
+
+
+class TestBandCholesky:
+    """Banded Cholesky is the primary factor; SuperLU takes what it refuses."""
+
+    def test_band_path_matches_superlu(self, counted, monkeypatch):
+        K, F = reduced_system("hypar", 1e2, (16, 8))
+        band = solver.solve_traced(K, F)
+        assert band.path == "band" and counted["paths"] == ["band"]
+        monkeypatch.setattr(solver, "_upper_band", lambda upper: None)
+        lu = solver.solve_traced(K, F)
+        assert lu.path == "superlu"
+        Ub, Ul = (np.asarray(t.U, float) for t in (band, lu))
+        assert np.linalg.norm(Ub - Ul) <= 1e-10 * np.linalg.norm(Ul)
+        assert band.residual == relative_residual(K, band.U, F)
+
+    def test_roundoff_pivot_is_rejected_by_the_band(self, counted):
+        """A cas strip at R/t 1e3 fits the band but stops Cholesky at a
+        roundoff pivot of a zero-energy mode; SuperLU in symmetric mode
+        solves it."""
+        K, F = reduced_system("strip", 1e3, (64, 1))
+        ab = solver._upper_band(K.upper)
+        assert ab is not None
+        with pytest.raises(LinAlgError):
+            solver._BandCholesky(ab)
+        trace = solver.solve_traced(K, F)
+        assert trace.path == "superlu" and counted["paths"] == ["superlu"]
+        assert trace.residual <= max(1e-10, trace.floor)
+
+    def test_zero_eigenvalue_is_refused_and_solved(self, counted):
+        """The certificate's semidefinite matrix is dense (bw 29 for n 30), so
+        the guard refuses the band; SuperLU solves it for a load in its range."""
+        A = TestInverseIterationCertificate._matrix(0.0)
+        F = A @ np.random.default_rng(7).standard_normal(30)
+        trace = solver.solve_traced(A, F)
+        assert "band" not in counted["paths"] and trace.path != "band"
+        assert relative_residual(A, trace.U, F) <= max(1e-10, trace.floor)
+
+    def test_wide_band_goes_to_superlu_unbuilt(self, counted, monkeypatch):
+        """A randomly permuted grid Laplacian couples far-apart indices: the
+        guard sends it to SuperLU before any band storage is allocated."""
+        bands, real_upper_band = [], solver._upper_band
+        monkeypatch.setattr(solver, "_upper_band",
+                            lambda upper: bands.append(real_upper_band(upper)) or bands[-1])
+        m = 30
+        L = grid_laplacian(m)
+        perm = np.random.default_rng(11).permutation(m * m)
+        Lp = sp.csr_matrix(L[perm][:, perm])
+        F = np.ones(m * m)
+        natural = solver.solve_traced(L, F)
+        permuted = solver.solve_traced(Lp, F[perm])
+        assert bands[0].shape == (m + 1, m * m) and bands[1] is None
+        assert natural.path == "band" and permuted.path == "superlu"
+        assert counted["paths"] == ["band", "superlu"]
+        back = np.empty(m * m)
+        back[perm] = np.asarray(permuted.U, float)
+        U = np.asarray(natural.U, float)
+        assert np.linalg.norm(back - U) <= 1e-10 * np.linalg.norm(U)
