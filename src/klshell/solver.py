@@ -3,8 +3,8 @@
 The primary factorization is LAPACK banded Cholesky in the order the
 system arrives in: the natural control-point order of a tensor-product
 patch keeps the stiffness in a narrow band, and a Cholesky that completes
-with positive pivots certifies positive definiteness.  Systems it rejects
-go to a sparse LU factorization in symmetric mode (diagonal pivoting,
+with positive pivots certifies positive definiteness.  Systems it rejects,
+and those outside its work guard (see ``_BAND_MIN_WORK``), go to a sparse LU factorization in symmetric mode (diagonal pivoting,
 symmetric fill-reducing ordering), which tolerates the roundoff pivots of
 zero-energy modes, and then to a shifted retry.  Iterative refinement
 pushes the relative residual below the contract tolerance even for the
@@ -32,15 +32,30 @@ from .errors import IndefiniteSystemError, NumericalError, SingularSystemError
 
 RESIDUAL_RTOL = 1e-10
 
-# Banded Cholesky is tried only while bw^2 <= _BAND_GUARD * n (bw the
-# half-bandwidth, n the dof count).  On the benchmark patches in natural
-# control-point order bw^2 / n is ~1.2 (strip), 6.3 (128x64 hypar, bw 400),
-# 13 (16x16 scordelis) and 22-25 (square hemisphere, whose rotation ties
-# widen the band: 24.7 at 16x16, 21.8 at 128x128).  Even the widest that
-# passes factors faster as a band than by SuperLU (128x128 hemisphere, 1 core:
-# 2.7 s against 3.8 s).  A matrix with long-range couplings (bw ~ n) fails
-# the guard before its dense (bw + 1) x n band is allocated.
-_BAND_GUARD = 24
+# Banded Cholesky is tried only while _BAND_MIN_WORK <= n bw^2 <=
+# _BAND_MAX_WORK n^1.5 (n the dof count, bw the half-bandwidth; n bw^2 is
+# the band factor's work).  Factor times, band against SuperLU in symmetric
+# mode, of cas meshes in natural control-point order (1 core):
+#   strip 256x1           n  2310  bw   26   1.4 ms vs   7.6 ms
+#   hypar 16x8            n   466  bw   64   0.7 ms vs   3.5 ms
+#   hypar 32x16           n  1698  bw  112   4.2 ms vs    24 ms
+#   hypar 128x64          n 25218  bw  400   0.25 s vs   1.08 s
+#   hemisphere 16x16      n   899  bw  149   2.5 ms vs   8.9 ms
+#   hemisphere 64x64      n 12803  bw  533   0.20 s vs   0.40 s
+#   hemisphere 128x128    n 50179  bw 1045    2.2 s vs    3.9 s
+#   hemisphere 160x160    n 78083  bw 1301    4.8 s vs    6.9 s
+# Upper bound: square meshes have bw^2 ~ 22 n, so the band's work grows as
+# n^2 against SuperLU's ~n^1.5.  The time ratio, 0.57 at 128x128 and 0.69
+# at 160x160 (n bw^2 = 4900 and 6100 n^1.5), extrapolates to 1 near
+# 8800 n^1.5 (a ~230x230 mesh, not measured); the bound stays below that,
+# where the band (813 MB at 160x160) is still near SuperLU's L+U (52M
+# nonzeros).  A matrix with long-range couplings (bw ~ n) passes it only
+# below ~350 dofs.  Lower bound: below it the band saves at most a few
+# milliseconds a solve, so small systems (strips up to 512 elements, hypar
+# 16x8) stay on SuperLU, whose factorizations perfbench/tracer.py counts
+# at ``splu``.
+_BAND_MIN_WORK = 4_000_000
+_BAND_MAX_WORK = 6500
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +148,12 @@ def _factorize(path: str, M):
 
 def _upper_band(upper: sp.csr_matrix) -> np.ndarray | None:
     """LAPACK upper band storage of an upper-triangular CSR matrix, or None
-    if its bandwidth fails the guard (see ``_BAND_GUARD``)."""
+    if its band work fails the guard (see ``_BAND_MIN_WORK``)."""
     n = upper.shape[0]
     rows = np.repeat(np.arange(n), np.diff(upper.indptr))
     offset = upper.indices - rows
     bw = int(offset.max(initial=0))
-    if bw * bw > _BAND_GUARD * n:
+    if not _BAND_MIN_WORK <= n * bw * bw <= _BAND_MAX_WORK * n ** 1.5:
         return None
     ab = np.zeros((bw + 1, n), order="F")  # LAPACK's layout: factored in place
     ab[bw - offset, upper.indices] = upper.data
@@ -206,7 +221,7 @@ def _factor_checked(A: sp.csr_matrix, upper: sp.csr_matrix):
     if it completes, its positive pivots certify positive definiteness.
     Corner-interpolated assumed-strain patches can carry interior zero-energy
     membrane modes, whose roundoff pivots stop Cholesky; those systems, and
-    bands wider than the guard, go to diagonal pivoting in symmetric mode,
+    bands outside the guard, go to diagonal pivoting in symmetric mode,
     which tolerates the roundoff pivots (all-positive pivots certify).  When
     diagonal pivoting breaks down too (division by a roundoff pivot), the
     shifted fallback is used.  Returns (factor, path) with path "band",

@@ -136,19 +136,19 @@ class TestFloorStop:
     def test_single_factorization(self, counted, monkeypatch, case_id,
                                   slenderness, mesh, reason):
         solves, reasons = [], []
-        real_solve, real_refine = cases.solve_traced, solver._refine
+        real_solve, real_refine = cases.solve_spd, solver._refine
 
-        def solve_traced(K, F):
-            trace = real_solve(K, F)
-            solves.append((K.to_csr(), F, trace.U))
-            return trace
+        def solve_spd(K, F):
+            U = real_solve(K, F)
+            solves.append((K.to_csr(), F, U))
+            return U
 
         def refine(*args):
             out = real_refine(*args)
             reasons.append(out[3])
             return out
 
-        monkeypatch.setattr(cases, "solve_traced", solve_traced)
+        monkeypatch.setattr(cases, "solve_spd", solve_spd)
         monkeypatch.setattr(solver, "_refine", refine)
         res = solve_case(make_case(case_id, slenderness=slenderness), mesh, "cas")
         assert counted["factorizations"] == 1
@@ -159,10 +159,10 @@ class TestFloorStop:
                  * np.linalg.norm(abs(K) @ np.abs(np.asarray(U, float)))
                  / np.linalg.norm(F))
         assert res.residual <= max(1e-10, floor)
-        assert res.residual == relative_residual(K, U, F)
 
-    def test_stall_above_floor_gets_the_shifted_retry(self, counted, monkeypatch):
-        """A primary solve stalled above max(rtol, floor) is refactored shifted."""
+    @staticmethod
+    def _stalled_first_solve(counted, monkeypatch, K, F):
+        """Solve with the first refinement reported as stalled at 1e-3."""
         real_refine, calls = solver._refine, []
 
         def stalled_first(*args):
@@ -171,19 +171,37 @@ class TestFloorStop:
             return (1e-3, 0.0, out[2], "stall") if len(calls) == 1 else out
 
         monkeypatch.setattr(solver, "_refine", stalled_first)
-        K, F = spd_system()
-        U = solve_spd(K, F)
-        assert counted["factorizations"] == 2 and len(calls) == 2
-        assert relative_residual(K, U, F) <= 1e-10
+        trace = solver.solve_traced(K, F)
+        assert len(calls) == 2 and trace.path == "shifted"
+        assert relative_residual(K, trace.U, F) <= 1e-10
+        return counted["paths"]
 
-    def test_stall_above_floor_after_the_retry_raises(self, counted, monkeypatch):
+    @staticmethod
+    def _always_stalled_solve(counted, monkeypatch, K, F):
         monkeypatch.setattr(solver, "_refine",
                             lambda lu, Al, absA, F, *rest:
                             (1e-3, 0.0, np.zeros(len(F)), "stall"))
-        K, F = spd_system()
         with pytest.raises(NumericalError):
             solve_spd(K, F)
-        assert counted["factorizations"] == 2
+        return counted["paths"]
+
+    def test_stall_above_floor_gets_the_shifted_retry(self, counted, monkeypatch):
+        """A primary solve stalled above max(rtol, floor) is refactored shifted."""
+        paths = self._stalled_first_solve(counted, monkeypatch, *spd_system())
+        assert paths == ["superlu", "superlu"]
+
+    def test_stall_above_floor_after_the_retry_raises(self, counted, monkeypatch):
+        paths = self._always_stalled_solve(counted, monkeypatch, *spd_system())
+        assert paths == ["superlu", "superlu"]
+
+    def test_band_stall_gets_the_shifted_retry(self, counted, monkeypatch):
+        """A stall on the band factor gets the same shifted SuperLU retry."""
+        paths = self._stalled_first_solve(counted, monkeypatch, *banded_spd_system())
+        assert paths == ["band", "superlu"]
+
+    def test_band_stall_after_the_retry_raises(self, counted, monkeypatch):
+        paths = self._always_stalled_solve(counted, monkeypatch, *banded_spd_system())
+        assert paths == ["band", "superlu"]
 
 
 class TestInverseIterationCertificate:
@@ -224,11 +242,17 @@ def grid_laplacian(m):
     return sp.csr_matrix(sp.kron(sp.identity(m), T) + sp.kron(T, sp.identity(m)))
 
 
+def banded_spd_system():
+    """A grid Laplacian in natural order: banded, and wide enough for the band."""
+    L = grid_laplacian(64)
+    return L, np.random.default_rng(4).random(L.shape[0])
+
+
 class TestBandCholesky:
     """Banded Cholesky is the primary factor; SuperLU takes what it refuses."""
 
     def test_band_path_matches_superlu(self, counted, monkeypatch):
-        K, F = reduced_system("hypar", 1e2, (16, 8))
+        K, F = reduced_system("hypar", 1e2, (32, 16))
         band = solver.solve_traced(K, F)
         assert band.path == "band" and counted["paths"] == ["band"]
         monkeypatch.setattr(solver, "_upper_band", lambda upper: None)
@@ -239,10 +263,10 @@ class TestBandCholesky:
         assert band.residual == relative_residual(K, band.U, F)
 
     def test_roundoff_pivot_is_rejected_by_the_band(self, counted):
-        """A cas strip at R/t 1e3 fits the band but stops Cholesky at a
+        """A cas Scordelis-Lo roof passes the guard but stops Cholesky at a
         roundoff pivot of a zero-energy mode; SuperLU in symmetric mode
         solves it."""
-        K, F = reduced_system("strip", 1e3, (64, 1))
+        K, F = reduced_system("scordelis", 1e2, (16, 16))
         ab = solver._upper_band(K.upper)
         assert ab is not None
         with pytest.raises(LinAlgError):
@@ -251,14 +275,19 @@ class TestBandCholesky:
         assert trace.path == "superlu" and counted["paths"] == ["superlu"]
         assert trace.residual <= max(1e-10, trace.floor)
 
-    def test_zero_eigenvalue_is_refused_and_solved(self, counted):
-        """The certificate's semidefinite matrix is dense (bw 29 for n 30), so
-        the guard refuses the band; SuperLU solves it for a load in its range."""
+    def test_small_systems_are_refused_and_solved(self, counted):
+        """The certificate's semidefinite matrix (n 30) and a cas strip of 64
+        elements are below the band-work floor; SuperLU solves them."""
         A = TestInverseIterationCertificate._matrix(0.0)
-        F = A @ np.random.default_rng(7).standard_normal(30)
-        trace = solver.solve_traced(A, F)
-        assert "band" not in counted["paths"] and trace.path != "band"
-        assert relative_residual(A, trace.U, F) <= max(1e-10, trace.floor)
+        systems = [(A, A @ np.random.default_rng(7).standard_normal(30)),
+                   reduced_system("strip", 1e3, (64, 1))]
+        for K, F in systems:
+            upper = K.upper if isinstance(K, SparseSymmetric) else sp.triu(K, format="csr")
+            assert solver._upper_band(upper) is None
+            trace = solver.solve_traced(K, F)
+            assert trace.path != "band"
+            assert relative_residual(K, trace.U, F) <= max(1e-10, trace.floor)
+        assert "band" not in counted["paths"]
 
     def test_wide_band_goes_to_superlu_unbuilt(self, counted, monkeypatch):
         """A randomly permuted grid Laplacian couples far-apart indices: the
@@ -266,7 +295,7 @@ class TestBandCholesky:
         bands, real_upper_band = [], solver._upper_band
         monkeypatch.setattr(solver, "_upper_band",
                             lambda upper: bands.append(real_upper_band(upper)) or bands[-1])
-        m = 30
+        m = 64
         L = grid_laplacian(m)
         perm = np.random.default_rng(11).permutation(m * m)
         Lp = sp.csr_matrix(L[perm][:, perm])
