@@ -40,8 +40,8 @@ def main():
         for s in slendernesses:
             case = make_case(case_id, slenderness=s)
             t0 = time.perf_counter()
-            report = run_convergence(case, args.element, args.quad,
-                                     levels[case_id])
+            report, _ = run_convergence(case, args.element, args.quad,
+                                        levels[case_id])
             name = f"{case_id}_{args.element}_q{args.quad}_s{s:g}.csv"
             write_report_csv(report, os.path.join(args.outdir, name))
             last = report.rows[-1]

@@ -420,20 +420,22 @@ def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
 
 
 def run_convergence(case: BenchmarkCase, kind: str, quad_n: int,
-                    levels: int, with_errors: bool | None = None,
-                    with_energies: bool = True) -> ConvergenceReport:
-    """Solve a sequence of uniformly refined meshes and collect a report."""
+                    levels: int) -> tuple[ConvergenceReport, CaseResult]:
+    """Solve a sequence of uniformly refined meshes; return the report and
+    the result on the finest mesh.
+
+    Rows carry energies, and L2 resultant errors where the case has
+    analytic fields.
+    """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if with_errors is None:
-        with_errors = case.analytic is not None
     report = ConvergenceReport(case_id=case.id, element_kind=kind,
                                quad_n=quad_n, slenderness=case.slenderness)
     for level in range(levels):
-        row, _ = solve_row(case, level, case.mesh_at_level(level), kind, quad_n,
-                           with_errors, with_energies)
+        row, last = solve_row(case, level, case.mesh_at_level(level), kind, quad_n,
+                              with_errors=True, with_energies=True)
         report.rows.append(row)
-    return report
+    return report, last
 
 
 def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,

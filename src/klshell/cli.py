@@ -13,7 +13,9 @@ import math
 import os
 import sys
 
-from .cases import (ConvergenceReport, make_case, run_convergence, solve_case,
+# solve_case is not called here; perfbench/test_perfbench.py reaches it as
+# klshell.cli.solve_case.
+from .cases import (ConvergenceReport, make_case, run_convergence, solve_case,  # noqa: F401
                     solve_row, write_report_csv)
 from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
@@ -81,8 +83,7 @@ def main(argv=None) -> int:
             report.rows.append(row)
         else:
             levels = args.levels if args.levels is not None else 5
-            report = run_convergence(case, args.element, args.quad, levels)
-            last = None
+            report, last = run_convergence(case, args.element, args.quad, levels)
     except (NumericalError, SingularSystemError, IndefiniteSystemError,
             SingularGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -101,9 +102,6 @@ def main(argv=None) -> int:
     write_report_csv(report, os.path.join(args.outdir, "report.csv"))
 
     if args.sample_density is not None:
-        if last is None:
-            mesh = case.mesh_at_level(len(report.rows) - 1)
-            last = solve_case(case, mesh, args.element, args.quad)
         header = {"benchmark": case.id, "element": args.element,
                   "mesh": f"{last.mesh[0]}x{last.mesh[1]}",
                   "slenderness": format(case.slenderness, ".17g")}

@@ -8,8 +8,8 @@ Two quadratic element types share one code path:
   membrane strains C0-continuous across element boundaries.  The bending
   part is identical to ``cs``.
 
-Element kernels are vectorized over batches of elements; the public
-per-element functions run the same kernel on a batch of one.
+Element kernels are vectorized over batches of elements;
+``element_stiffness`` runs the same kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ class Patch:
         a = np.searchsorted(self.spans_u, find_spans(self.surface.kv_u, theta[..., 0]))
         b = np.searchsorted(self.spans_v, find_spans(self.surface.kv_v, theta[..., 1]))
         return a * len(self.spans_v) + b
-
-    def element_containing(self, t1: float, t2: float) -> int:
-        return int(self.locate((t1, t2)))
 
     def cp_index(self, iu: int, iv: int) -> int:
         return iu * self.surface.kv_v.n_basis + iv
@@ -274,14 +271,6 @@ def element_stiffness(patch: Patch, eid: int, mat: ShellMaterial,
     except SingularGeometryError as exc:
         raise SingularGeometryError(f"element {eid}: {exc}") from exc
     return k_eps[0] + k_kappa[0]
-
-
-def element_stiffness_cs(patch, eid, mat, rule):
-    return element_stiffness(patch, eid, mat, rule, CS)
-
-
-def element_stiffness_cas(patch, eid, mat, rule):
-    return element_stiffness(patch, eid, mat, rule, CAS)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ class SingularGeometryError(RuntimeError):
     """Surface tangents are degenerate (a1 x a2 = 0) at an evaluation point."""
 
 
-class BasisConventionError(ValueError):
-    """A tensor triple was used in the wrong basis (e.g. transformed twice)."""
-
-
 class IndefiniteSystemError(RuntimeError):
     """A factorization pivot was non-positive: system is not positive definite."""
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from .elements import (Patch, QuadratureRule, _batch_eval, _chunks, _dofs,
                        _membrane_strain_rows, _rule_eval, _to_parent, tensor_rule)
-from .shell import (_VOIGT, CARTESIAN, ResultantTriple, ShellMaterial,
-                    bending_rows, cartesian_components, constitutive_voigt,
-                    effective_membrane_forces, frame_arrays, resultant_law)
+from .shell import (_VOIGT, ShellMaterial, bending_rows, cartesian_components,
+                    constitutive_voigt, effective_membrane_forces, frame_arrays,
+                    resultant_law)
 
 
 @dataclass(eq=False)
@@ -109,14 +109,14 @@ def _point_fields(sol, theta, eids):
 def resultants_at(sol: SolutionField, t1: float, t2: float, eid: int | None = None):
     """Membrane forces, bending moments and effective membrane forces at a point.
 
-    Returns (n_hat, m_hat, neff_hat) as local-Cartesian ResultantTriples.
-    ``eid`` overrides the containing element (useful on shared edges).
+    Returns (n_hat, m_hat, neff_hat), each the local-Cartesian components
+    (11, 22, 12) as a (3,) array.  ``eid`` overrides the containing element
+    (useful on shared edges).
     """
     theta = np.array([[t1, t2]], dtype=float)
     eids = sol.patch.locate(theta) if eid is None else np.array([eid])
     _, _, res = _point_fields(sol, theta, eids)
-    return tuple(ResultantTriple(*res[key][0, 0], basis=CARTESIAN)
-                 for key in ("n", "m", "neff"))
+    return tuple(res[key][0, 0] for key in ("n", "m", "neff"))
 
 
 def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:

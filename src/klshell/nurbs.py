@@ -192,24 +192,6 @@ class NurbsSurface:
         return h
 
 
-@dataclass(frozen=True, eq=False)
-class BasisEval:
-    """Rational basis values and derivatives on one element.
-
-    Arrays hold the (p_u+1)(p_v+1) functions supported on the containing
-    spans, u-major, with derivative component order (11, 22, 12).
-    """
-
-    span_u: int
-    span_v: int
-    N: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
-    N11: np.ndarray
-    N22: np.ndarray
-    N12: np.ndarray
-
-
 # Rows of the batched rational evaluator: the value and the parametric
 # derivatives 1, 2, 11, 22, 12, as (d1, d2) derivative orders per direction.
 _DERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
@@ -261,25 +243,14 @@ def rational_eval(surface: NurbsSurface, su, sv, t1, t2, order: int = 2) -> np.n
         [B * H[..., 3], np.einsum("k...A,...Ac->k...c", B, H)], axis=-1))
 
 
-def _rational_at(surface, t1, t2, order):
-    su, sv = find_span(surface.kv_u, t1), find_span(surface.kv_v, t2)
-    return su, sv, rational_eval(surface, su, sv, t1, t2, order)
-
-
 def surface_eval(surface: NurbsSurface, t1: float, t2: float, order: int = 2):
     """Evaluate position and parametric derivatives of the surface.
 
     Returns (r,) for order 0, (r, r1, r2) for order 1 and
     (r, r1, r2, r11, r22, r12) for order 2.
     """
-    _, _, R = _rational_at(surface, t1, t2, order)
-    return tuple(R[:, -4:-1])
-
-
-def basis_eval(surface: NurbsSurface, t1: float, t2: float) -> BasisEval:
-    """Rational basis functions with first and second partials at a point."""
-    su, sv, R = _rational_at(surface, t1, t2, 2)
-    return BasisEval(su, sv, *R[:, :-4])
+    su, sv = find_span(surface.kv_u, t1), find_span(surface.kv_v, t2)
+    return tuple(rational_eval(surface, su, sv, t1, t2, order)[:, -4:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ pseudo-strain operators as per-dof row arrays, membrane force / bending
 moment laws, effective membrane forces, and the transformation of resultants
 to a local Cartesian basis.
 
-All core formulas are written over arrays with arbitrary leading (batch)
-dimensions; the public single-point functions wrap them.
+All formulas are written over arrays with arbitrary leading (batch)
+dimensions; a single point is a batch with no leading dimensions.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisConventionError, SingularGeometryError
-from .nurbs import BasisEval, NurbsSurface, surface_eval
-
-CURVILINEAR = "curvilinear"
-CARTESIAN = "local-cartesian"
+from .errors import SingularGeometryError
 
 
 @dataclass(frozen=True)
@@ -47,54 +43,6 @@ class ShellMaterial:
         return self.E * self.t ** 3 / (12.0 * (1.0 - self.nu ** 2))
 
 
-@dataclass(frozen=True)
-class StrainTriple:
-    """Symmetric covariant strain coefficients (11, 22, 12)."""
-
-    c11: float
-    c22: float
-    c12: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.c11, self.c12], [self.c12, self.c22]])
-
-
-@dataclass(frozen=True)
-class ResultantTriple:
-    """Symmetric contravariant resultant coefficients (11, 22, 12) plus basis tag."""
-
-    c11: float
-    c22: float
-    c12: float
-    basis: str = CURVILINEAR
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.c11, self.c12], [self.c12, self.c22]])
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceFrame:
-    """Midsurface geometry bundle at one parametric point.
-
-    Covariant tangents a1, a2, unit normal a3, metric a_ab and its inverse,
-    curvature b_ab and mixed form b_mixed = a_inv @ b_ab, orthonormal local
-    basis (e1, e2) with e1 parallel to a1, area density jac = ||a1 x a2||,
-    and the second parametric derivatives d2 stored in row order (11, 22, 12).
-    """
-
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    a_ab: np.ndarray
-    a_inv: np.ndarray
-    b_ab: np.ndarray
-    b_mixed: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    jac: float
-    d2: np.ndarray
-
-
 def _dot(u, v):
     return np.einsum("...i,...i->...", u, v)
 
@@ -102,8 +50,11 @@ def _dot(u, v):
 def frame_arrays(r1, r2, r11, r22, r12):
     """Frame quantities from parametric derivatives; broadcasts over leading dims.
 
-    Returns a dict with keys a1, a2, a3, a_ab, a_inv, b_ab, b_mixed, e1, e2,
-    jac, d2 (d2 stacked as (..., 3, 3) in component order 11, 22, 12).
+    Returns a dict with the covariant tangents a1, a2, the unit normal a3,
+    the metric a_ab and its inverse a_inv, the curvature b_ab and its mixed
+    form b_mixed = a_inv @ b_ab, the orthonormal local basis e1, e2 with e1
+    parallel to a1, the area density jac = ||a1 x a2|| and the second
+    derivatives d2, stacked as (..., 3, 3) in component order 11, 22, 12.
     """
     cross = np.cross(r1, r2)
     jac = np.linalg.norm(cross, axis=-1)
@@ -134,15 +85,6 @@ def frame_arrays(r1, r2, r11, r22, r12):
 
     return dict(a1=r1, a2=r2, a3=a3, a_ab=a_ab, a_inv=a_inv, b_ab=b_ab,
                 b_mixed=b_mixed, e1=e1, e2=e2, jac=jac, d2=d2)
-
-
-def frame_at(surface: NurbsSurface, t1: float, t2: float) -> SurfaceFrame:
-    """Surface frame at a parametric point."""
-    r, r1, r2, r11, r22, r12 = surface_eval(surface, t1, t2, order=2)
-    f = frame_arrays(r1, r2, r11, r22, r12)
-    return SurfaceFrame(a1=f["a1"], a2=f["a2"], a3=f["a3"], a_ab=f["a_ab"],
-                        a_inv=f["a_inv"], b_ab=f["b_ab"], b_mixed=f["b_mixed"],
-                        e1=f["e1"], e2=f["e2"], jac=float(f["jac"]), d2=f["d2"])
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +141,6 @@ def bending_rows(basis_arrays, frame_arrays_):
         comps.append(row)
     rows = np.stack(comps, axis=-3)
     return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * 3,))
-
-
-def membrane_strain_op(frame: SurfaceFrame, basis: BasisEval) -> np.ndarray:
-    """Membrane strain rows B_eps, shape (3, 3*nfun), components (11, 22, 12)."""
-    return membrane_rows(basis.N1, basis.N2, frame.a1, frame.a2)
-
-
-def bending_strain_op(frame: SurfaceFrame, basis: BasisEval) -> np.ndarray:
-    """Bending pseudo-strain rows B_kappa, shape (3, 3*nfun)."""
-    arrays = dict(N1=basis.N1, N2=basis.N2, N11=basis.N11,
-                  N22=basis.N22, N12=basis.N12)
-    f = dict(a1=frame.a1, a2=frame.a2, a3=frame.a3,
-             jac=np.asarray(frame.jac), d2=frame.d2)
-    return bending_rows(arrays, f)
 
 
 # ---------------------------------------------------------------------------
@@ -291,37 +219,3 @@ def cartesian_components(c, e1, e2, a1, a2):
     out[..., 1] = H[..., 1, 1]
     out[..., 2] = 0.5 * (H[..., 0, 1] + H[..., 1, 0])
     return out
-
-
-def _vec(triple):
-    return np.array([triple.c11, triple.c22, triple.c12], dtype=float)
-
-
-def membrane_law(eps: StrainTriple, frame: SurfaceFrame,
-                 mat: ShellMaterial) -> ResultantTriple:
-    """Contravariant membrane forces from covariant membrane strains."""
-    return ResultantTriple(*resultant_law(_vec(eps), frame.a_inv,
-                                          mat.membrane_stiffness, mat.nu))
-
-
-def bending_law(kappa: StrainTriple, frame: SurfaceFrame,
-                mat: ShellMaterial) -> ResultantTriple:
-    """Contravariant bending moments from covariant bending pseudo-strains."""
-    return ResultantTriple(*resultant_law(_vec(kappa), frame.a_inv,
-                                          mat.bending_stiffness, mat.nu))
-
-
-def effective_membrane(n: ResultantTriple, m: ResultantTriple,
-                       frame: SurfaceFrame) -> ResultantTriple:
-    """Effective membrane forces (curvilinear); see effective_membrane_forces."""
-    if n.basis != CURVILINEAR or m.basis != CURVILINEAR:
-        raise BasisConventionError("effective_membrane expects curvilinear inputs")
-    return ResultantTriple(*effective_membrane_forces(_vec(n), _vec(m), frame.b_mixed))
-
-
-def to_local_cartesian(res: ResultantTriple, frame: SurfaceFrame) -> ResultantTriple:
-    """Transform contravariant coefficients to the local Cartesian basis."""
-    if res.basis != CURVILINEAR:
-        raise BasisConventionError("resultant is already in a local Cartesian basis")
-    c = cartesian_components(_vec(res), frame.e1, frame.e2, frame.a1, frame.a2)
-    return ResultantTriple(*c, basis=CARTESIAN)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from klshell.cases import make_case, solve_case
-from klshell.elements import gauss_rule
+from klshell.elements import Patch, _batch_eval, gauss_rule
 from klshell.fields import energies, l2_resultant_error
 
 
@@ -30,6 +30,20 @@ ALL_SURFACES = {
     "scordelis": scordelis_surface,
     "hypar": hypar_surface,
 }
+
+
+def basis_at(surface, t1, t2):
+    """Rational basis and geometry arrays at one parametric point.
+
+    Evaluates in the element that contains the point (``Patch.locate``).
+    Returns a dict with N, N1, N2, N11, N22, N12 of shape (nfun,), r, r1,
+    r2, r11, r22, r12 of shape (3,), and conn (nfun,), the control point
+    indices of the basis functions.
+    """
+    patch = Patch(surface)
+    theta = np.array([[t1, t2]], dtype=float)
+    ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :])
+    return {k: v[0] if k == "conn" else v[0, 0] for k, v in ev.items()}
 
 
 class BenchCache:

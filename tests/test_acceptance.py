@@ -7,11 +7,11 @@ complete.  Tolerances are fixed here and not tuned per machine.
 import numpy as np
 import pytest
 
-from conftest import ALL_SURFACES, slope_last3
-from klshell import (Patch, ShellMaterial, assemble, basis_eval, gauss_rule,
-                     make_uniform, surface_eval)
+from conftest import ALL_SURFACES, basis_at, slope_last3
+from klshell import (Patch, ShellMaterial, assemble, gauss_rule, make_uniform,
+                     surface_eval)
 from klshell.cases import make_case
-from klshell.elements import element_stiffness_cas, element_stiffness_cs
+from klshell.elements import element_stiffness
 from klshell.fields import energies
 
 
@@ -162,9 +162,9 @@ def test_criterion_8a_partition_of_unity():
     for name in sorted(ALL_SURFACES):
         s = make_uniform(ALL_SURFACES[name](), 5, 4)
         for t1, t2 in rng.random((250, 2)):
-            be = basis_eval(s, t1, t2)
-            worst = max(worst, abs(be.N.sum() - 1.0),
-                        abs(be.N1.sum()) * 1e-2, abs(be.N2.sum()) * 1e-2)
+            be = basis_at(s, t1, t2)
+            worst = max(worst, abs(be["N"].sum() - 1.0),
+                        abs(be["N1"].sum()) * 1e-2, abs(be["N2"].sum()) * 1e-2)
     report("criterion 8 [partition of unity]", worst <= 1e-12,
            f"worst deviation {worst:.1e} (tol 1e-12)")
 
@@ -202,8 +202,8 @@ def test_criterion_8d_rigid_body_annihilation():
     for name in ("strip", "hemisphere"):
         s = make_uniform(ALL_SURFACES[name](), 3, 3)
         patch = Patch(s)
-        for kind, fn in (("cs", element_stiffness_cs), ("cas", element_stiffness_cas)):
-            k = fn(patch, 0, mat, gauss_rule(3))
+        for kind in ("cs", "cas"):
+            k = element_stiffness(patch, 0, mat, gauss_rule(3), kind)
             T = np.tile([1.0, -0.5, 0.25], 9)
             worst_t = max(worst_t, np.abs(k @ T).max() / (np.abs(k).max()))
             omega = np.array([0.4, -0.2, 0.9])
@@ -275,8 +275,8 @@ def test_criterion_8g_cs_cas_agree_on_flat_affine_patch():
     kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
     patch = Patch(NurbsSurface(kv, kv, ctrl, np.ones((3, 3))))
     mat = ShellMaterial(E=200.0, nu=0.3, t=0.05)
-    kcs = element_stiffness_cs(patch, 0, mat, gauss_rule(3))
-    kcas = element_stiffness_cas(patch, 0, mat, gauss_rule(3))
+    kcs = element_stiffness(patch, 0, mat, gauss_rule(3), "cs")
+    kcas = element_stiffness(patch, 0, mat, gauss_rule(3), "cas")
 
     # Bernstein coefficients of 1, t, t^2 (the 1D blossoms); the geometry
     # map is x = u, y = v, so a monomial x^a y^b has coefficients

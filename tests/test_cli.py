@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+import klshell.cases as cases
 import klshell.cli as cli
 from klshell.cases import ConvergenceReport
 from klshell.errors import NumericalError
+from klshell.solver import solve_spd
 
 
 def read(path):
@@ -43,6 +45,24 @@ class TestRuns:
         text = (tmp_path / "field.dat").read_text()
         data = [l for l in text.strip().split("\n") if not l.startswith("#")]
         assert len(data) == 25
+
+    def test_field_output_samples_the_sweep_without_resolving(self, tmp_path,
+                                                                 monkeypatch):
+        """--levels N with --sample-density solves each level once and
+        samples the finest of those solves."""
+        solves = []
+
+        def counted(K, F, *args, **kwargs):
+            solves.append(K.n)
+            return solve_spd(K, F, *args, **kwargs)
+
+        monkeypatch.setattr(cases, "solve_spd", counted)
+        rc = cli.main(["--benchmark", "strip", "--element", "cas",
+                       "--slenderness", "1e2", "--levels", "3",
+                       "--sample-density", "4", "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert len(solves) == 3
+        assert "# mesh: 8x1\n" in (tmp_path / "field.dat").read_text()
 
     def test_bitwise_deterministic_report(self, tmp_path):
         args = ["--benchmark", "strip", "--element", "cas", "--quad", "2",

@@ -5,12 +5,11 @@ import pytest
 
 from conftest import ALL_SURFACES
 from klshell import (Constraint, KnotVector, NurbsSurface, Patch, ShellMaterial,
-                     apply_constraints, assemble, element_stiffness_cas,
-                     element_stiffness_cs, gauss_rule, load_area,
+                     apply_constraints, assemble, gauss_rule, load_area,
                      load_edge_line, load_point, make_uniform, tensor_rule)
 from klshell.elements import (LinearConstraint, _corner_membrane_rows,
                               _corner_weights, _stiffness_batch, edge_cp_lines,
-                              fix_cps)
+                              element_stiffness, fix_cps)
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 MAT = ShellMaterial(E=200.0, nu=0.3, t=0.05)
@@ -56,12 +55,12 @@ class TestQuadrature:
 class TestElementStiffnessCS:
     def test_symmetric(self):
         patch = Patch(ALL_SURFACES["scordelis"]())
-        k = element_stiffness_cs(patch, 0, MAT, gauss_rule(3))
+        k = element_stiffness(patch, 0, MAT, gauss_rule(3), "cs")
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
 
     def test_rigid_translation_annihilated(self):
         patch = Patch(ALL_SURFACES["hemisphere"]())
-        k = element_stiffness_cs(patch, 0, MAT, gauss_rule(3))
+        k = element_stiffness(patch, 0, MAT, gauss_rule(3), "cs")
         T = np.tile([1.0, -2.0, 0.5], 9)
         assert np.abs(k @ T).max() <= 1e-10 * np.abs(k).max() * np.abs(T).max()
 
@@ -121,7 +120,7 @@ class TestElementStiffnessCAS:
 
     def test_symmetric_and_rigid_annihilation(self):
         patch = Patch(ALL_SURFACES["scordelis"]())
-        k = element_stiffness_cas(patch, 0, MAT, gauss_rule(3))
+        k = element_stiffness(patch, 0, MAT, gauss_rule(3), "cas")
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
         T = np.tile([0.2, 1.0, -0.7], 9)
         assert np.abs(k @ T).max() <= 1e-10 * np.abs(k).max()
@@ -133,7 +132,7 @@ class TestElementStiffnessCAS:
         ctrl[:, 1, 1] = 1.0
         patch = Patch(NurbsSurface(kv1, kv1, ctrl, np.ones((2, 2))))
         with pytest.raises(ValueError):
-            element_stiffness_cas(patch, 0, MAT, gauss_rule(2))
+            element_stiffness(patch, 0, MAT, gauss_rule(2), "cas")
 
     def test_assumed_strain_continuity_across_edges(self):
         """Assumed membrane strain rows agree across shared element edges."""
@@ -159,7 +158,7 @@ class TestAssembly:
         patch = Patch(flat_patch())
         rule = gauss_rule(3)
         system = assemble(patch, MAT, rule, "cs")
-        k = element_stiffness_cs(patch, 0, MAT, rule)
+        k = element_stiffness(patch, 0, MAT, rule, "cs")
         K = system.K.to_csr().toarray()
         dofs = patch.element_dofs(0)
         assert np.allclose(K[np.ix_(dofs, dofs)], k, atol=1e-14 * np.abs(k).max())
@@ -302,3 +301,35 @@ class TestConstraints:
         lhs = U @ red.F
         rhs = U @ (red.K.to_csr() @ U)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+def _zero_modes(K):
+    """Eigenvalues below 1e-10 lambda_max of the diagonally scaled matrix K."""
+    d = 1.0 / np.sqrt(np.diag(K))
+    lam = np.linalg.eigvalsh(K * d[:, None] * d[None, :])
+    return int(np.sum(lam < 1e-10 * lam.max()))
+
+
+class TestZeroEnergyModes:
+    """cs patches have only the six rigid-body modes.  cas adds one
+    checkerboard mode along the generator of a cylindrical patch (the strip
+    and the Scordelis-Lo roof); the benchmark constraints remove the rigid
+    modes but keep that one."""
+
+    @pytest.mark.parametrize("quad", [2, 3])
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    @pytest.mark.parametrize("case_id,mesh", [
+        ("strip", (4, 1)), ("strip", (8, 2)),
+        ("scordelis", (2, 2)), ("scordelis", (3, 5)),
+        ("hemisphere", (3, 3)), ("hypar", (4, 2)),
+    ])
+    def test_counts(self, case_id, mesh, kind, quad):
+        from klshell.cases import make_case
+        case = make_case(case_id)
+        patch = Patch(make_uniform(case.surface, *mesh))
+        system = assemble(patch, case.material, gauss_rule(quad), kind)
+        generator = int(kind == "cas" and case_id in ("strip", "scordelis"))
+        assert _zero_modes(system.K.to_csr().toarray()) == 6 + generator
+        system.constraints, system.linear = case.constraints(patch)
+        red = apply_constraints(system)
+        assert _zero_modes(red.K.to_csr().toarray()) == generator

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SURFACES, hemisphere_surface, strip_surface
+from conftest import ALL_SURFACES, basis_at, hemisphere_surface, strip_surface
 from klshell import (DomainError, KnotVector, NurbsSurface, basis_ders,
-                     basis_eval, find_span, make_uniform,
-                     refine_uniform, surface_eval, surface_from_text,
-                     surface_to_text)
+                     find_span, make_uniform, refine_uniform, surface_eval,
+                     surface_from_text, surface_to_text)
 from klshell.nurbs import _basis_ders_at_span
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -173,13 +172,13 @@ class TestRationalBasis:
         s = make_uniform(ALL_SURFACES[name](), 4, 4)
         rng = np.random.default_rng(11)
         for t1, t2 in rng.random((250, 2)):
-            be = basis_eval(s, t1, t2)
-            assert abs(be.N.sum() - 1.0) < 1e-12
-            assert abs(be.N1.sum()) < 1e-12 * 10
-            assert abs(be.N2.sum()) < 1e-12 * 10
-            assert abs(be.N11.sum()) < 1e-9
-            assert abs(be.N22.sum()) < 1e-9
-            assert abs(be.N12.sum()) < 1e-9
+            be = basis_at(s, t1, t2)
+            assert abs(be["N"].sum() - 1.0) < 1e-12
+            assert abs(be["N1"].sum()) < 1e-12 * 10
+            assert abs(be["N2"].sum()) < 1e-12 * 10
+            assert abs(be["N11"].sum()) < 1e-9
+            assert abs(be["N22"].sum()) < 1e-9
+            assert abs(be["N12"].sum()) < 1e-9
 
 
 class TestRefinement:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SURFACES
-from klshell import (BasisConventionError, KnotVector, NurbsSurface,
-                     ResultantTriple, ShellMaterial, StrainTriple,
-                     basis_eval, bending_law, bending_strain_op,
-                     effective_membrane, frame_at, make_uniform, membrane_law,
-                     membrane_strain_op, to_local_cartesian)
+from conftest import ALL_SURFACES, basis_at
+from klshell import KnotVector, NurbsSurface, ShellMaterial, make_uniform, surface_eval
+from klshell.shell import (bending_rows, cartesian_components,
+                           effective_membrane_forces, frame_arrays, membrane_rows,
+                           resultant_law)
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 
@@ -31,29 +30,33 @@ def sphere_patch(R=10.0):
     return ALL_SURFACES["hemisphere"]()
 
 
+def frame(s, t1, t2):
+    return frame_arrays(*surface_eval(s, t1, t2)[1:])
+
+
 def rows_apply(rows, U):
     """Contract per-dof strain rows with control displacements (n_cp, 3)."""
     return rows @ U.reshape(-1)
 
 
-def local_cp_displacements(surface, eid_theta, field):
-    """Control values of an affine field: exact for any NURBS weights."""
-    return np.array([field(q) for q in surface.ctrl.reshape(-1, 3)])
+def energy_pairing(eps, n):
+    """eps_ab n^ab for (11, 22, 12) component vectors."""
+    return eps[0] * n[0] + eps[1] * n[1] + 2 * eps[2] * n[2]
 
 
 class TestFrames:
     def test_flat_plate(self):
-        f = frame_at(flat_patch(), 0.3, 0.6)
-        assert np.allclose(f.a3, [0, 0, 1], atol=1e-14)
-        assert np.allclose(f.b_ab, 0, atol=1e-14)
-        assert abs(f.jac - 1.0) < 1e-14
+        f = frame(flat_patch(), 0.3, 0.6)
+        assert np.allclose(f["a3"], [0, 0, 1], atol=1e-14)
+        assert np.allclose(f["b_ab"], 0, atol=1e-14)
+        assert abs(f["jac"] - 1.0) < 1e-14
 
     def test_cylinder_curvature_oracle(self):
         s = cylinder_patch()
         rng = np.random.default_rng(2)
         for t1, t2 in rng.random((20, 2)):
-            f = frame_at(s, t1, t2)
-            eig = np.sort(np.linalg.eigvals(f.b_mixed).real)
+            f = frame(s, t1, t2)
+            eig = np.sort(np.linalg.eigvals(f["b_mixed"]).real)
             assert min(abs(eig[0]), abs(eig[1])) < 1e-12
             assert abs(max(abs(eig[0]), abs(eig[1])) - 0.1) < 1e-12
 
@@ -61,8 +64,8 @@ class TestFrames:
         s = sphere_patch()
         rng = np.random.default_rng(4)
         for t1, t2 in rng.random((20, 2)):
-            f = frame_at(s, t1, t2)
-            eig = np.linalg.eigvals(f.b_mixed).real
+            f = frame(s, t1, t2)
+            eig = np.linalg.eigvals(f["b_mixed"]).real
             assert np.allclose(np.abs(eig), 0.1, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(ALL_SURFACES))
@@ -70,32 +73,34 @@ class TestFrames:
         s = make_uniform(ALL_SURFACES[name](), 3, 3)
         rng = np.random.default_rng(8)
         for t1, t2 in rng.random((30, 2)):
-            f = frame_at(s, t1, t2)
-            assert abs(np.linalg.norm(f.a3) - 1.0) < 1e-12
-            assert abs(f.a3 @ f.a1) < 1e-12 * np.linalg.norm(f.a1)
-            assert abs(f.a3 @ f.a2) < 1e-12 * np.linalg.norm(f.a2)
-            assert np.allclose(f.a_inv @ f.a_ab, np.eye(2), atol=1e-12)
-            assert abs(f.e1 @ f.e2) < 1e-12
-            assert abs(np.linalg.norm(f.e1) - 1) < 1e-12
-            assert abs(np.linalg.norm(f.e2) - 1) < 1e-12
-            cross = np.cross(f.e1, f.a1)
-            assert np.linalg.norm(cross) < 1e-12 * np.linalg.norm(f.a1)
-            assert abs(f.b_ab[0, 1] - f.b_ab[1, 0]) < 1e-14 * (1 + abs(f.b_ab).max())
+            f = frame(s, t1, t2)
+            a1, a2, a3, e1, e2 = f["a1"], f["a2"], f["a3"], f["e1"], f["e2"]
+            assert abs(np.linalg.norm(a3) - 1.0) < 1e-12
+            assert abs(a3 @ a1) < 1e-12 * np.linalg.norm(a1)
+            assert abs(a3 @ a2) < 1e-12 * np.linalg.norm(a2)
+            assert np.allclose(f["a_inv"] @ f["a_ab"], np.eye(2), atol=1e-12)
+            assert abs(e1 @ e2) < 1e-12
+            assert abs(np.linalg.norm(e1) - 1) < 1e-12
+            assert abs(np.linalg.norm(e2) - 1) < 1e-12
+            cross = np.cross(e1, a1)
+            assert np.linalg.norm(cross) < 1e-12 * np.linalg.norm(a1)
+            b = f["b_ab"]
+            assert abs(b[0, 1] - b[1, 0]) < 1e-14 * (1 + abs(b).max())
 
     def test_degenerate_geometry_raises(self):
         ctrl = np.zeros((3, 3, 3))  # all control points coincide
         s = NurbsSurface(KV2, KV2, ctrl, np.ones((3, 3)))
         from klshell import SingularGeometryError
         with pytest.raises(SingularGeometryError):
-            frame_at(s, 0.5, 0.5)
+            frame(s, 0.5, 0.5)
 
 
 class TestMembraneOperator:
     def test_rigid_translation_annihilated(self):
         s = cylinder_patch()
-        f = frame_at(s, 0.4, 0.3)
-        be = basis_eval(s, 0.4, 0.3)
-        rows = membrane_strain_op(f, be)
+        f = frame(s, 0.4, 0.3)
+        be = basis_at(s, 0.4, 0.3)
+        rows = membrane_rows(be["N1"], be["N2"], f["a1"], f["a2"])
         U = np.tile([0.3, -1.2, 0.7], (9, 1))
         assert np.allclose(rows_apply(rows, U), 0.0, atol=1e-14)
 
@@ -103,9 +108,9 @@ class TestMembraneOperator:
         s = flat_patch()
         alpha = 1e-3
         U = np.array([[alpha * q[0], 0, 0] for q in s.ctrl.reshape(-1, 3)])
-        f = frame_at(s, 0.25, 0.75)
-        be = basis_eval(s, 0.25, 0.75)
-        eps = rows_apply(membrane_strain_op(f, be), U)
+        f = frame(s, 0.25, 0.75)
+        be = basis_at(s, 0.25, 0.75)
+        eps = rows_apply(membrane_rows(be["N1"], be["N2"], f["a1"], f["a2"]), U)
         assert np.allclose(eps, [alpha, 0, 0], atol=1e-15)
 
     @pytest.mark.parametrize("name", ["strip", "hemisphere"])
@@ -117,21 +122,17 @@ class TestMembraneOperator:
         rng = np.random.default_rng(6)
         scale = np.linalg.norm(omega) * 10.0
         for t1, t2 in rng.random((20, 2)):
-            f = frame_at(s, t1, t2)
-            be = basis_eval(s, t1, t2)
-            conn = np.arange(9)  # rows act on the element's own functions
-            from klshell.elements import Patch
-            patch = Patch(s)
-            eid = patch.element_containing(t1, t2)
-            Ue = U[patch.conn[eid]]
-            eps = rows_apply(membrane_strain_op(f, be), Ue)
+            f = frame(s, t1, t2)
+            be = basis_at(s, t1, t2)
+            rows = membrane_rows(be["N1"], be["N2"], f["a1"], f["a2"])
+            eps = rows_apply(rows, U[be["conn"]])
             assert np.all(np.abs(eps) < 1e-10 * scale)
 
     def test_linearity(self):
         s = cylinder_patch()
-        f = frame_at(s, 0.2, 0.9)
-        be = basis_eval(s, 0.2, 0.9)
-        rows = membrane_strain_op(f, be)
+        f = frame(s, 0.2, 0.9)
+        be = basis_at(s, 0.2, 0.9)
+        rows = membrane_rows(be["N1"], be["N2"], f["a1"], f["a2"])
         rng = np.random.default_rng(0)
         U = rng.random((9, 3))
         V = rng.random((9, 3))
@@ -147,32 +148,24 @@ class TestBendingOperator:
         U = np.zeros((9, 3))
         U[:, 2] = np.outer([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]).ravel()
         for t1, t2 in ((0.2, 0.3), (0.7, 0.9)):
-            f = frame_at(s, t1, t2)
-            be = basis_eval(s, t1, t2)
-            kap = rows_apply(bending_strain_op(f, be), U)
+            kap = rows_apply(bending_rows(basis_at(s, t1, t2), frame(s, t1, t2)), U)
             assert np.allclose(kap, [-2.0, 0.0, 0.0], atol=1e-13)
 
     def test_rigid_translation_annihilated(self):
         s = sphere_patch()
-        f = frame_at(s, 0.6, 0.2)
-        be = basis_eval(s, 0.6, 0.2)
         U = np.tile([0.1, 0.2, -0.3], (9, 1))
-        kap = rows_apply(bending_strain_op(f, be), U)
+        kap = rows_apply(bending_rows(basis_at(s, 0.6, 0.2), frame(s, 0.6, 0.2)), U)
         assert np.allclose(kap, 0.0, atol=1e-14)
 
     def test_rigid_rotation_annihilated_on_cylinder(self):
         s = make_uniform(cylinder_patch(), 4, 2)
-        from klshell.elements import Patch
-        patch = Patch(s)
         omega = np.array([0.3, 0.1, -0.7]) * 1e-3
         U = np.cross(omega, s.ctrl.reshape(-1, 3))
         scale = np.linalg.norm(omega) * 10.0
         rng = np.random.default_rng(9)
         for t1, t2 in rng.random((20, 2)):
-            f = frame_at(s, t1, t2)
-            be = basis_eval(s, t1, t2)
-            eid = patch.element_containing(t1, t2)
-            kap = rows_apply(bending_strain_op(f, be), U[patch.conn[eid]])
+            be = basis_at(s, t1, t2)
+            kap = rows_apply(bending_rows(be, frame(s, t1, t2)), U[be["conn"]])
             assert np.all(np.abs(kap) < 1e-9 * scale)
 
 
@@ -180,40 +173,43 @@ class TestLaws:
     MAT = ShellMaterial(E=200.0, nu=0.0, t=0.05)
 
     def test_flat_uniaxial(self):
-        f = frame_at(flat_patch(), 0.5, 0.5)
-        n = membrane_law(StrainTriple(2e-3, 0, 0), f, self.MAT)
+        f = frame(flat_patch(), 0.5, 0.5)
+        n = resultant_law(np.array([2e-3, 0, 0]), f["a_inv"],
+                          self.MAT.membrane_stiffness, self.MAT.nu)
         Et = self.MAT.E * self.MAT.t
-        assert abs(n.c11 - Et * 2e-3) < 1e-15 * Et
-        assert abs(n.c22) < 1e-18 and abs(n.c12) < 1e-18
+        assert abs(n[0] - Et * 2e-3) < 1e-15 * Et
+        assert abs(n[1]) < 1e-18 and abs(n[2]) < 1e-18
 
     def test_zero_strain(self):
-        f = frame_at(flat_patch(), 0.5, 0.5)
-        n = membrane_law(StrainTriple(0, 0, 0), f, self.MAT)
-        assert n.c11 == n.c22 == n.c12 == 0.0
+        f = frame(flat_patch(), 0.5, 0.5)
+        n = resultant_law(np.zeros(3), f["a_inv"],
+                          self.MAT.membrane_stiffness, self.MAT.nu)
+        assert n[0] == n[1] == n[2] == 0.0
 
     def test_equibiaxial_hand_expansion(self):
         # identity metric, nu = 0.3: n11 = n22 = E t eps / (1 - nu)
         mat = ShellMaterial(E=200.0, nu=0.3, t=0.05)
-        f = frame_at(flat_patch(), 0.25, 0.5)
-        n = membrane_law(StrainTriple(1e-3, 1e-3, 0), f, mat)
+        f = frame(flat_patch(), 0.25, 0.5)
+        n = resultant_law(np.array([1e-3, 1e-3, 0]), f["a_inv"],
+                          mat.membrane_stiffness, mat.nu)
         expect = mat.E * mat.t * 1e-3 / (1 - mat.nu)
-        assert abs(n.c11 - expect) < 1e-12 * expect
-        assert abs(n.c22 - expect) < 1e-12 * expect
+        assert abs(n[0] - expect) < 1e-12 * expect
+        assert abs(n[1] - expect) < 1e-12 * expect
 
     def test_bending_plate_rigidity(self):
-        f = frame_at(flat_patch(), 0.5, 0.5)
-        kap = StrainTriple(3e-2, 0, 0)
-        m = bending_law(kap, f, self.MAT)
+        f = frame(flat_patch(), 0.5, 0.5)
+        m = resultant_law(np.array([3e-2, 0, 0]), f["a_inv"],
+                          self.MAT.bending_stiffness, self.MAT.nu)
         expect = self.MAT.E * self.MAT.t ** 3 * 3e-2 / 12.0
-        assert abs(m.c11 - expect) < 1e-14 * expect
+        assert abs(m[0] - expect) < 1e-14 * expect
 
     def test_moment_to_force_ratio(self):
-        f = frame_at(flat_patch(), 0.4, 0.6)
-        s = StrainTriple(1e-3, -2e-3, 5e-4)
-        n = membrane_law(s, f, self.MAT)
-        m = bending_law(s, f, self.MAT)
+        f = frame(flat_patch(), 0.4, 0.6)
+        s = np.array([1e-3, -2e-3, 5e-4])
+        n = resultant_law(s, f["a_inv"], self.MAT.membrane_stiffness, self.MAT.nu)
+        m = resultant_law(s, f["a_inv"], self.MAT.bending_stiffness, self.MAT.nu)
         ratio = self.MAT.t ** 2 / 12.0
-        for a, b in ((m.c11, n.c11), (m.c22, n.c22), (m.c12, n.c12)):
+        for a, b in zip(m, n):
             if b != 0:
                 assert abs(a / b - ratio) < 1e-12 * ratio
 
@@ -222,64 +218,53 @@ class TestLaws:
     def test_energy_density_nonnegative(self, nu, e11, e22, e12):
         mat = ShellMaterial(E=10.0, nu=nu, t=0.1)
         s = sphere_patch()
-        f = frame_at(s, 0.37, 0.61)
-        eps = StrainTriple(e11, e22, e12)
-        n = membrane_law(eps, f, mat)
-        density = (eps.c11 * n.c11 + eps.c22 * n.c22 + 2 * eps.c12 * n.c12)
-        assert density >= -1e-12 * mat.E * mat.t
+        f = frame(s, 0.37, 0.61)
+        eps = np.array([e11, e22, e12])
+        n = resultant_law(eps, f["a_inv"], mat.membrane_stiffness, mat.nu)
+        assert energy_pairing(eps, n) >= -1e-12 * mat.E * mat.t
 
 
 class TestEffectiveMembrane:
     MAT = ShellMaterial(E=200.0, nu=0.0, t=0.05)
 
     def test_flat_is_identity(self):
-        f = frame_at(flat_patch(), 0.5, 0.5)
-        n = ResultantTriple(3.0, -1.0, 0.5)
-        m = ResultantTriple(0.1, 0.2, -0.3)
-        ne = effective_membrane(n, m, f)
-        assert np.allclose([ne.c11, ne.c22, ne.c12], [3.0, -1.0, 0.5], atol=1e-14)
+        f = frame(flat_patch(), 0.5, 0.5)
+        n = np.array([3.0, -1.0, 0.5])
+        m = np.array([0.1, 0.2, -0.3])
+        ne = effective_membrane_forces(n, m, f["b_mixed"])
+        assert np.allclose(ne, [3.0, -1.0, 0.5], atol=1e-14)
 
     def test_single_term_contraction_on_cylinder(self):
-        f = frame_at(cylinder_patch(), 0.3, 0.5)
-        m = ResultantTriple(2.0, 0.0, 0.0)
-        ne = effective_membrane(ResultantTriple(0, 0, 0), m, f)
-        assert abs(ne.c11 - (-m.c11 * f.b_mixed[0, 0])) < 1e-14 * abs(ne.c11)
-
-    def test_rejects_cartesian_inputs(self):
-        f = frame_at(flat_patch(), 0.5, 0.5)
-        n_cart = ResultantTriple(1, 1, 0, basis="local-cartesian")
-        with pytest.raises(BasisConventionError):
-            effective_membrane(n_cart, ResultantTriple(0, 0, 0), f)
+        f = frame(cylinder_patch(), 0.3, 0.5)
+        m = np.array([2.0, 0.0, 0.0])
+        ne = effective_membrane_forces(np.zeros(3), m, f["b_mixed"])
+        assert abs(ne[0] - (-m[0] * f["b_mixed"][0, 0])) < 1e-14 * abs(ne[0])
 
 
 class TestLocalCartesian:
     def test_orthonormal_parameterization_is_identity(self):
-        f = frame_at(flat_patch(), 0.5, 0.5)
-        n = ResultantTriple(3.0, -1.0, 0.5)
-        h = to_local_cartesian(n, f)
-        assert np.allclose([h.c11, h.c22, h.c12], [3.0, -1.0, 0.5], atol=1e-14)
-        assert h.basis == "local-cartesian"
+        f = frame(flat_patch(), 0.5, 0.5)
+        h = cartesian_components(np.array([3.0, -1.0, 0.5]),
+                                 f["e1"], f["e2"], f["a1"], f["a2"])
+        assert np.allclose(h, [3.0, -1.0, 0.5], atol=1e-14)
 
     def test_arc_change_of_basis_oracle(self):
         # 1D change of basis: nhat11 = n11 * (ds/dtheta)^2 with ds/dtheta = |a1|
-        f = frame_at(cylinder_patch(), 0.7, 0.4)
-        n = ResultantTriple(1.0, 0.0, 0.0)
-        h = to_local_cartesian(n, f)
-        expect = f.a_ab[0, 0]
-        assert abs(h.c11 - expect) < 1e-10 * abs(expect)
+        f = frame(cylinder_patch(), 0.7, 0.4)
+        h = cartesian_components(np.array([1.0, 0.0, 0.0]),
+                                 f["e1"], f["e2"], f["a1"], f["a2"])
+        expect = f["a_ab"][0, 0]
+        assert abs(h[0] - expect) < 1e-10 * abs(expect)
 
     def test_symmetry_preserved(self):
-        f = frame_at(sphere_patch(), 0.3, 0.8)
-        rng = np.random.default_rng(1)
-        a, b, c = rng.random(3)
-        h = to_local_cartesian(ResultantTriple(a, b, c), f)
-        assert isinstance(h.c12, float)
-
-    def test_double_transformation_raises(self):
-        f = frame_at(flat_patch(), 0.5, 0.5)
-        h = to_local_cartesian(ResultantTriple(1, 2, 3), f)
-        with pytest.raises(BasisConventionError):
-            to_local_cartesian(h, f)
+        # the symmetric tensor c^gm a_g (x) a_m equals hat{c}^ab e_a (x) e_b
+        f = frame(sphere_patch(), 0.3, 0.8)
+        c = np.random.default_rng(1).random(3)
+        h = cartesian_components(c, f["e1"], f["e2"], f["a1"], f["a2"])
+        A, E = np.stack([f["a1"], f["a2"]]), np.stack([f["e1"], f["e2"]])
+        curv = A.T @ np.array([[c[0], c[2]], [c[2], c[1]]]) @ A
+        cart = E.T @ np.array([[h[0], h[2]], [h[2], h[1]]]) @ E
+        assert np.abs(cart - curv).max() <= 1e-12 * np.abs(curv).max()
 
     @pytest.mark.parametrize("name", sorted(ALL_SURFACES))
     def test_energy_density_invariant(self, name):
@@ -288,18 +273,18 @@ class TestLocalCartesian:
         mat = ShellMaterial(E=100.0, nu=0.25, t=0.02)
         rng = np.random.default_rng(15)
         for t1, t2 in rng.random((10, 2)):
-            f = frame_at(s, t1, t2)
-            eps = StrainTriple(*rng.standard_normal(3))
-            n = membrane_law(eps, f, mat)
-            curv = (eps.c11 * n.c11 + eps.c22 * n.c22 + 2 * eps.c12 * n.c12)
+            f = frame(s, t1, t2)
+            eps = rng.standard_normal(3)
+            n = resultant_law(eps, f["a_inv"], mat.membrane_stiffness, mat.nu)
+            curv = energy_pairing(eps, n)
             # covariant transform of the strain: ehat = (E . a^g) pairing
-            a_up = np.stack([f.a_inv[0, 0] * f.a1 + f.a_inv[0, 1] * f.a2,
-                             f.a_inv[1, 0] * f.a1 + f.a_inv[1, 1] * f.a2])
-            T = np.array([[f.e1 @ a_up[0], f.e1 @ a_up[1]],
-                          [f.e2 @ a_up[0], f.e2 @ a_up[1]]])
-            eh = T @ eps.as_matrix() @ T.T
-            nh = to_local_cartesian(n, f)
-            cart = (eh[0, 0] * nh.c11 + eh[1, 1] * nh.c22 + 2 * eh[0, 1] * nh.c12)
+            A, a1, a2 = f["a_inv"], f["a1"], f["a2"]
+            a_up = np.stack([A[0, 0] * a1 + A[0, 1] * a2, A[1, 0] * a1 + A[1, 1] * a2])
+            T = np.array([[f["e1"] @ a_up[0], f["e1"] @ a_up[1]],
+                          [f["e2"] @ a_up[0], f["e2"] @ a_up[1]]])
+            eh = T @ np.array([[eps[0], eps[2]], [eps[2], eps[1]]]) @ T.T
+            nh = cartesian_components(n, f["e1"], f["e2"], a1, a2)
+            cart = (eh[0, 0] * nh[0] + eh[1, 1] * nh[1] + 2 * eh[0, 1] * nh[2])
             assert abs(cart - curv) < 1e-10 * max(1e-30, abs(curv))
 
 
