@@ -9,7 +9,10 @@ Two quadratic element types share one code path:
   part is identical to ``cs``.
 
 Element kernels are vectorized over batches of elements;
-``element_stiffness`` runs the same kernel on a batch of one.
+``element_stiffness`` runs the same kernel on a batch of one.  Assembly adds
+element blocks in a fixed order straight into a control-point stencil, the
+fixed neighbour pattern of a tensor-product patch, and reads both CSR forms
+of the symmetric stiffness off it (see ``assemble``).
 """
 
 from __future__ import annotations
@@ -203,13 +206,6 @@ def _rule_eval(patch, eids, rule, order: int = 2):
     return ev
 
 
-def _voigt(rows):
-    """Double the shear row: (e11, e22, e12) -> (e11, e22, 2 e12)."""
-    v = rows.copy()
-    v[..., 2, :] *= 2.0
-    return v
-
-
 def _corner_membrane_rows(patch, eids):
     """Compatible membrane rows at the four element corners, (ne, 4, 3, 3*nfun)."""
     ev = _parent_eval(patch, eids, _CORNERS, order=1)
@@ -245,6 +241,14 @@ def _membrane_strain_rows(patch, eids, ev, xi, kind):
     return np.einsum("eql,elai->eqai", L, _corner_membrane_rows(patch, eids))
 
 
+def _contract(B, C):
+    """Sum over quadrature points of B^T C B, (ne, nd, nd), for rows B
+    (ne, nq, 3, nd) and laws C (ne, nq, 3, 3), as one matmul per element."""
+    ne, nq, _, nd = B.shape
+    return (B.reshape(ne, 3 * nq, nd).transpose(0, 2, 1)
+            @ (C @ B).reshape(ne, 3 * nq, nd))
+
+
 def _stiffness_batch(patch, eids, mat, rule, kind):
     """Membrane and bending element stiffness for a batch, (ne, nd, nd) each."""
     ev = _rule_eval(patch, eids, rule)
@@ -253,14 +257,15 @@ def _stiffness_batch(patch, eids, mat, rule, kind):
     except SingularGeometryError as exc:
         raise SingularGeometryError(f"elements {list(eids)}: {exc}") from exc
 
-    Bk = _voigt(bending_rows(ev, fr))
-    Db = constitutive_voigt(fr["a_inv"], mat.bending_stiffness, mat.nu)
-    k_kappa = np.einsum("eqai,eqab,eqbj,eq->eij", Bk, Db, Bk, ev["dA"], optimize=True)
-
-    Bm = _voigt(_membrane_strain_rows(patch, eids, ev, rule.points, kind))
-    Dm = constitutive_voigt(fr["a_inv"], mat.membrane_stiffness, mat.nu)
-    k_eps = np.einsum("eqai,eqab,eqbj,eq->eij", Bm, Dm, Bm, ev["dA"], optimize=True)
-    return k_eps, k_kappa
+    # unit Voigt law times area, shear row and column doubled to act on
+    # plain 12 rows (exact: powers of two)
+    C = constitutive_voigt(fr["a_inv"], ev["dA"], mat.nu)
+    C[..., 2, :] *= 2.0
+    C[..., :, 2] *= 2.0
+    Bk = bending_rows(ev, fr)
+    Bm = _membrane_strain_rows(patch, eids, ev, rule.points, kind)
+    return (mat.membrane_stiffness * _contract(Bm, C),
+            mat.bending_stiffness * _contract(Bk, C))
 
 
 def element_stiffness(patch: Patch, eid: int, mat: ShellMaterial,
@@ -452,27 +457,83 @@ def apply_constraints(system: GlobalSystem) -> ReducedSystem:
 # Assembly and loads
 # ---------------------------------------------------------------------------
 
+def _stencil(patch: Patch):
+    """The control-point stencil of a tensor-product patch.
+
+    Slot s holds the offset (du[s], dv[s]), |du| <= pu and |dv| <= pv, in
+    u-major order: slot n_slot - 1 - s holds the opposite offset, and the
+    slots from the centre on lead to control points of equal or higher grid
+    index.  Returns the slot (nfun, nfun) of the offset from element-local
+    function a to b, and du, dv (n_slot,).
+    """
+    pu, pv = patch.surface.kv_u.degree, patch.surface.kv_v.degree
+    iu, iv = np.divmod(np.arange(patch.conn.shape[1]), pv + 1)
+    pair_slot = (iu - iu[:, None] + pu) * (2 * pv + 1) + iv - iv[:, None] + pv
+    du, dv = np.divmod(np.arange((2 * pu + 1) * (2 * pv + 1)), 2 * pv + 1)
+    return pair_slot, du - pu, dv - pv
+
+
+def _stencil_csr(n, vals, cols, keep):
+    """CSR matrix of the entries ``keep`` of stencil values (n_cp, 3, n_slot, 3)
+    in row-major order, rows 3 g + c."""
+    keep = np.broadcast_to(keep, vals.shape)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=(2, 3)).ravel())))
+    return sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep], indptr),
+                         shape=(n, n))
+
+
 def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
              kind: str) -> GlobalSystem:
     """Scatter-add all element stiffness matrices into the global matrix.
 
-    Elements are visited in a fixed order and duplicate entries are summed
-    in canonical CSR order, so the result is bitwise reproducible.
+    The matrix is built as a control-point stencil: S[g, s] is the 3x3 block
+    coupling the dofs of control point g to those of the control point at
+    offset slot s from g (see ``_stencil``).  The block of each element-local
+    pair (a, b), a <= b in u-major order, is added to the slot of the offset
+    from a to b in the row of a.  Within a chunk no two elements share that
+    row for a fixed pair, so each pair is one fancy-index add without
+    duplicates; chunks and pairs go in a fixed order, so the sums are
+    bitwise reproducible.  The stored pattern is the set of slots some
+    element reaches: the dof pairs that share an element.  The lower
+    triangles of the diagonal blocks and the lower slots are then written as
+    exact transposes of the upper ones, and both CSR forms are read off the
+    stencil; the full form, like a sparse sum, leaves out exact zeros.
     """
-    n = patch.n_dof
-    nd = patch.conn.shape[1] * 3
-    rows_, cols_, vals_ = [], [], []
+    nu, nv = patch.surface.shape
+    pair_slot, du, dv = _stencil(patch)
+    n_slot, nfun = len(du), len(pair_slot)
+    centre = n_slot // 2
+    a_up, b_up = np.nonzero(pair_slot >= centre)
+    S = np.zeros((nu * nv, n_slot, 3, 3))
     for eids in _chunks(patch.n_elements):
         k_eps, k_kappa = _stiffness_batch(patch, eids, mat, rule, kind)
-        dofs = _dofs(patch.conn[eids])
-        rows_.append(np.repeat(dofs, nd, axis=1).ravel())
-        cols_.append(np.tile(dofs, (1, nd)).ravel())
-        vals_.append((k_eps + k_kappa).ravel())
-    K = sp.coo_matrix(
-        (np.concatenate(vals_), (np.concatenate(rows_), np.concatenate(cols_))),
-        shape=(n, n)).tocsr()
-    K.sum_duplicates()
-    return GlobalSystem(SparseSymmetric.from_csr(K), np.zeros(n), Constraint.empty())
+        k = (k_eps + k_kappa).reshape(len(eids), nfun, 3, nfun, 3)
+        conn = patch.conn[eids]
+        for a, b in zip(a_up, b_up):
+            S[conn[:, a], pair_slot[a, b]] += k[:, a, :, b, :]
+    used = np.zeros((nu * nv, n_slot), dtype=bool)
+    used[patch.conn[:, a_up], pair_slot[a_up, b_up]] = True
+
+    D = S[:, centre]
+    S[:, centre] = np.triu(D) + np.triu(D, 1).swapaxes(-1, -2)
+    Sg, used_g = S.reshape(nu, nv, n_slot, 3, 3), used.reshape(nu, nv, n_slot)
+    for s in range(centre + 1, n_slot):
+        to = np.s_[du[s]:, max(dv[s], 0):nv + min(dv[s], 0)]
+        fro = np.s_[:nu - du[s], max(-dv[s], 0):nv - max(dv[s], 0)]
+        Sg[to + (n_slot - 1 - s,)] = Sg[fro + (s,)].swapaxes(-1, -2)
+        used_g[to + (n_slot - 1 - s,)] = used_g[fro + (s,)]
+
+    # rows 3 g + c, columns in slot order, which is column order since the
+    # slots one control point reaches differ in dv by less than n_v
+    vals = np.ascontiguousarray(S.transpose(0, 2, 1, 3))
+    cols = 3 * (np.arange(nu * nv)[:, None] + du * nv + dv)[:, None, :, None] + np.arange(3)
+    c, s, c2 = np.ogrid[:3, :n_slot, :3]
+    upper_half = (s > centre) | ((s == centre) & (c2 >= c))
+    stored = used[:, None, :, None]
+    n = patch.n_dof
+    K = SparseSymmetric(n, _stencil_csr(n, vals, cols, stored & upper_half),
+                        _stencil_csr(n, vals, cols, stored & (vals != 0.0)))
+    return GlobalSystem(K, np.zeros(n), Constraint.empty())
 
 
 def _add_forces(F, conn, Fe):

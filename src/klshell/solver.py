@@ -114,18 +114,30 @@ class SolveTrace:
                          # ("none" for F = 0)
 
 
+# A band pivot at most this fraction of its diagonal entry does not certify
+# definiteness.  Pivots of the cas zero-energy mode are roundoff of either
+# sign, 4e-15 to 2e-14 of their diagonal (Scordelis-Lo roof 8x8 to 32x32,
+# half-bandwidths 60 to 204); the smallest pivot of a definite benchmark
+# system is 2.4e-8 of its diagonal (hypar L/t 1e4, 32x16 to 128x64), 4.4e-8
+# for the hemisphere at R/t 2.5e4 (64x64, 128x128).
+_BAND_PIVOT_FLOOR = 1e-12
+
+
 class _BandCholesky:
     """Banded Cholesky factor of LAPACK upper band storage ``ab``.
 
-    Raises LinAlgError unless every pivot is positive and finite; a finite
-    diagonal of the factor implies a finite factor, since each column's
-    off-diagonal entries feed its own pivot.
+    Raises LinAlgError unless every pivot is finite and above
+    _BAND_PIVOT_FLOOR times its diagonal entry; a finite diagonal of the
+    factor implies a finite factor, since each column's off-diagonal entries
+    feed its own pivot.
     """
 
     def __init__(self, ab: np.ndarray):
+        floor = _BAND_PIVOT_FLOOR * ab[-1]
         self.cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-        if not np.all(np.isfinite(self.cb[-1])):
-            raise LinAlgError("non-finite pivot in banded Cholesky")
+        pivots = self.cb[-1] ** 2
+        if not np.all(np.isfinite(pivots) & (pivots > floor)):
+            raise LinAlgError("roundoff-scale or non-finite pivot in banded Cholesky")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return cho_solve_banded((self.cb, False), b, check_finite=False)
