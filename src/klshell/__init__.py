@@ -1,6 +1,6 @@
 """Quadratic NURBS Kirchhoff-Love shell kernel and benchmark suite."""
 
-from .elements import (CAS, CS, Constraint, GlobalSystem, Patch, QuadratureRule,
+from .elements import (CAS, CS, LinearConstraint, Patch, QuadratureRule,
                        apply_constraints, assemble, gauss_rule, load_area,
                        load_edge_line, load_point, tensor_rule)
 from .errors import (DomainError, IndefiniteSystemError, NumericalError,
@@ -12,6 +12,6 @@ from .nurbs import (KnotVector, NurbsSurface, basis_ders, find_span,
                     save_surface, surface_eval, surface_from_text,
                     surface_to_text)
 from .shell import ShellMaterial
-from .solver import SparseSymmetric, solve_spd
+from .solver import solve_spd
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ Two quadratic element types share one code path:
 Element kernels are vectorized over batches of elements;
 ``element_stiffness`` runs the same kernel on a batch of one.  Assembly adds
 element blocks in a fixed order straight into a control-point stencil, the
-fixed neighbour pattern of a tensor-product patch, and reads both CSR forms
-of the symmetric stiffness off it (see ``assemble``).
+fixed neighbour pattern of a tensor-product patch, and reads the one full
+CSR stiffness matrix off it (see ``assemble``); constraint elimination and
+the solver take that matrix as it is.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import scipy.sparse as sp
 from .errors import SingularGeometryError
 from .nurbs import NurbsSurface, find_spans, rational_eval
 from .shell import ShellMaterial, bending_rows, constitutive_voigt, frame_arrays, membrane_rows
-from .solver import SparseSymmetric
 
 CS = "cs"
 CAS = "cas"
@@ -279,35 +279,16 @@ def element_stiffness(patch: Patch, eid: int, mat: ShellMaterial,
 
 
 # ---------------------------------------------------------------------------
-# Constraints and the global system
+# Constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Constraint:
-    """Set of global dof indices prescribed to zero."""
-
-    fixed: np.ndarray
-
-    def __post_init__(self):
-        fixed = np.unique(np.asarray(self.fixed, dtype=np.int64))
-        fixed.flags.writeable = False
-        object.__setattr__(self, "fixed", fixed)
-
-    @staticmethod
-    def empty() -> "Constraint":
-        return Constraint(np.empty(0, dtype=np.int64))
-
-    @staticmethod
-    def union(*parts: "Constraint") -> "Constraint":
-        if not parts:
-            return Constraint.empty()
-        return Constraint(np.concatenate([p.fixed for p in parts]))
-
-
-def fix_cps(patch: Patch, cp_indices, components=(0, 1, 2)) -> Constraint:
+def fix_cps(patch: Patch, cp_indices, components=(0, 1, 2)) -> np.ndarray:
+    """Dof indices of the given displacement components of control points."""
     cp = np.asarray(list(cp_indices), dtype=np.int64)
     comps = np.asarray(list(components), dtype=np.int64)
-    return Constraint((3 * cp[:, None] + comps[None, :]).ravel())
+    if np.any((comps < 0) | (comps > 2)):
+        raise ValueError(f"displacement components must be 0, 1 or 2, not {comps}")
+    return (3 * cp[:, None] + comps[None, :]).ravel()
 
 
 def edge_cp_lines(patch: Patch, edge: str, n_lines: int = 1):
@@ -331,33 +312,27 @@ class LinearConstraint:
     dofs: np.ndarray
     coeffs: np.ndarray
 
-
-@dataclass(eq=False)
-class GlobalSystem:
-    """Assembled stiffness, load vector, and homogeneous constraints."""
-
-    K: SparseSymmetric
-    F: np.ndarray
-    constraints: Constraint
-    linear: tuple = ()
+    def __post_init__(self):
+        if np.shape(self.dofs) != np.shape(self.coeffs):
+            raise ValueError(f"{np.shape(self.dofs)} dofs but "
+                             f"{np.shape(self.coeffs)} coefficients")
 
 
 @dataclass(eq=False)
 class ReducedSystem:
-    """Constraint-eliminated system with a recovery map to full dof vectors."""
+    """Constraint-eliminated system T' K T, T' F with U = T U_free.
 
-    K: SparseSymmetric
+    ``T`` (n_dof, n_free) maps the free dofs to all dofs; its rows of free
+    dofs are unit rows, so U_free = U[free].
+    """
+
+    K: sp.csr_matrix
     F: np.ndarray
     free: np.ndarray
-    n_dof: int
-    T: object = None  # sparse (n_dof, n_free) when multipoint constraints exist
+    T: sp.csr_matrix
 
     def expand(self, U_free: np.ndarray) -> np.ndarray:
-        if self.T is not None:
-            return np.asarray(self.T @ np.asarray(U_free, dtype=float))
-        U = np.zeros(self.n_dof)
-        U[self.free] = U_free
-        return U
+        return np.asarray(self.T @ np.asarray(U_free, dtype=float))
 
 
 def _mpc_transform(n, fixed_mask, rows):
@@ -366,7 +341,8 @@ def _mpc_transform(n, fixed_mask, rows):
     Sequential elimination with substitution: each row is first rewritten in
     terms of dofs that are not yet slaves, then its largest-coefficient dof
     is eliminated.  Rows that reduce to nothing (all dofs fixed or already
-    implied) are dropped.
+    implied) are dropped.  Returns the free dofs and T (n, n_free); without
+    rows T selects the dofs that are not fixed.
     """
     slave_of = {}
     max_depth = len(rows) + 2
@@ -394,10 +370,7 @@ def _mpc_transform(n, fixed_mask, rows):
             continue
         scale = max(abs(c) for c in out.values())
         out = {d: c for d, c in out.items() if abs(c) > 1e-14 * scale}
-        slave = min(d for d, c in out.items() if abs(c) == scale) \
-            if any(abs(c) == scale for c in out.values()) else None
-        if slave is None:
-            slave = max(out, key=lambda d: abs(out[d]))
+        slave = min(d for d, c in out.items() if abs(c) == scale)
         cs = out.pop(slave)
         slave_of[slave] = tuple((d, -c / cs) for d, c in sorted(out.items()))
 
@@ -422,35 +395,31 @@ def _mpc_transform(n, fixed_mask, rows):
     return free, T
 
 
-def apply_constraints(system: GlobalSystem) -> ReducedSystem:
-    """Eliminate fixed dofs (value 0) and any multipoint rows.
+def apply_constraints(K: sp.csr_matrix, F: np.ndarray, fixed,
+                      linear=()) -> ReducedSystem:
+    """Eliminate the dofs ``fixed`` (value 0) and the multipoint rows ``linear``.
 
-    Fixed dofs are removed by row/column deletion; multipoint rows by
-    master/slave elimination K -> T' K T, which preserves symmetry and
-    definiteness.
+    Both go through one master/slave basis T: K -> T' K T keeps symmetry
+    and definiteness, and without multipoint rows T selects the free dofs.
+    The reduced matrix is its upper triangle mirrored, so it is exactly
+    symmetric, canonical and stores no zeros.
     """
-    n = system.K.n
-    fixed = system.constraints.fixed
-    if len(fixed) and (fixed.min() < 0 or fixed.max() >= n):
+    n = K.shape[0]
+    fixed = np.asarray(fixed, dtype=np.int64)
+    dofs = np.concatenate([fixed] + [np.asarray(lc.dofs, dtype=np.int64)
+                                     for lc in linear])
+    if len(dofs) and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError("constraint dof index out of range")
     fixed_mask = np.zeros(n, dtype=bool)
     fixed_mask[fixed] = True
 
-    if system.linear:
-        free, T = _mpc_transform(n, fixed_mask, system.linear)
-        if free.size == 0:
-            raise ValueError("all dofs constrained: empty reduced system")
-        Kfull = system.K.to_csr()
-        Kred = sp.csr_matrix(T.T @ Kfull @ T)
-        return ReducedSystem(SparseSymmetric.from_csr(Kred), T.T @ system.F,
-                             free, n, T=T)
-
-    free = np.nonzero(~fixed_mask)[0]
+    free, T = _mpc_transform(n, fixed_mask, linear)
     if free.size == 0:
         raise ValueError("all dofs constrained: empty reduced system")
-    Kfull = system.K.to_csr()
-    Kff = Kfull[free][:, free]
-    return ReducedSystem(SparseSymmetric.from_csr(Kff), system.F[free], free, n)
+    upper = sp.triu(T.T @ K @ T, format="csr")
+    upper.sort_indices()
+    Kred = sp.csr_matrix(upper + sp.triu(upper, k=1).T)
+    return ReducedSystem(Kred, T.T @ F, free, T)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +452,7 @@ def _stencil_csr(n, vals, cols, keep):
 
 
 def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
-             kind: str) -> GlobalSystem:
+             kind: str) -> sp.csr_matrix:
     """Scatter-add all element stiffness matrices into the global matrix.
 
     The matrix is built as a control-point stencil: S[g, s] is the 3x3 block
@@ -496,8 +465,9 @@ def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
     bitwise reproducible.  The stored pattern is the set of slots some
     element reaches: the dof pairs that share an element.  The lower
     triangles of the diagonal blocks and the lower slots are then written as
-    exact transposes of the upper ones, and both CSR forms are read off the
-    stencil; the full form, like a sparse sum, leaves out exact zeros.
+    exact transposes of the upper ones, and the full CSR matrix is read off
+    the stencil.  It keeps the stored pattern, explicit zeros included, so
+    it is exactly symmetric in pattern and values and canonical.
     """
     nu, nv = patch.surface.shape
     pair_slot, du, dv = _stencil(patch)
@@ -527,13 +497,7 @@ def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
     # slots one control point reaches differ in dv by less than n_v
     vals = np.ascontiguousarray(S.transpose(0, 2, 1, 3))
     cols = 3 * (np.arange(nu * nv)[:, None] + du * nv + dv)[:, None, :, None] + np.arange(3)
-    c, s, c2 = np.ogrid[:3, :n_slot, :3]
-    upper_half = (s > centre) | ((s == centre) & (c2 >= c))
-    stored = used[:, None, :, None]
-    n = patch.n_dof
-    K = SparseSymmetric(n, _stencil_csr(n, vals, cols, stored & upper_half),
-                        _stencil_csr(n, vals, cols, stored & (vals != 0.0)))
-    return GlobalSystem(K, np.zeros(n), Constraint.empty())
+    return _stencil_csr(patch.n_dof, vals, cols, used[:, None, :, None])
 
 
 def _add_forces(F, conn, Fe):

@@ -3,10 +3,12 @@
 The primary factorization is LAPACK banded Cholesky in the order the
 system arrives in: the natural control-point order of a tensor-product
 patch keeps the stiffness in a narrow band, and a Cholesky that completes
-with positive pivots certifies positive definiteness.  Systems it rejects,
-and those outside its work guard (see ``_BAND_MIN_WORK``), go to a sparse LU factorization in symmetric mode (diagonal pivoting,
-symmetric fill-reducing ordering), which tolerates the roundoff pivots of
-zero-energy modes, and then to a shifted retry.  Iterative refinement
+with positive pivots certifies positive definiteness.  The system is one
+full CSR matrix; the band is read off its upper triangle.  Systems the band
+rejects, and those outside its work guard (see ``_BAND_MIN_WORK``), go to a
+sparse LU factorization in symmetric mode (diagonal pivoting, symmetric
+fill-reducing ordering), which tolerates the roundoff pivots of zero-energy
+modes, and then to a shifted retry.  Iterative refinement
 pushes the relative residual below the contract tolerance even for the
 severely ill-conditioned systems produced at high slenderness, where the
 bending block scales with the cube of the thickness.
@@ -58,44 +60,10 @@ _BAND_MIN_WORK = 4_000_000
 _BAND_MAX_WORK = 6500
 
 
-@dataclass(frozen=True, eq=False)
-class SparseSymmetric:
-    """Symmetric sparse matrix: its upper triangle and the full CSR form.
-
-    Both are built once.  The upper triangle keeps the stored pattern
-    (explicit zeros included); the full form mirrors it, so it is exactly
-    symmetric whatever roundoff the input carried.
-    """
-
-    n: int
-    upper: sp.csr_matrix
-    full: sp.csr_matrix
-
-    @staticmethod
-    def from_csr(K: sp.csr_matrix) -> "SparseSymmetric":
-        upper = sp.triu(sp.csr_matrix(K), format="csr")
-        upper.sort_indices()
-        full = sp.csr_matrix(upper + sp.triu(upper, k=1).T)
-        return SparseSymmetric(K.shape[0], upper, full)
-
-    def to_csr(self) -> sp.csr_matrix:
-        """The full form; the stored matrix itself, not a copy."""
-        return self.full
-
-    @property
-    def nnz(self) -> int:
-        return self.upper.nnz
-
-
-def _as_csr(K) -> sp.csr_matrix:
-    return K.to_csr() if isinstance(K, SparseSymmetric) else sp.csr_matrix(K)
-
-
 def relative_residual(K, U: np.ndarray, F: np.ndarray) -> float:
     """||K U - F||_2 / ||F||_2 with the matrix-vector product in extended precision."""
-    A = _as_csr(K)
     Fl = np.asarray(F, dtype=np.longdouble)
-    r = Fl - A @ np.asarray(U, dtype=np.longdouble)
+    r = Fl - K @ np.asarray(U, dtype=np.longdouble)
     nf = np.linalg.norm(Fl.astype(float))
     if nf == 0.0:
         return float(np.linalg.norm(r.astype(float)))
@@ -158,17 +126,17 @@ def _factorize(path: str, M):
     return splu(M.tocsc())
 
 
-def _upper_band(upper: sp.csr_matrix) -> np.ndarray | None:
-    """LAPACK upper band storage of an upper-triangular CSR matrix, or None
-    if its band work fails the guard (see ``_BAND_MIN_WORK``)."""
-    n = upper.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(upper.indptr))
-    offset = upper.indices - rows
+def _upper_band(A: sp.csr_matrix) -> np.ndarray | None:
+    """LAPACK upper band storage of the upper triangle of a canonical CSR
+    matrix, or None if its band work fails the guard (see ``_BAND_MIN_WORK``)."""
+    n = A.shape[0]
+    offset = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
     bw = int(offset.max(initial=0))
     if not _BAND_MIN_WORK <= n * bw * bw <= _BAND_MAX_WORK * n ** 1.5:
         return None
+    upper = offset >= 0
     ab = np.zeros((bw + 1, n), order="F")  # LAPACK's layout: factored in place
-    ab[bw - offset, upper.indices] = upper.data
+    ab[bw - offset[upper], A.indices[upper]] = A.data[upper]
     return ab
 
 
@@ -226,10 +194,10 @@ def _shifted_factor(A: sp.csr_matrix, reason: str):
     return lu
 
 
-def _factor_checked(A: sp.csr_matrix, upper: sp.csr_matrix):
+def _factor_checked(A: sp.csr_matrix):
     """Factor a symmetric matrix, certifying positive (semi)definiteness.
 
-    Banded Cholesky of ``upper`` (the upper triangle of ``A``) comes first:
+    Banded Cholesky of the upper triangle of ``A`` comes first:
     if it completes, its positive pivots certify positive definiteness.
     Corner-interpolated assumed-strain patches can carry interior zero-energy
     membrane modes, whose roundoff pivots stop Cholesky; those systems, and
@@ -239,7 +207,7 @@ def _factor_checked(A: sp.csr_matrix, upper: sp.csr_matrix):
     shifted fallback is used.  Returns (factor, path) with path "band",
     "superlu" or "shifted".
     """
-    ab = _upper_band(upper)
+    ab = _upper_band(A)
     if ab is not None:
         try:
             return _factorize("band", ab), "band"
@@ -259,21 +227,24 @@ def solve_traced(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
                  max_refine: int = 400) -> SolveTrace:
     """Solve K U = F for symmetric positive definite K; return a SolveTrace.
 
-    ``K`` may be a :class:`SparseSymmetric` or any scipy sparse matrix.
-    Raises :class:`IndefiniteSystemError` on a non-positive pivot,
+    ``K`` is a symmetric CSR matrix, as ``elements.apply_constraints``
+    returns it, or anything ``scipy.sparse.csr_matrix`` accepts.  Raises
+    :class:`IndefiniteSystemError` on a non-positive pivot,
     :class:`SingularSystemError` on factorization breakdown, and
     :class:`NumericalError` if iterative refinement cannot reach
     ``||KU - F|| <= max(rtol, floor) ||F||``, where ``floor`` is the
     evaluation floor of the returned U (see :func:`_refine`).
     """
-    A = _as_csr(K)
-    upper = K.upper if isinstance(K, SparseSymmetric) else sp.triu(A, format="csr")
+    A = sp.csr_matrix(K)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     F = np.asarray(F, dtype=float)
     norm_f = np.linalg.norm(F)
     if norm_f == 0.0:
         return SolveTrace(np.zeros_like(F), 0.0, 0.0, "rtol", "none")
 
-    factor, path = _factor_checked(A, upper)
+    factor, path = _factor_checked(A)
     Al, absA = A.astype(np.longdouble), abs(A)
     rel, floor, U, _ = _refine(factor, Al, absA, F, norm_f, rtol, max_refine)
     if rel > max(rtol, floor) and path != "shifted":

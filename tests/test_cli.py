@@ -53,7 +53,7 @@ class TestRuns:
         solves = []
 
         def counted(K, F, *args, **kwargs):
-            solves.append(K.n)
+            solves.append(K.shape[0])
             return solve_spd(K, F, *args, **kwargs)
 
         monkeypatch.setattr(cases, "solve_spd", counted)

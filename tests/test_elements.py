@@ -5,10 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import ALL_SURFACES
-from klshell import (Constraint, KnotVector, NurbsSurface, Patch, ShellMaterial,
+import klshell.solver as solver
+from klshell import (KnotVector, NurbsSurface, Patch, ShellMaterial,
                      apply_constraints, assemble, gauss_rule, load_area,
-                     load_edge_line, load_point, make_uniform, tensor_rule)
-from klshell.cases import make_case
+                     load_edge_line, load_point, make_uniform, solve_spd,
+                     tensor_rule)
+from klshell.cases import build_loads, make_case
 from klshell.elements import (LinearConstraint, _corner_membrane_rows,
                               _corner_weights, _dofs, _membrane_strain_rows,
                               _rule_eval, _stiffness_batch, edge_cp_lines,
@@ -160,16 +162,15 @@ class TestAssembly:
     def test_single_element_padding(self):
         patch = Patch(flat_patch())
         rule = gauss_rule(3)
-        system = assemble(patch, MAT, rule, "cs")
+        K = assemble(patch, MAT, rule, "cs").toarray()
         k = element_stiffness(patch, 0, MAT, rule, "cs")
-        K = system.K.to_csr().toarray()
         dofs = patch.element_dofs(0)
         assert np.allclose(K[np.ix_(dofs, dofs)], k, atol=1e-14 * np.abs(k).max())
 
     def test_sparsity_pattern_cs_equals_cas(self):
         patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 3, 3))
-        Kcs = assemble(patch, MAT, gauss_rule(3), "cs").K.upper
-        Kcas = assemble(patch, MAT, gauss_rule(3), "cas").K.upper
+        Kcs = assemble(patch, MAT, gauss_rule(3), "cs")
+        Kcas = assemble(patch, MAT, gauss_rule(3), "cas")
         assert np.array_equal(Kcs.indptr, Kcas.indptr)
         assert np.array_equal(Kcs.indices, Kcas.indices)
         # both equal the support-overlap pattern: dofs couple iff some
@@ -182,18 +183,18 @@ class TestAssembly:
         pattern = np.zeros((n, n), dtype=bool)
         coo = Kcas.tocoo()
         pattern[coo.row, coo.col] = True
-        assert np.array_equal(pattern, np.triu(overlap))
+        assert np.array_equal(pattern, overlap)
 
     def test_global_symmetry(self):
         patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 3, 3))
-        K = assemble(patch, MAT, gauss_rule(3), "cas").K.to_csr()
+        K = assemble(patch, MAT, gauss_rule(3), "cas")
         diff = abs(K - K.T)
         assert diff.max() <= 1e-10 * abs(K).max()
 
     def test_bitwise_deterministic(self):
         patch = Patch(make_uniform(ALL_SURFACES["strip"](), 4, 2))
-        K1 = assemble(patch, MAT, gauss_rule(2), "cas").K.upper
-        K2 = assemble(patch, MAT, gauss_rule(2), "cas").K.upper
+        K1 = assemble(patch, MAT, gauss_rule(2), "cas")
+        K2 = assemble(patch, MAT, gauss_rule(2), "cas")
         assert np.array_equal(K1.data, K2.data)
         assert np.array_equal(K1.indices, K2.indices)
         assert np.array_equal(K1.indptr, K2.indptr)
@@ -211,7 +212,7 @@ class TestAssembly:
         case = make_case(case_id)
         patch = Patch(make_uniform(case.surface, *mesh))
         rule = gauss_rule(quad)
-        K = assemble(patch, case.material, rule, kind).K
+        K = assemble(patch, case.material, rule, kind)
         n = patch.n_dof
         dense, shared = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
         for e in range(patch.n_elements):
@@ -219,17 +220,14 @@ class TestAssembly:
             np.add.at(dense, block, element_stiffness(patch, e, case.material, rule, kind))
             shared[block] = True
 
-        upper = K.upper
-        assert np.abs(upper.toarray() - np.triu(dense)).max() <= 1e-14 * np.abs(dense).max()
+        assert np.abs(K.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
         stored = np.zeros((n, n), dtype=bool)
-        coo = upper.tocoo()
+        coo = K.tocoo()
         stored[coo.row, coo.col] = True
-        assert np.array_equal(stored, np.triu(shared))
+        assert np.array_equal(stored, shared)
 
-        mirror = sp.csr_matrix(upper + sp.triu(upper, k=1).T)
-        assert upper.has_canonical_format and K.full.has_canonical_format
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(K.full, name), getattr(mirror, name))
+        assert K.has_canonical_format
+        assert (K != K.T).nnz == 0
 
 
 def distorted_flat_net():
@@ -341,56 +339,108 @@ class TestLoads:
         assert np.all(F == 0.0)
 
 
+def constrained(case_id, mesh, kind, quad=3):
+    """The assembled K and F of a benchmark case and their reduced system."""
+    case = make_case(case_id)
+    patch = Patch(make_uniform(case.surface, *mesh))
+    K = assemble(patch, case.material, gauss_rule(quad), kind)
+    F = build_loads(case, patch, quad)
+    return K, F, apply_constraints(K, F, *case.constraints(patch))
+
+
 class TestConstraints:
     def test_no_constraints_identity(self):
         patch = Patch(flat_patch())
-        system = assemble(patch, MAT, gauss_rule(2), "cs")
-        red = apply_constraints(system)
+        K = assemble(patch, MAT, gauss_rule(2), "cs")
+        red = apply_constraints(K, np.zeros(patch.n_dof), [])
         assert len(red.free) == patch.n_dof
         U = red.expand(np.ones(len(red.free)))
         assert np.all(U == 1.0)
 
     def test_fixed_count(self):
         patch = Patch(flat_patch())
-        system = assemble(patch, MAT, gauss_rule(2), "cs")
-        system.constraints = fix_cps(patch, edge_cp_lines(patch, "u0", 1))
-        red = apply_constraints(system)
+        K = assemble(patch, MAT, gauss_rule(2), "cs")
+        red = apply_constraints(K, np.zeros(patch.n_dof),
+                                fix_cps(patch, edge_cp_lines(patch, "u0", 1)))
         assert len(red.free) == 27 - 9
 
     def test_all_fixed_raises(self):
         patch = Patch(flat_patch())
-        system = assemble(patch, MAT, gauss_rule(2), "cs")
-        system.constraints = Constraint(np.arange(patch.n_dof))
+        K = assemble(patch, MAT, gauss_rule(2), "cs")
         with pytest.raises(ValueError):
-            apply_constraints(system)
+            apply_constraints(K, np.zeros(patch.n_dof), np.arange(patch.n_dof))
 
     def test_multipoint_tie(self):
         """A two-dof tie U_a = U_b is satisfied exactly by the expansion."""
         patch = Patch(flat_patch())
-        system = assemble(patch, MAT, gauss_rule(3), "cs")
-        system.constraints = fix_cps(patch, edge_cp_lines(patch, "u0", 1))
+        K = assemble(patch, MAT, gauss_rule(3), "cs")
         row = LinearConstraint(np.array([13, 16]), np.array([1.0, -1.0]))
-        system.linear = (row,)
-        system.F = load_area(patch, gauss_rule(3), np.array([0.0, 1.0, 0.0]))
-        red = apply_constraints(system)
-        from klshell import solve_spd
+        F = load_area(patch, gauss_rule(3), np.array([0.0, 1.0, 0.0]))
+        red = apply_constraints(K, F, fix_cps(patch, edge_cp_lines(patch, "u0", 1)), (row,))
         U = red.expand(np.asarray(solve_spd(red.K, red.F), float))
         assert abs(U[13] - U[16]) < 1e-12 * max(1.0, abs(U).max())
 
     def test_work_balance(self):
-        from klshell import solve_spd
-        from klshell.cases import build_loads, make_case
         case = make_case("scordelis", slenderness=1e2)
         surface = make_uniform(case.surface, 8, 8)
         patch = Patch(surface)
-        system = assemble(patch, case.material, gauss_rule(3), "cas")
-        system.F = build_loads(case, patch, 3)
-        system.constraints, system.linear = case.constraints(patch)
-        red = apply_constraints(system)
+        K = assemble(patch, case.material, gauss_rule(3), "cas")
+        red = apply_constraints(K, build_loads(case, patch, 3), *case.constraints(patch))
         U = np.asarray(solve_spd(red.K, red.F), float)
         lhs = U @ red.F
-        rhs = U @ (red.K.to_csr() @ U)
+        rhs = U @ (red.K @ U)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    def test_multipoint_row_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            LinearConstraint(np.array([13, 16, 17]), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("dof", [10 ** 6, -1])
+    def test_multipoint_dof_out_of_range(self, dof):
+        patch = Patch(flat_patch())
+        K = assemble(patch, MAT, gauss_rule(2), "cs")
+        row = LinearConstraint(np.array([13, dof]), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_constraints(K, np.zeros(patch.n_dof), [], (row,))
+
+    def test_fix_cps_rejects_components_outside_xyz(self):
+        patch = Patch(flat_patch())
+        with pytest.raises(ValueError):
+            fix_cps(patch, [0], components=(3,))
+
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    @pytest.mark.parametrize("case_id,mesh", [
+        ("strip", (4, 1)), ("hemisphere", (3, 3)), ("scordelis", (3, 5)), ("hypar", (4, 2)),
+    ])
+    def test_reduced_matrix_is_canonical_and_symmetric(self, monkeypatch, case_id, mesh, kind):
+        """The reduced K stores no zeros, is exactly symmetric, and the band
+        read off it by mask equals the band of its upper triangle."""
+        _, _, red = constrained(case_id, mesh, kind)
+        K, n = red.K, red.K.shape[0]
+        assert K.has_canonical_format
+        assert np.all(K.data != 0.0)
+        assert (K != K.T).nnz == 0
+        upper = sp.triu(K).tocoo()
+        bw = int((upper.col - upper.row).max())
+        band = np.zeros((bw + 1, n))
+        band[bw + upper.row - upper.col, upper.col] = upper.data
+        monkeypatch.setattr(solver, "_BAND_MIN_WORK", 0)
+        assert np.array_equal(solver._upper_band(K), band)
+
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    def test_fixed_dofs_alone_select_the_free_block(self, kind):
+        """Scordelis-Lo fixes dofs and has no multipoint rows: T selects."""
+        K, F, red = constrained("scordelis", (3, 5), kind)
+        free = red.free
+        Kff = K[free][:, free]
+        Kff.eliminate_zeros()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(red.K, name), getattr(Kff, name))
+        assert np.array_equal(red.F, F[free])
+        u = np.arange(1.0, len(free) + 1.0)
+        U = red.expand(u)
+        assert np.array_equal(U[free], u)
+        assert np.count_nonzero(U) == len(free)
 
 
 def _zero_modes(K):
@@ -416,12 +466,11 @@ class TestZeroEnergyModes:
     def test_counts(self, case_id, mesh, kind, quad):
         case = make_case(case_id)
         patch = Patch(make_uniform(case.surface, *mesh))
-        system = assemble(patch, case.material, gauss_rule(quad), kind)
+        K = assemble(patch, case.material, gauss_rule(quad), kind)
         generator = int(kind == "cas" and case_id in ("strip", "scordelis"))
-        assert _zero_modes(system.K.to_csr().toarray()) == 6 + generator
-        system.constraints, system.linear = case.constraints(patch)
-        red = apply_constraints(system)
-        assert _zero_modes(red.K.to_csr().toarray()) == generator
+        assert _zero_modes(K.toarray()) == 6 + generator
+        red = apply_constraints(K, np.zeros(patch.n_dof), *case.constraints(patch))
+        assert _zero_modes(red.K.toarray()) == generator
 
     @pytest.mark.parametrize("quad", [2, 3])
     @pytest.mark.parametrize("case_id,mesh", [("strip", (8, 2)), ("scordelis", (3, 5))])
@@ -436,10 +485,9 @@ class TestZeroEnergyModes:
         below that bound."""
         case = make_case(case_id)
         patch = Patch(make_uniform(case.surface, *mesh))
-        system = assemble(patch, case.material, gauss_rule(quad), "cas")
-        system.constraints, system.linear = case.constraints(patch)
-        red = apply_constraints(system)
-        K = red.K.to_csr().toarray()
+        red = apply_constraints(assemble(patch, case.material, gauss_rule(quad), "cas"),
+                                np.zeros(patch.n_dof), *case.constraints(patch))
+        K = red.K.toarray()
         d = 1.0 / np.sqrt(np.diag(K))
         lam, V = np.linalg.eigh(K * d[:, None] * d[None, :])
         U = red.expand(d * V[:, 0]).reshape(-1, 3)

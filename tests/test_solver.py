@@ -8,7 +8,7 @@ from scipy.linalg import LinAlgError
 import klshell.cases as cases
 import klshell.solver as solver
 from klshell import (IndefiniteSystemError, NumericalError, SingularSystemError,
-                     SparseSymmetric, solve_spd)
+                     solve_spd)
 from klshell.cases import make_case, solve_case
 from klshell.elements import Patch, apply_constraints, assemble, gauss_rule
 from klshell.nurbs import make_uniform
@@ -66,16 +66,6 @@ class TestBasicSolves:
         K = sp.identity(4, format="csr")
         U = solve_spd(K, np.zeros(4))
         assert np.all(np.asarray(U) == 0.0)
-
-    def test_sparse_symmetric_round_trip(self):
-        rng = np.random.default_rng(0)
-        B = rng.random((6, 6))
-        K = sp.csr_matrix(B @ B.T + 6 * np.eye(6))
-        S = SparseSymmetric.from_csr(K)
-        assert S.n == 6
-        assert np.allclose(S.to_csr().toarray(), K.toarray(), atol=1e-15)
-        assert np.array_equal(S.upper.toarray(), np.triu(S.to_csr().toarray()))
-        assert S.nnz == 21
 
 
 class TestResidualContract:
@@ -140,7 +130,7 @@ class TestFloorStop:
 
         def solve_spd(K, F):
             U = real_solve(K, F)
-            solves.append((K.to_csr(), F, U))
+            solves.append((K, F, U))
             return U
 
         def refine(*args):
@@ -229,10 +219,8 @@ def reduced_system(case_id, slenderness, mesh, kind="cas"):
     """The constrained (K, F) that ``solve_case`` hands to the solver."""
     case = make_case(case_id, slenderness=slenderness)
     patch = Patch(make_uniform(case.surface, *mesh))
-    system = assemble(patch, case.material, gauss_rule(3), kind)
-    system.F = cases.build_loads(case, patch, 3)
-    system.constraints, system.linear = case.constraints(patch)
-    reduced = apply_constraints(system)
+    K = assemble(patch, case.material, gauss_rule(3), kind)
+    reduced = apply_constraints(K, cases.build_loads(case, patch, 3), *case.constraints(patch))
     return reduced.K, reduced.F
 
 
@@ -255,7 +243,7 @@ class TestBandCholesky:
         K, F = reduced_system("hypar", 1e2, (32, 16))
         band = solver.solve_traced(K, F)
         assert band.path == "band" and counted["paths"] == ["band"]
-        monkeypatch.setattr(solver, "_upper_band", lambda upper: None)
+        monkeypatch.setattr(solver, "_upper_band", lambda K: None)
         lu = solver.solve_traced(K, F)
         assert lu.path == "superlu"
         Ub, Ul = (np.asarray(t.U, float) for t in (band, lu))
@@ -267,7 +255,7 @@ class TestBandCholesky:
         roundoff pivot of a zero-energy mode; SuperLU in symmetric mode
         solves it."""
         K, F = reduced_system("scordelis", 1e2, (16, 16))
-        ab = solver._upper_band(K.upper)
+        ab = solver._upper_band(K)
         assert ab is not None
         with pytest.raises(LinAlgError):
             solver._BandCholesky(ab)
@@ -282,8 +270,7 @@ class TestBandCholesky:
         systems = [(A, A @ np.random.default_rng(7).standard_normal(30)),
                    reduced_system("strip", 1e3, (64, 1))]
         for K, F in systems:
-            upper = K.upper if isinstance(K, SparseSymmetric) else sp.triu(K, format="csr")
-            assert solver._upper_band(upper) is None
+            assert solver._upper_band(K) is None
             trace = solver.solve_traced(K, F)
             assert trace.path != "band"
             assert relative_residual(K, trace.U, F) <= max(1e-10, trace.floor)
@@ -294,7 +281,7 @@ class TestBandCholesky:
         guard sends it to SuperLU before any band storage is allocated."""
         bands, real_upper_band = [], solver._upper_band
         monkeypatch.setattr(solver, "_upper_band",
-                            lambda upper: bands.append(real_upper_band(upper)) or bands[-1])
+                            lambda K: bands.append(real_upper_band(K)) or bands[-1])
         m = 64
         L = grid_laplacian(m)
         perm = np.random.default_rng(11).permutation(m * m)
@@ -309,3 +296,15 @@ class TestBandCholesky:
         back[perm] = np.asarray(permuted.U, float)
         U = np.asarray(natural.U, float)
         assert np.linalg.norm(back - U) <= 1e-10 * np.linalg.norm(U)
+
+    def test_duplicate_entries_are_summed_before_the_band(self, counted):
+        """The band is written entry by entry, so a CSR input that stores an
+        entry twice is summed first: every entry stored as two exact halves
+        solves bitwise as the canonical matrix."""
+        L, F = banded_spd_system()
+        A = sp.csr_matrix((np.repeat(L.data / 2, 2), np.repeat(L.indices, 2),
+                           2 * L.indptr), shape=L.shape)
+        assert not A.has_canonical_format
+        halves, whole = solver.solve_traced(A, F), solver.solve_traced(L, F)
+        assert counted["paths"] == ["band", "band"]
+        assert np.array_equal(halves.U, whole.U)
