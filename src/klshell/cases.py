@@ -33,7 +33,7 @@ from .fields import SolutionField, displacement_at, energies, l2_resultant_error
 from .nurbs import (KnotVector, NurbsSurface, find_spans, make_uniform,
                     rational_eval, surface_eval)
 from .shell import ShellMaterial, frame_arrays
-from .solver import relative_residual, solve_spd
+from .solver import SolveTrace, solve_spd
 
 SQ2_2 = np.sqrt(2.0) / 2.0
 
@@ -57,8 +57,12 @@ class BenchmarkCase:
     implicit_residual: object = None  # callable(positions) -> normalized residual
 
     def mesh_at_level(self, level: int) -> tuple[int, int]:
+        return self.mesh_per_side(self.initial_mesh[0] * 2 ** level)
+
+    def mesh_per_side(self, n_u: int) -> tuple[int, int]:
+        """Elements (u, v) for n_u along u; v follows u when ``refine_v``."""
         nu0, nv0 = self.initial_mesh
-        return nu0 * 2 ** level, nv0 * (2 ** level if self.refine_v else 1)
+        return n_u, (max(1, (n_u * nv0) // nu0) if self.refine_v else nv0)
 
 
 @dataclass(eq=False)
@@ -70,7 +74,7 @@ class CaseResult:
     mesh: tuple[int, int]
     n_dof: int
     deflection: float
-    residual: float
+    trace: SolveTrace
 
     @property
     def normalized(self) -> float | None:
@@ -404,9 +408,8 @@ def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
     K = assemble(patch, case.material, rule, kind)
     F = build_loads(case, patch, quad_n)
     reduced = apply_constraints(K, F, *case.constraints(patch))
-    U_free = solve_spd(reduced.K, reduced.F)
-    residual = relative_residual(reduced.K, U_free, reduced.F)
-    U = reduced.expand(np.asarray(U_free, dtype=float)).reshape(-1, 3)
+    trace = solve_spd(reduced.K, reduced.F)
+    U = reduced.expand(np.asarray(trace.U, dtype=float)).reshape(-1, 3)
     sol = SolutionField(patch, U, kind, case.material)
 
     t1, t2 = case.monitor_theta
@@ -415,7 +418,7 @@ def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
     deflection = float(u_mon @ case.monitor_dir(pos))
     return CaseResult(case=case, solution=sol, mesh=mesh,
                       n_dof=len(reduced.free), deflection=deflection,
-                      residual=residual)
+                      trace=trace)
 
 
 def run_convergence(case: BenchmarkCase, kind: str, quad_n: int,
@@ -442,7 +445,7 @@ def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
               with_energies: bool = False) -> tuple[dict, CaseResult]:
     """Solve one mesh; return its report row and result.
 
-    The row also carries the wall time and the solver's relative residual,
+    The row also carries the wall time and the solver's ``SolveTrace``,
     which ``write_report_csv`` leaves out.
     """
     t0 = time.perf_counter()
@@ -452,7 +455,7 @@ def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
         "n_dof": res.n_dof, "deflection": res.deflection,
         "normalized": res.normalized,
         "e_n11": None, "e_m11": None, "Em": None, "Eb": None, "Et": None,
-        "residual": res.residual,
+        "trace": res.trace,
     }
     if with_errors and case.analytic is not None:
         row["e_n11"], row["e_m11"] = l2_resultant_error(

@@ -139,14 +139,14 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
     return EnergyReport(Em=float(Em), Eb=float(Eb), Et=float(Em + Eb))
 
 
-def l2_resultant_error(sol: SolutionField, analytic, which, n_fine: int = 5):
+def l2_resultant_error(sol: SolutionField, analytic, which):
     """Relative L2 error of resultant components against analytic fields.
 
     ``which`` is 'n11', 'm11' or 'neff11' and ``analytic`` maps midsurface
     positions (..., 3) to the exact value of that component; the result is a
     float.  Given a tuple of components and a tuple of fields, the errors
     come back as a tuple from one evaluation of the resultants.  The
-    integrals use an n_fine x n_fine Gauss rule per element (default 5x5).
+    integrals use a 5x5 Gauss rule per element.
     """
     key = {"n11": ("n", 0), "m11": ("m", 0), "neff11": ("neff", 0)}
     single = isinstance(which, str)
@@ -155,7 +155,7 @@ def l2_resultant_error(sol: SolutionField, analytic, which, n_fine: int = 5):
     for w in names:
         if w not in key:
             raise ValueError(f"unknown resultant component {w!r}")
-    rule = tensor_rule(n_fine)
+    rule = tensor_rule(5)
     num = np.zeros(len(names))
     den = np.zeros(len(names))
     for eids in _chunks(sol.patch.n_elements):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +41,8 @@ class KnotVector:
             raise ValueError(f"need at least {2 * (p + 1)} knots for degree {p}")
         if np.any(knots[: p + 1] != knots[0]) or np.any(knots[-(p + 1):] != knots[-1]):
             raise ValueError("knot vector must be open (clamped)")
+        if knots[0] == knots[-1]:
+            raise ValueError("knot vector spans an empty interval")
         interior = knots[p + 1 : n]
         if interior.size and (np.any(np.diff(interior) == 0.0)
                               or np.any(interior == knots[0])
@@ -60,9 +63,7 @@ class KnotVector:
 
     def spans(self) -> np.ndarray:
         """Indices i of the nonempty spans [knots[i], knots[i+1])."""
-        k = self.knots
-        return np.array([i for i in range(self.degree, self.n_basis)
-                         if k[i + 1] > k[i]], dtype=int)
+        return np.arange(self.degree, self.n_basis)
 
 
 def find_spans(kv: KnotVector, theta) -> np.ndarray:
@@ -365,7 +366,7 @@ def save_surface(surface: NurbsSurface, stream) -> None:
 
 
 def load_surface(stream) -> NurbsSurface:
-    """Read a surface written by :func:`save_surface`."""
+    """Read a surface written by :func:`save_surface`; ValueError if malformed."""
     own = isinstance(stream, str)
     f = open(stream, "r", encoding="ascii") if own else stream
     try:
@@ -375,19 +376,21 @@ def load_surface(stream) -> NurbsSurface:
             f.close()
     it = iter(tokens)
 
-    def ints(n):
-        return [int(next(it)) for _ in range(n)]
+    def take(n, kind=float):
+        values = [kind(x) for x in islice(it, n)]
+        if len(values) < n:
+            raise ValueError("surface file ends before its control net does")
+        return values
 
-    def floats(n):
-        return np.array([float(next(it)) for _ in range(n)])
-
-    pu, pv = ints(2)
+    pu, pv = take(2, int)
     kvs = []
     for p in (pu, pv):
-        (count,) = ints(1)
-        kvs.append(KnotVector(floats(count), p))
-    nu, nv = ints(2)
-    rows = floats(nu * nv * 4).reshape(nu, nv, 4)
+        (count,) = take(1, int)
+        kvs.append(KnotVector(take(count), p))
+    nu, nv = take(2, int)
+    rows = np.array(take(nu * nv * 4)).reshape(nu, nv, 4)
+    if next(it, None) is not None:
+        raise ValueError("trailing tokens after the control net")
     return NurbsSurface(kvs[0], kvs[1], rows[..., :3], rows[..., 3])
 
 

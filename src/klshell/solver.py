@@ -1,5 +1,8 @@
 """Direct solution of the reduced symmetric positive definite system.
 
+:func:`solve_spd` returns a :class:`SolveTrace`: the solution, its residual
+and evaluation floor, why it was accepted and on which factor.
+
 The primary factorization is LAPACK banded Cholesky in the order the
 system arrives in: the natural control-point order of a tensor-product
 patch keeps the stiffness in a narrow band, and a Cholesky that completes
@@ -9,7 +12,7 @@ rejects, and those outside its work guard (see ``_BAND_MIN_WORK``), go to a
 sparse LU factorization in symmetric mode (diagonal pivoting, symmetric
 fill-reducing ordering), which tolerates the roundoff pivots of zero-energy
 modes, and then to a shifted retry.  Iterative refinement
-pushes the relative residual below the contract tolerance even for the
+pushes the relative residual below ``RESIDUAL_RTOL`` even for the
 severely ill-conditioned systems produced at high slenderness, where the
 bending block scales with the cube of the thickness.
 
@@ -33,6 +36,7 @@ from scipy.sparse.linalg import splu
 from .errors import IndefiniteSystemError, NumericalError, SingularSystemError
 
 RESIDUAL_RTOL = 1e-10
+_MAX_REFINE = 400
 
 # Banded Cholesky is tried only while _BAND_MIN_WORK <= n bw^2 <=
 # _BAND_MAX_WORK n^1.5 (n the dof count, bw the half-bandwidth; n bw^2 is
@@ -77,7 +81,7 @@ class SolveTrace:
     U: np.ndarray        # refined iterate (long double unless F = 0)
     residual: float      # ||K U - F|| / ||F||, extended-precision product
     floor: float         # evaluation floor at U (see _floor)
-    reason: str          # "rtol" (residual <= rtol) or "floor"
+    reason: str          # "rtol" (residual <= RESIDUAL_RTOL) or "floor"
     path: str            # factor refined against: "band", "superlu", "shifted"
                          # ("none" for F = 0)
 
@@ -115,15 +119,13 @@ def _factorize(path: str, M):
     """Factor ``M`` along ``path``; every factorization of a solve is made here.
 
     "band": banded Cholesky of upper band storage; "superlu": SuperLU in
-    symmetric mode (diagonal pivoting, MMD ordering of A^T + A); "lu":
-    SuperLU with partial pivoting.  The factor has a ``solve`` method.
+    symmetric mode (diagonal pivoting, MMD ordering of A^T + A).  The factor
+    has a ``solve`` method.
     """
     if path == "band":
         return _BandCholesky(M)
-    if path == "superlu":
-        return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    return splu(M.tocsc())
+    return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def _upper_band(A: sp.csr_matrix) -> np.ndarray | None:
@@ -179,11 +181,8 @@ def _shifted_factor(A: sp.csr_matrix, reason: str):
     shifted = sp.csr_matrix(A + sigma * sp.identity(A.shape[0], format="csr"))
     try:
         lu = _factorize("superlu", shifted)
-    except RuntimeError:
-        try:
-            lu = _factorize("lu", shifted)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"{reason}; {exc}") from exc
+    except RuntimeError as exc:
+        raise SingularSystemError(f"{reason}; {exc}") from exc
     rayleigh = _nearest_zero_eig(A, lu)
     if np.isnan(rayleigh):
         raise SingularSystemError(f"rank deficient: {reason}")
@@ -223,8 +222,7 @@ def _factor_checked(A: sp.csr_matrix):
     return _shifted_factor(A, sym_fail), "shifted"
 
 
-def solve_traced(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
-                 max_refine: int = 400) -> SolveTrace:
+def solve_spd(K, F: np.ndarray) -> SolveTrace:
     """Solve K U = F for symmetric positive definite K; return a SolveTrace.
 
     ``K`` is a symmetric CSR matrix, as ``elements.apply_constraints``
@@ -232,8 +230,8 @@ def solve_traced(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
     :class:`IndefiniteSystemError` on a non-positive pivot,
     :class:`SingularSystemError` on factorization breakdown, and
     :class:`NumericalError` if iterative refinement cannot reach
-    ``||KU - F|| <= max(rtol, floor) ||F||``, where ``floor`` is the
-    evaluation floor of the returned U (see :func:`_refine`).
+    ``||KU - F|| <= max(RESIDUAL_RTOL, floor) ||F||``, where ``floor`` is
+    the evaluation floor of the returned U (see :func:`_refine`).
     """
     A = sp.csr_matrix(K)
     if not A.has_canonical_format:
@@ -246,30 +244,22 @@ def solve_traced(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
 
     factor, path = _factor_checked(A)
     Al, absA = A.astype(np.longdouble), abs(A)
-    rel, floor, U, _ = _refine(factor, Al, absA, F, norm_f, rtol, max_refine)
-    if rel > max(rtol, floor) and path != "shifted":
+    rel, floor, U, _ = _refine(factor, Al, absA, F, norm_f)
+    if rel > max(RESIDUAL_RTOL, floor) and path != "shifted":
         # primary factors can be polluted by a roundoff pivot of a
         # zero-energy mode (refinement then stalls or diverges); retry
         # against the shifted factorization
         factor = _shifted_factor(A, "refinement stalled on primary factors")
-        retry = _refine(factor, Al, absA, F, norm_f, rtol, max_refine)
+        retry = _refine(factor, Al, absA, F, norm_f)
         if retry[0] < rel:
             rel, floor, U, _ = retry
             path = "shifted"
-    if rel <= max(rtol, floor):
-        return SolveTrace(U, rel, floor, "rtol" if rel <= rtol else "floor", path)
-    raise NumericalError(f"residual {rel:.3e} above tolerance {rtol:.1e} "
+    if rel <= max(RESIDUAL_RTOL, floor):
+        reason = "rtol" if rel <= RESIDUAL_RTOL else "floor"
+        return SolveTrace(U, rel, floor, reason, path)
+    raise NumericalError(f"residual {rel:.3e} above tolerance {RESIDUAL_RTOL:.1e} "
                          f"and above the evaluation floor {floor:.3e} "
-                         f"after {max_refine} refinement steps")
-
-
-def solve_spd(K, F: np.ndarray, rtol: float = RESIDUAL_RTOL,
-              max_refine: int = 400) -> np.ndarray:
-    """Solve K U = F for symmetric positive definite K; return U.
-
-    The errors raised are those of :func:`solve_traced`.
-    """
-    return solve_traced(K, F, rtol, max_refine).U
+                         f"after {_MAX_REFINE} refinement steps")
 
 
 def _floor(absA, U, norm_f) -> float:
@@ -278,39 +268,39 @@ def _floor(absA, U, norm_f) -> float:
     Evaluating F - K U at unit roundoff u leaves noise ~ u * || |K| |U| || no
     matter how accurate U is.  Self-equilibrated thin-shell systems cancel up
     to ~10 orders between K U products and F, so the floor can sit above
-    rtol; a solve at the floor is as good as the arithmetic can certify.
+    the tolerance; a solve at the floor is as good as the arithmetic can certify.
     """
     return float(np.finfo(np.longdouble).eps
                  * np.linalg.norm(absA @ np.abs(U).astype(float)) / norm_f)
 
 
-def _refine(factor, Al, absA, F, norm_f, rtol, max_refine):
+def _refine(factor, Al, absA, F, norm_f):
     """Iterative refinement with residuals in extended precision.
 
     ``Al`` is the matrix cast to long double and ``absA`` its entrywise
     absolute value.  Returns (rel, floor, U, reason) for the iterate U with
     the smallest relative residual rel, its evaluation floor (:func:`_floor`)
-    and why refinement stopped: ``"rtol"`` once rel <= rtol, ``"floor"`` once
-    the best iterate is at or below its floor and a step fails to halve its
-    residual, ``"stall"`` after 30 steps without halving, on divergence (a
-    polluted factorization) or after ``max_refine`` steps.  The refined
+    and why refinement stopped: ``"rtol"`` once rel <= RESIDUAL_RTOL,
+    ``"floor"`` once the best iterate is at or below its floor and a step
+    fails to halve its residual, ``"stall"`` after 30 steps without halving,
+    on divergence (a polluted factorization) or after ``_MAX_REFINE`` steps.  The refined
     iterate keeps its extended-precision bits: rounding it to float64 would
     perturb K @ U by ~eps * || |K| |U| ||, which for loads scaling with t^3
-    can exceed rtol * ||F|| on its own.
+    can exceed RESIDUAL_RTOL * ||F|| on its own.
     """
     Fl = F.astype(np.longdouble)
     U = factor.solve(F).astype(np.longdouble)
     best = None
     since_improved = 0
     reason = "stall"
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         r = Fl - Al @ U
         rel = float(np.linalg.norm(r.astype(float)) / norm_f)
         halved = best is None or rel < 0.5 * best[0]
         if halved or rel < best[0]:
             best = (rel, _floor(absA, U, norm_f), U.copy())
         since_improved = 0 if halved else since_improved + 1
-        if rel <= rtol:
+        if rel <= RESIDUAL_RTOL:
             reason = "rtol"
             break
         if not halved and best[0] <= best[1]:

@@ -70,7 +70,7 @@ class BenchCache:
             rep = energies(res.solution, gauss_rule(quad))
             self._strip[key] = {
                 "deflection": res.deflection, "normalized": res.normalized,
-                "e_n11": e_n11, "e_m11": e_m11, "residual": res.residual,
+                "e_n11": e_n11, "e_m11": e_m11, "residual": res.trace.residual,
                 "Em": rep.Em, "Eb": rep.Eb, "Et": rep.Et,
             }
         return self._strip[key]

@@ -331,6 +331,6 @@ def test_criterion_8j_solver_residual(bench):
                                ("hemisphere", 2.5e2, (32, 32)),
                                ("hypar", 1e2, (32, 16))):
         _, res = bench.solve(cid, slend, mesh, "cas")
-        worst = max(worst, res.residual)
+        worst = max(worst, res.trace.residual)
     report("criterion 8 [solver residual]", worst <= 1e-10,
            f"worst relative residual {worst:.1e} (tol 1e-10)")

@@ -63,6 +63,11 @@ class TestCaseFactories:
         assert strip.mesh_at_level(3) == (16, 1)
         hypar = make_case("hypar")
         assert hypar.mesh_at_level(2) == (8, 4)
+        assert make_case("scordelis").mesh_at_level(1) == (8, 8)
+        # single meshes follow the same rule at any per-side count
+        assert hypar.mesh_per_side(3) == (3, 1)
+        assert make_case("hemisphere").mesh_per_side(5) == (5, 5)
+        assert strip.mesh_per_side(5) == (5, 1)
 
 
 class TestCurvedCantileverOracle:

@@ -30,7 +30,7 @@ def solved_case(case_id, slenderness, mesh, kind):
     patch = Patch(surface)
     K = assemble(patch, case.material, gauss_rule(3), kind)
     red = apply_constraints(K, build_loads(case, patch, 3), *case.constraints(patch))
-    U = red.expand(np.asarray(solve_spd(red.K, red.F), float)).reshape(-1, 3)
+    U = red.expand(np.asarray(solve_spd(red.K, red.F).U, float)).reshape(-1, 3)
     return case, SolutionField(patch, U, kind, case.material), red
 
 

@@ -28,6 +28,7 @@ class TestKnotVector:
         ([0, 0, 0, 1, 0.5, 1, 1], 2),   # decreasing
         ([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2),  # repeated interior
         ([0, 0, 0, 1, 1, 1], -1),
+        ([0.0] * 6, 2),                 # zero length: no nonempty span
     ])
     def test_invalid_raises(self, knots, degree):
         with pytest.raises(ValueError):
@@ -239,6 +240,23 @@ class TestSerialization:
         assert np.array_equal(s2.kv_v.knots, s.kv_v.knots)
         assert np.array_equal(s2.ctrl, s.ctrl)
         assert np.array_equal(s2.weights, s.weights)
+
+    def test_truncated_text_raises_value_error(self):
+        tokens = surface_to_text(make_uniform(strip_surface(), 3, 2)).split()
+        for n in range(len(tokens)):
+            with pytest.raises(ValueError):
+                surface_from_text(" ".join(tokens[:n]))
+
+    def test_trailing_tokens_raise_value_error(self):
+        text = surface_to_text(strip_surface())
+        with pytest.raises(ValueError, match="trailing"):
+            surface_from_text(text + "1.0\n")
+
+    def test_zero_length_knot_vector_in_text_raises(self):
+        lines = surface_to_text(strip_surface()).split("\n")
+        lines[2] = "0 0 0 0 0 0"  # the u knot vector
+        with pytest.raises(ValueError, match="empty interval"):
+            surface_from_text("\n".join(lines))
 
     def test_stream_io(self):
         s = quarter_arc_strip()

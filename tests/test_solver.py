@@ -54,17 +54,17 @@ class TestBasicSolves:
         K = sp.identity(5, format="csr")
         F = np.zeros(5)
         F[0] = 1.0
-        U = solve_spd(K, F)
+        U = solve_spd(K, F).U
         assert np.allclose(np.asarray(U, float), F, atol=1e-15)
 
     def test_two_by_two_hand_solve(self):
         K = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        U = np.asarray(solve_spd(K, np.array([1.0, 1.0])), float)
+        U = np.asarray(solve_spd(K, np.array([1.0, 1.0])).U, float)
         assert np.allclose(U, [1 / 3, 1 / 3], atol=1e-14)
 
     def test_zero_rhs(self):
         K = sp.identity(4, format="csr")
-        U = solve_spd(K, np.zeros(4))
+        U = solve_spd(K, np.zeros(4)).U
         assert np.all(np.asarray(U) == 0.0)
 
 
@@ -80,11 +80,11 @@ class TestResidualContract:
         B = rng.random((40, 40))
         K = sp.csr_matrix(B @ B.T + 40 * np.eye(40))
         F = rng.random(40)
-        U = np.asarray(solve_spd(K, F), float)
+        U = np.asarray(solve_spd(K, F).U, float)
         perm = rng.permutation(40)
         P = sp.csr_matrix((np.ones(40), (np.arange(40), perm)), shape=(40, 40))
         Kp = sp.csr_matrix(P @ K @ P.T)
-        Up = np.asarray(solve_spd(Kp, P @ F), float)
+        Up = np.asarray(solve_spd(Kp, P @ F).U, float)
         back = P.T @ Up
         assert np.linalg.norm(back - U) <= 1e-8 * np.linalg.norm(U)
 
@@ -105,13 +105,27 @@ class TestErrorClassification:
         with pytest.raises(SingularSystemError):
             solve_spd(K, np.ones(3))
 
+    def test_shifted_breakdown_raises(self, monkeypatch):
+        """SuperLU breaking down on the shifted matrix too means singular;
+        no other factorization is tried."""
+        real_factorize = solver._factorize
+
+        def superlu_breaks_down(path, M):
+            if path == "superlu":
+                raise RuntimeError("Factor is exactly singular")
+            return real_factorize(path, M)
+
+        monkeypatch.setattr(solver, "_factorize", superlu_breaks_down)
+        with pytest.raises(SingularSystemError, match="exactly singular"):
+            solve_spd(*spd_system())
+
     def test_semidefinite_with_orthogonal_load_is_tolerated(self):
         """A zero-energy mode orthogonal to the load does not block the solve."""
         B = np.diag([1.0, 2.0, 3.0, 0.0])
         Q, _ = np.linalg.qr(np.random.default_rng(5).random((4, 4)))
         K = sp.csr_matrix(Q @ B @ Q.T)
         F = K @ np.array([1.0, -1.0, 0.5, 2.0])  # in the range space
-        U = np.asarray(solve_spd(K, np.asarray(F)), float)
+        U = np.asarray(solve_spd(K, np.asarray(F)).U, float)
         assert relative_residual(K, U, F) <= 1e-10
 
 
@@ -129,9 +143,9 @@ class TestFloorStop:
         real_solve, real_refine = cases.solve_spd, solver._refine
 
         def solve_spd(K, F):
-            U = real_solve(K, F)
-            solves.append((K, F, U))
-            return U
+            trace = real_solve(K, F)
+            solves.append((K, F, trace.U))
+            return trace
 
         def refine(*args):
             out = real_refine(*args)
@@ -148,7 +162,7 @@ class TestFloorStop:
         floor = (np.finfo(np.longdouble).eps
                  * np.linalg.norm(abs(K) @ np.abs(np.asarray(U, float)))
                  / np.linalg.norm(F))
-        assert res.residual <= max(1e-10, floor)
+        assert res.trace.residual <= max(1e-10, floor)
 
     @staticmethod
     def _stalled_first_solve(counted, monkeypatch, K, F):
@@ -161,9 +175,10 @@ class TestFloorStop:
             return (1e-3, 0.0, out[2], "stall") if len(calls) == 1 else out
 
         monkeypatch.setattr(solver, "_refine", stalled_first)
-        trace = solver.solve_traced(K, F)
+        trace = solver.solve_spd(K, F)
         assert len(calls) == 2 and trace.path == "shifted"
         assert relative_residual(K, trace.U, F) <= 1e-10
+        assert trace.residual == relative_residual(K, trace.U, F)
         return counted["paths"]
 
     @staticmethod
@@ -241,10 +256,10 @@ class TestBandCholesky:
 
     def test_band_path_matches_superlu(self, counted, monkeypatch):
         K, F = reduced_system("hypar", 1e2, (32, 16))
-        band = solver.solve_traced(K, F)
+        band = solver.solve_spd(K, F)
         assert band.path == "band" and counted["paths"] == ["band"]
         monkeypatch.setattr(solver, "_upper_band", lambda K: None)
-        lu = solver.solve_traced(K, F)
+        lu = solver.solve_spd(K, F)
         assert lu.path == "superlu"
         Ub, Ul = (np.asarray(t.U, float) for t in (band, lu))
         assert np.linalg.norm(Ub - Ul) <= 1e-10 * np.linalg.norm(Ul)
@@ -259,7 +274,7 @@ class TestBandCholesky:
         assert ab is not None
         with pytest.raises(LinAlgError):
             solver._BandCholesky(ab)
-        trace = solver.solve_traced(K, F)
+        trace = solver.solve_spd(K, F)
         assert trace.path == "superlu" and counted["paths"] == ["superlu"]
         assert trace.residual <= max(1e-10, trace.floor)
 
@@ -271,9 +286,11 @@ class TestBandCholesky:
                    reduced_system("strip", 1e3, (64, 1))]
         for K, F in systems:
             assert solver._upper_band(K) is None
-            trace = solver.solve_traced(K, F)
+            trace = solver.solve_spd(K, F)
             assert trace.path != "band"
             assert relative_residual(K, trace.U, F) <= max(1e-10, trace.floor)
+            assert trace.residual == relative_residual(K, trace.U, F)
+        assert trace.path == "superlu"  # the cas strip
         assert "band" not in counted["paths"]
 
     def test_wide_band_goes_to_superlu_unbuilt(self, counted, monkeypatch):
@@ -287,8 +304,8 @@ class TestBandCholesky:
         perm = np.random.default_rng(11).permutation(m * m)
         Lp = sp.csr_matrix(L[perm][:, perm])
         F = np.ones(m * m)
-        natural = solver.solve_traced(L, F)
-        permuted = solver.solve_traced(Lp, F[perm])
+        natural = solver.solve_spd(L, F)
+        permuted = solver.solve_spd(Lp, F[perm])
         assert bands[0].shape == (m + 1, m * m) and bands[1] is None
         assert natural.path == "band" and permuted.path == "superlu"
         assert counted["paths"] == ["band", "superlu"]
@@ -305,6 +322,6 @@ class TestBandCholesky:
         A = sp.csr_matrix((np.repeat(L.data / 2, 2), np.repeat(L.indices, 2),
                            2 * L.indptr), shape=L.shape)
         assert not A.has_canonical_format
-        halves, whole = solver.solve_traced(A, F), solver.solve_traced(L, F)
+        halves, whole = solver.solve_spd(A, F), solver.solve_spd(L, F)
         assert counted["paths"] == ["band", "band"]
         assert np.array_equal(halves.U, whole.U)
