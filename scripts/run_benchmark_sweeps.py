@@ -40,14 +40,14 @@ def main():
         for s in slendernesses:
             case = make_case(case_id, slenderness=s)
             t0 = time.perf_counter()
-            report, _ = run_convergence(case, args.element, args.quad,
-                                        levels[case_id])
+            rows, _ = run_convergence(case, args.element, args.quad,
+                                      levels[case_id])
             name = f"{case_id}_{args.element}_q{args.quad}_s{s:g}.csv"
-            write_report_csv(report, os.path.join(args.outdir, name))
-            last = report.rows[-1]
+            write_report_csv(rows, os.path.join(args.outdir, name))
+            last = rows[-1]
             norm = ("" if last["normalized"] is None
                     else f" normalized {last['normalized']:.5f}")
-            print(f"{name}: {len(report.rows)} levels, finest deflection "
+            print(f"{name}: {len(rows)} levels, finest deflection "
                   f"{last['deflection']:+.6e}{norm} "
                   f"[{time.perf_counter() - t0:.1f}s]")
 

@@ -22,7 +22,7 @@ Conventions fixed here (validated against converged solutions):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,18 +83,8 @@ class CaseResult:
         return self.deflection / self.case.reference
 
 
-@dataclass(eq=False)
-class ConvergenceReport:
-    """Per-refinement-level results of one convergence sweep."""
-
-    case_id: str
-    element_kind: str
-    quad_n: int
-    slenderness: float
-    rows: list = field(default_factory=list)
-
-    COLUMNS = ("level", "n_el_u", "n_el_v", "n_dof", "deflection", "normalized",
-               "e_n11", "e_m11", "Em", "Eb", "Et")
+REPORT_COLUMNS = ("level", "n_el_u", "n_el_v", "n_dof", "deflection", "normalized",
+                  "e_n11", "e_m11", "Em", "Eb", "Et")
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +206,24 @@ def _rotation_rows(patch: Patch, edge: str):
     return tuple(LinearConstraint(d, c) for d, c in zip(dofs, coeffs))
 
 
-def clamp_constraints(patch: Patch, edge: str):
-    """Clamped edge: displacements zero on the edge row, zero edge rotation.
+def edge_constraints(patch: Patch, edge: str, components=(0, 1, 2)):
+    """Fixed edge row and zero rotation about the edge.
 
-    The rotation is removed by tying the surface-normal displacement of the
-    adjacent control point row to the edge row.  Fixing that row entirely
-    would also force the membrane strains to vanish at the clamp, which the
-    exact solution does not satisfy; that over-constraint shows up as an
-    O(1) boundary layer in the membrane forces and caps their L2
-    convergence rate at 1/2.
+    The given displacement components are fixed on the edge control point
+    row: all three for a clamp, the one normal to the plane for a
+    mirror-symmetry edge.  The rotation about the edge is removed by tying
+    the surface-normal displacement of the adjacent row to the edge row,
+    a3 . (U_row1 - U_row0) = 0 collocated at the Greville stations, rather
+    than by fixing that row.  At a clamp, fixing the adjacent row entirely
+    would also force the membrane strains to vanish there, which the exact
+    solution does not satisfy; that over-constraint shows up as an O(1)
+    boundary layer in the membrane forces and caps their L2 convergence
+    rate at 1/2.  At a symmetry edge, fixing the plane-normal component of
+    the adjacent row does not constrain this rotation on curved edges (the
+    rotation moves second-row points along a3, which has no component
+    normal to the plane).
     """
-    fixed = fix_cps(patch, edge_cp_lines(patch, edge, 1))
-    return fixed, _rotation_rows(patch, edge)
-
-
-def symmetry_constraints(patch: Patch, edge: str, component: int):
-    """Mirror-symmetry conditions at a patch edge lying in a symmetry plane.
-
-    The displacement component normal to the plane is fixed on the edge
-    control point row, and the rotation about the edge is removed by tying
-    the surface-normal displacement of the adjacent row to the edge row:
-    a3 . (U_row1 - U_row0) = 0 collocated at the Greville stations.  Fixing
-    the plane-normal component of the second row instead does not constrain
-    this rotation on curved edges (the rotation moves second-row points
-    along a3, which has no component normal to the plane).
-    """
-    fixed = fix_cps(patch, edge_cp_lines(patch, edge, 1), components=(component,))
+    fixed = fix_cps(edge_cp_lines(patch, edge, 1), components)
     return fixed, _rotation_rows(patch, edge)
 
 
@@ -265,7 +247,7 @@ def make_strip(thickness: float = 0.1) -> BenchmarkCase:
     surface = strip_surface(R, b)
 
     def constraints(patch):
-        return clamp_constraints(patch, "u0")
+        return edge_constraints(patch, "u0")
 
     def phi(pos):
         return np.arctan2(pos[..., 0], pos[..., 1])  # 0 at clamp, pi/2 at tip
@@ -298,9 +280,9 @@ def make_hemisphere(thickness: float = 4.0e-2) -> BenchmarkCase:
     surface = hemisphere_surface(R)
 
     def constraints(patch):
-        sym_y, rot_y = symmetry_constraints(patch, "u0", 1)
-        sym_x, rot_x = symmetry_constraints(patch, "u1", 0)
-        pin_z = fix_cps(patch, [patch.cp_index(0, 0)], components=(2,))
+        sym_y, rot_y = edge_constraints(patch, "u0", (1,))
+        sym_x, rot_x = edge_constraints(patch, "u1", (0,))
+        pin_z = fix_cps([patch.cp_index(0, 0)], components=(2,))
         return np.concatenate([sym_y, sym_x, pin_z]), rot_y + rot_x
 
     return BenchmarkCase(
@@ -320,11 +302,11 @@ def make_scordelis(thickness: float = 0.25) -> BenchmarkCase:
     surface = scordelis_surface(R, L)
 
     def constraints(patch):
-        dia0 = fix_cps(patch, edge_cp_lines(patch, "v0", 1), components=(0, 2))
-        dia1 = fix_cps(patch, edge_cp_lines(patch, "v1", 1), components=(0, 2))
+        dia0 = fix_cps(edge_cp_lines(patch, "v0", 1), components=(0, 2))
+        dia1 = fix_cps(edge_cp_lines(patch, "v1", 1), components=(0, 2))
         # gauge the free axial translation; does not affect u_x, u_z
         n_v = patch.surface.kv_v.n_basis
-        pin_y = fix_cps(patch, [patch.cp_index(0, n_v // 2)], components=(1,))
+        pin_y = fix_cps([patch.cp_index(0, n_v // 2)], components=(1,))
         return np.concatenate([dia0, dia1, pin_y]), ()
 
     return BenchmarkCase(
@@ -345,8 +327,8 @@ def make_hypar(thickness: float = 1.0e-3) -> BenchmarkCase:
     surface = hypar_surface(L)
 
     def constraints(patch):
-        clamp, rot_c = clamp_constraints(patch, "u0")
-        sym, rot_s = symmetry_constraints(patch, "v0", 1)
+        clamp, rot_c = edge_constraints(patch, "u0")
+        sym, rot_s = edge_constraints(patch, "v0", (1,))
         return np.concatenate([clamp, sym]), rot_c + rot_s
 
     return BenchmarkCase(
@@ -422,31 +404,31 @@ def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
 
 
 def run_convergence(case: BenchmarkCase, kind: str, quad_n: int,
-                    levels: int) -> tuple[ConvergenceReport, CaseResult]:
-    """Solve a sequence of uniformly refined meshes; return the report and
-    the result on the finest mesh.
+                    levels: int) -> tuple[list, CaseResult]:
+    """Solve a sequence of uniformly refined meshes; return the report rows
+    and the result on the finest mesh.
 
     Rows carry energies, and L2 resultant errors where the case has
     analytic fields.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    report = ConvergenceReport(case_id=case.id, element_kind=kind,
-                               quad_n=quad_n, slenderness=case.slenderness)
+    rows = []
     for level in range(levels):
         row, last = solve_row(case, level, case.mesh_at_level(level), kind, quad_n,
-                              with_errors=True, with_energies=True)
-        report.rows.append(row)
-    return report, last
+                              post=True)
+        rows.append(row)
+    return rows, last
 
 
 def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
-              quad_n: int, with_errors: bool = False,
-              with_energies: bool = False) -> tuple[dict, CaseResult]:
+              quad_n: int, post: bool = False) -> tuple[dict, CaseResult]:
     """Solve one mesh; return its report row and result.
 
-    The row also carries the wall time and the solver's ``SolveTrace``,
-    which ``write_report_csv`` leaves out.
+    With ``post`` the row also gets the energies, and the L2 resultant
+    errors where the case has analytic fields.  The row also carries the
+    wall time and the solver's ``SolveTrace``, which ``write_report_csv``
+    leaves out.
     """
     t0 = time.perf_counter()
     res = solve_case(case, mesh, kind, quad_n)
@@ -457,18 +439,18 @@ def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
         "e_n11": None, "e_m11": None, "Em": None, "Eb": None, "Et": None,
         "trace": res.trace,
     }
-    if with_errors and case.analytic is not None:
+    if post and case.analytic is not None:
         row["e_n11"], row["e_m11"] = l2_resultant_error(
             res.solution, (case.analytic["n11"], case.analytic["m11"]), ("n11", "m11"))
-    if with_energies:
+    if post:
         rep = energies(res.solution, gauss_rule(quad_n))
         row["Em"], row["Eb"], row["Et"] = rep.Em, rep.Eb, rep.Et
     row["wall_s"] = time.perf_counter() - t0
     return row, res
 
 
-def write_report_csv(report: ConvergenceReport, stream) -> None:
-    """Write a convergence report as CSV, full double precision.
+def write_report_csv(rows, stream) -> None:
+    """Write report rows as CSV (``REPORT_COLUMNS``), full double precision.
 
     Wall times are intentionally not written so identical configurations
     produce bitwise-identical files.
@@ -484,9 +466,9 @@ def write_report_csv(report: ConvergenceReport, stream) -> None:
         return str(v)
 
     try:
-        f.write(",".join(ConvergenceReport.COLUMNS) + "\n")
-        for row in report.rows:
-            f.write(",".join(fmt(row[c]) for c in ConvergenceReport.COLUMNS) + "\n")
+        f.write(",".join(REPORT_COLUMNS) + "\n")
+        for row in rows:
+            f.write(",".join(fmt(row[c]) for c in REPORT_COLUMNS) + "\n")
     finally:
         if own:
             f.close()

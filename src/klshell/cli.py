@@ -15,7 +15,7 @@ import sys
 
 # solve_case is not called here; perfbench/test_perfbench.py reaches it as
 # klshell.cli.solve_case.
-from .cases import (ConvergenceReport, make_case, run_convergence, solve_case,  # noqa: F401
+from .cases import (make_case, run_convergence, solve_case,  # noqa: F401
                     solve_row, write_report_csv)
 from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
@@ -68,21 +68,18 @@ def main(argv=None) -> int:
 
     try:
         if args.elements_per_side is not None:
-            report = ConvergenceReport(case_id=case.id, element_kind=args.element,
-                                       quad_n=args.quad,
-                                       slenderness=case.slenderness)
             row, last = solve_row(case, 0, case.mesh_per_side(args.elements_per_side),
                                   args.element, args.quad)
-            report.rows.append(row)
+            rows = [row]
         else:
             levels = args.levels if args.levels is not None else 5
-            report, last = run_convergence(case, args.element, args.quad, levels)
+            rows, last = run_convergence(case, args.element, args.quad, levels)
     except (NumericalError, SingularSystemError, IndefiniteSystemError,
             SingularGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    for row in report.rows:
+    for row in rows:
         norm = "" if row["normalized"] is None else f"  norm {row['normalized']:+.5f}"
         print(f"level {row['level']}  elems {row['n_el_u']}x{row['n_el_v']}"
               f"  dofs {row['n_dof']}  deflection {row['deflection']:+.6e}"
@@ -92,7 +89,7 @@ def main(argv=None) -> int:
                   f"residual {row['trace'].residual:.1e} > rtol {RESIDUAL_RTOL:.0e}",
                   file=sys.stderr)
 
-    write_report_csv(report, os.path.join(args.outdir, "report.csv"))
+    write_report_csv(rows, os.path.join(args.outdir, "report.csv"))
 
     if args.sample_density is not None:
         header = {"benchmark": case.id, "element": args.element,

@@ -282,7 +282,7 @@ def element_stiffness(patch: Patch, eid: int, mat: ShellMaterial,
 # Constraints
 # ---------------------------------------------------------------------------
 
-def fix_cps(patch: Patch, cp_indices, components=(0, 1, 2)) -> np.ndarray:
+def fix_cps(cp_indices, components=(0, 1, 2)) -> np.ndarray:
     """Dof indices of the given displacement components of control points."""
     cp = np.asarray(list(cp_indices), dtype=np.int64)
     comps = np.asarray(list(components), dtype=np.int64)
@@ -338,33 +338,23 @@ class ReducedSystem:
 def _mpc_transform(n, fixed_mask, rows):
     """Master/slave elimination basis T for homogeneous multipoint rows.
 
-    Sequential elimination with substitution: each row is first rewritten in
-    terms of dofs that are not yet slaves, then its largest-coefficient dof
-    is eliminated.  Rows that reduce to nothing (all dofs fixed or already
-    implied) are dropped.  Returns the free dofs and T (n, n_free); without
-    rows T selects the dofs that are not fixed.
+    Sequential elimination with eager substitution: each row is rewritten in
+    the current masters through the slave expressions, its
+    largest-coefficient dof (the smallest index on ties) becomes a slave,
+    and that slave is at once substituted out of the earlier expressions,
+    so every expression holds masters only.  Rows that reduce to nothing
+    (all dofs fixed or already implied) are dropped.  Returns the free dofs
+    and T (n, n_free); without rows T selects the dofs that are not fixed.
     """
     slave_of = {}
-    max_depth = len(rows) + 2
-
-    def expand(out, d, coef, depth):
-        """Add coef * U[d] to out, written in dofs that are not slaves."""
-        if depth > max_depth:
-            raise ValueError("multipoint constraint chain too deep")
-        if fixed_mask[d] or coef == 0.0:
-            return
-        entry = slave_of.get(int(d))
-        if entry is None:
-            out[int(d)] = out.get(int(d), 0.0) + coef
-        else:
-            for dm, wm in entry:
-                expand(out, int(dm), coef * wm, depth + 1)
-
     for lc in rows:
         out = {}
         for d, c in zip(np.asarray(lc.dofs, dtype=int),
                         np.asarray(lc.coeffs, dtype=float)):
-            expand(out, int(d), float(c), 0)
+            if fixed_mask[d]:
+                continue
+            for dm, wm in slave_of.get(int(d), {int(d): 1.0}).items():
+                out[dm] = out.get(dm, 0.0) + float(c) * wm
         out = {d: c for d, c in out.items() if c != 0.0}
         if not out:
             continue
@@ -372,7 +362,13 @@ def _mpc_transform(n, fixed_mask, rows):
         out = {d: c for d, c in out.items() if abs(c) > 1e-14 * scale}
         slave = min(d for d, c in out.items() if abs(c) == scale)
         cs = out.pop(slave)
-        slave_of[slave] = tuple((d, -c / cs) for d, c in sorted(out.items()))
+        expr = {d: -c / cs for d, c in sorted(out.items())}
+        for entry in slave_of.values():
+            w = entry.pop(slave, None)
+            if w is not None:
+                for d, ws in expr.items():
+                    entry[d] = entry.get(d, 0.0) + w * ws
+        slave_of[slave] = expr
 
     is_slave = np.zeros(n, dtype=bool)
     is_slave[list(slave_of.keys())] = True
@@ -382,15 +378,11 @@ def _mpc_transform(n, fixed_mask, rows):
 
     ti, tj, tv = list(free), list(range(len(free))), [1.0] * len(free)
     for slave, entry in slave_of.items():
-        out = {}
-        for d, w in entry:
-            expand(out, int(d), float(w), 0)
-        for d, w in sorted(out.items()):
-            if w == 0.0:
-                continue
-            ti.append(slave)
-            tj.append(int(col_of[d]))
-            tv.append(float(w))
+        for d, w in sorted(entry.items()):
+            if w != 0.0:
+                ti.append(slave)
+                tj.append(int(col_of[d]))
+                tv.append(w)
     T = sp.csr_matrix((tv, (ti, tj)), shape=(n, len(free)))
     return free, T
 

@@ -34,6 +34,8 @@ class KnotVector:
         p = self.degree
         if p < 0:
             raise ValueError(f"degree must be nonnegative, got {p}")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(knots) < 0.0):
             raise ValueError("knots must be nondecreasing")
         n = len(knots) - p - 1
@@ -169,6 +171,8 @@ class NurbsSurface:
             raise ValueError(f"control grid shape {ctrl.shape} != {(nu, nv, 3)}")
         if w.shape != (nu, nv):
             raise ValueError(f"weight grid shape {w.shape} != {(nu, nv)}")
+        if not (np.all(np.isfinite(ctrl)) and np.all(np.isfinite(w))):
+            raise ValueError("control points and weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("all weights must be strictly positive")
         ctrl.flags.writeable = False

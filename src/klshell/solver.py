@@ -244,7 +244,7 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
 
     factor, path = _factor_checked(A)
     Al, absA = A.astype(np.longdouble), abs(A)
-    rel, floor, U, _ = _refine(factor, Al, absA, F, norm_f)
+    rel, floor, U = _refine(factor, Al, absA, F, norm_f)
     if rel > max(RESIDUAL_RTOL, floor) and path != "shifted":
         # primary factors can be polluted by a roundoff pivot of a
         # zero-energy mode (refinement then stalls or diverges); retry
@@ -252,7 +252,7 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
         factor = _shifted_factor(A, "refinement stalled on primary factors")
         retry = _refine(factor, Al, absA, F, norm_f)
         if retry[0] < rel:
-            rel, floor, U, _ = retry
+            rel, floor, U = retry
             path = "shifted"
     if rel <= max(RESIDUAL_RTOL, floor):
         reason = "rtol" if rel <= RESIDUAL_RTOL else "floor"
@@ -278,21 +278,21 @@ def _refine(factor, Al, absA, F, norm_f):
     """Iterative refinement with residuals in extended precision.
 
     ``Al`` is the matrix cast to long double and ``absA`` its entrywise
-    absolute value.  Returns (rel, floor, U, reason) for the iterate U with
-    the smallest relative residual rel, its evaluation floor (:func:`_floor`)
-    and why refinement stopped: ``"rtol"`` once rel <= RESIDUAL_RTOL,
-    ``"floor"`` once the best iterate is at or below its floor and a step
-    fails to halve its residual, ``"stall"`` after 30 steps without halving,
-    on divergence (a polluted factorization) or after ``_MAX_REFINE`` steps.  The refined
-    iterate keeps its extended-precision bits: rounding it to float64 would
-    perturb K @ U by ~eps * || |K| |U| ||, which for loads scaling with t^3
-    can exceed RESIDUAL_RTOL * ||F|| on its own.
+    absolute value.  Returns (rel, floor, U) for the iterate U with the
+    smallest relative residual rel and its evaluation floor
+    (:func:`_floor`); :func:`solve_spd` alone decides from them whether U
+    is accepted, and on which ground.  Refinement stops once rel <=
+    RESIDUAL_RTOL, once the best iterate is at or below its floor and a
+    step fails to halve its residual, after 30 steps without halving, on
+    divergence (a polluted factorization) or after ``_MAX_REFINE`` steps.
+    The refined iterate keeps its extended-precision bits: rounding it to
+    float64 would perturb K @ U by ~eps * || |K| |U| ||, which for loads
+    scaling with t^3 can exceed RESIDUAL_RTOL * ||F|| on its own.
     """
     Fl = F.astype(np.longdouble)
     U = factor.solve(F).astype(np.longdouble)
     best = None
     since_improved = 0
-    reason = "stall"
     for _ in range(_MAX_REFINE):
         r = Fl - Al @ U
         rel = float(np.linalg.norm(r.astype(float)) / norm_f)
@@ -300,13 +300,9 @@ def _refine(factor, Al, absA, F, norm_f):
         if halved or rel < best[0]:
             best = (rel, _floor(absA, U, norm_f), U.copy())
         since_improved = 0 if halved else since_improved + 1
-        if rel <= RESIDUAL_RTOL:
-            reason = "rtol"
-            break
-        if not halved and best[0] <= best[1]:
-            reason = "floor"
+        if rel <= RESIDUAL_RTOL or (not halved and best[0] <= best[1]):
             break
         if since_improved >= 30 or rel > 1e3 * best[0]:
             break
         U = U + factor.solve(r.astype(float))
-    return best + (reason,)
+    return best

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from klshell import Patch, make_uniform, surface_eval
-from klshell.cases import (ConvergenceReport, _rotation_rows, make_case,
+from klshell.cases import (REPORT_COLUMNS, _rotation_rows, make_case,
                            run_convergence, write_report_csv)
 from klshell.shell import frame_arrays
 
@@ -89,16 +89,16 @@ class TestCurvedCantileverOracle:
 class TestConvergenceDriver:
     def test_single_level_report(self):
         case = make_case("strip", slenderness=1e2)
-        report, _ = run_convergence(case, "cas", 3, 1)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        rows, _ = run_convergence(case, "cas", 3, 1)
+        assert len(rows) == 1
+        row = rows[0]
         assert row["n_el_u"] == 2 and row["n_el_v"] == 1
         assert row["e_n11"] is not None and row["Em"] is not None
 
     def test_levels_increase(self):
         case = make_case("scordelis", slenderness=1e2)
-        report, _ = run_convergence(case, "cas", 3, 2)
-        assert [r["n_el_u"] for r in report.rows] == [4, 8]
+        rows, _ = run_convergence(case, "cas", 3, 2)
+        assert [r["n_el_u"] for r in rows] == [4, 8]
 
     def test_invalid_levels(self):
         with pytest.raises(ValueError):
@@ -155,25 +155,25 @@ class TestConstraintRows:
 
 
 class TestReportCsv:
-    def _report(self):
+    def _rows(self):
         case = make_case("strip", slenderness=1e2)
         return run_convergence(case, "cas", 3, 2)[0]
 
     def test_csv_shape_and_parse(self):
-        report = self._report()
+        rows = self._rows()
         buf = io.StringIO()
-        write_report_csv(report, buf)
+        write_report_csv(rows, buf)
         lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == ",".join(ConvergenceReport.COLUMNS)
+        assert lines[0] == ",".join(REPORT_COLUMNS)
         assert len(lines) == 3
         first = lines[1].split(",")
         assert int(first[0]) == 0
-        assert float(first[4]) == report.rows[0]["deflection"]
+        assert float(first[4]) == rows[0]["deflection"]
 
     def test_csv_bitwise_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
-        write_report_csv(self._report(), a)
-        write_report_csv(self._report(), b)
+        write_report_csv(self._rows(), a)
+        write_report_csv(self._rows(), b)
         assert a.getvalue() == b.getvalue()
 
 

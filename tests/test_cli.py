@@ -7,7 +7,7 @@ import pytest
 
 import klshell.cases as cases
 import klshell.cli as cli
-from klshell.cases import ConvergenceReport
+from klshell.cases import REPORT_COLUMNS
 from klshell.errors import NumericalError
 from klshell.solver import solve_spd
 
@@ -97,8 +97,8 @@ class TestFloorAcceptance:
         assert ("> rtol 1e-10" in captured.err) == at_floor
         assert "evaluation floor" not in captured.out
         header, row = (tmp_path / "report.csv").read_text().strip().split("\n")
-        assert header == ",".join(ConvergenceReport.COLUMNS)
-        assert len(row.split(",")) == len(ConvergenceReport.COLUMNS)
+        assert header == ",".join(REPORT_COLUMNS)
+        assert len(row.split(",")) == len(REPORT_COLUMNS)
 
 
 class TestExitCodes:

@@ -361,7 +361,7 @@ class TestConstraints:
         patch = Patch(flat_patch())
         K = assemble(patch, MAT, gauss_rule(2), "cs")
         red = apply_constraints(K, np.zeros(patch.n_dof),
-                                fix_cps(patch, edge_cp_lines(patch, "u0", 1)))
+                                fix_cps(edge_cp_lines(patch, "u0", 1)))
         assert len(red.free) == 27 - 9
 
     def test_all_fixed_raises(self):
@@ -376,7 +376,7 @@ class TestConstraints:
         K = assemble(patch, MAT, gauss_rule(3), "cs")
         row = LinearConstraint(np.array([13, 16]), np.array([1.0, -1.0]))
         F = load_area(patch, gauss_rule(3), np.array([0.0, 1.0, 0.0]))
-        red = apply_constraints(K, F, fix_cps(patch, edge_cp_lines(patch, "u0", 1)), (row,))
+        red = apply_constraints(K, F, fix_cps(edge_cp_lines(patch, "u0", 1)), (row,))
         U = red.expand(np.asarray(solve_spd(red.K, red.F).U, float))
         assert abs(U[13] - U[16]) < 1e-12 * max(1.0, abs(U).max())
 
@@ -404,9 +404,46 @@ class TestConstraints:
             apply_constraints(K, np.zeros(patch.n_dof), [], (row,))
 
     def test_fix_cps_rejects_components_outside_xyz(self):
-        patch = Patch(flat_patch())
         with pytest.raises(ValueError):
-            fix_cps(patch, [0], components=(3,))
+            fix_cps([0], components=(3,))
+
+    @pytest.mark.parametrize("case_id,mesh,dropped", [
+        ("strip", (4, 1), 0), ("hemisphere", (3, 3), 0), ("scordelis", (3, 5), 0),
+        ("hypar", (4, 2), 1), ("hypar", (32, 16), 1),
+    ])
+    def test_basis_satisfies_every_tie(self, case_id, mesh, dropped):
+        """T satisfies each multipoint row, is zero on fixed dofs and the
+        identity on free ones; on the hypar the rotation rows of the clamp
+        and of the symmetry edge meet at a corner, where one reduces to
+        nothing and is dropped."""
+        case = make_case(case_id)
+        patch = Patch(make_uniform(case.surface, *mesh))
+        fixed, rows = case.constraints(patch)
+        n = patch.n_dof
+        red = apply_constraints(sp.identity(n, format="csr"), np.zeros(n), fixed, rows)
+        T = red.T
+        for lc in rows:
+            tie = T[lc.dofs].T @ lc.coeffs
+            assert np.abs(tie).max() <= 1e-13 * np.abs(lc.coeffs).max()
+        assert T[np.unique(fixed)].nnz == 0
+        Tf = T[red.free].tocoo()
+        assert Tf.nnz == len(red.free)
+        assert np.array_equal(Tf.row, Tf.col) and np.all(Tf.data == 1.0)
+        assert len(red.free) == n - len(np.unique(fixed)) - len(rows) + dropped
+
+    def test_chained_rows_are_substituted_into_masters(self):
+        """A row that reuses a slave is written in masters, a later slave is
+        substituted out of earlier expressions, and a row implied by earlier
+        ones or on fixed dofs only is dropped."""
+        rows = [LinearConstraint(np.array(d), np.array(c)) for d, c in [
+            ([5, 6], [1.0, 0.5]), ([6, 7], [2.0, 1.0]), ([5, 7], [1.0, -0.25]),
+            ([0], [3.0])]]
+        red = apply_constraints(sp.identity(10, format="csr"), np.zeros(10), [0], rows)
+        assert list(red.free) == [1, 2, 3, 4, 7, 8, 9]
+        e7 = np.eye(7)[4]
+        assert np.array_equal(red.T[5].toarray()[0], 0.25 * e7)
+        assert np.array_equal(red.T[6].toarray()[0], -0.5 * e7)
+        assert red.T.nnz == 9
 
     @pytest.mark.parametrize("kind", ["cs", "cas"])
     @pytest.mark.parametrize("case_id,mesh", [

@@ -29,6 +29,7 @@ class TestKnotVector:
         ([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2),  # repeated interior
         ([0, 0, 0, 1, 1, 1], -1),
         ([0.0] * 6, 2),                 # zero length: no nonempty span
+        ([0, 0, 0, np.inf, np.inf, np.inf], 2),
     ])
     def test_invalid_raises(self, knots, degree):
         with pytest.raises(ValueError):
@@ -110,6 +111,18 @@ def quarter_arc_strip():
         ctrl[2, j] = [0.0, 10.0, z]
     w = np.outer([1.0, np.sqrt(2) / 2, 1.0], np.ones(3))
     return NurbsSurface(kv, kv, ctrl, w)
+
+
+class TestNurbsSurface:
+    @pytest.mark.parametrize("entry,value", [
+        ("ctrl", np.nan), ("weights", np.inf), ("weights", np.nan),
+    ])
+    def test_non_finite_net_raises(self, entry, value):
+        s = quarter_arc_strip()
+        net = {"ctrl": s.ctrl.copy(), "weights": s.weights.copy()}
+        net[entry][1, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            NurbsSurface(s.kv_u, s.kv_v, net["ctrl"], net["weights"])
 
 
 class TestSurfaceEval:
@@ -256,6 +269,12 @@ class TestSerialization:
         lines = surface_to_text(strip_surface()).split("\n")
         lines[2] = "0 0 0 0 0 0"  # the u knot vector
         with pytest.raises(ValueError, match="empty interval"):
+            surface_from_text("\n".join(lines))
+
+    def test_non_finite_coordinates_in_text_raise(self):
+        lines = surface_to_text(strip_surface()).split("\n")
+        lines[-2] = "nan 0 0 1"  # the last control point
+        with pytest.raises(ValueError, match="finite"):
             surface_from_text("\n".join(lines))
 
     def test_stream_io(self):
