@@ -7,10 +7,7 @@ from .errors import (DomainError, IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import (EnergyReport, SolutionField, displacement_at, energies,
                      l2_resultant_error, resultants_at, write_field)
-from .nurbs import (KnotVector, NurbsSurface, basis_ders, find_span,
-                    insert_knots, load_surface, make_uniform, refine_uniform,
-                    save_surface, surface_eval, surface_from_text,
-                    surface_to_text)
+from .nurbs import KnotVector, NurbsSurface, insert_knots, make_uniform, surface_eval
 from .shell import ShellMaterial
 from .solver import solve_spd
 

@@ -46,14 +46,9 @@ class QuadratureRule:
         return len(self.weights)
 
 
-def gauss_1d(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 def tensor_rule(n_per_dir: int) -> QuadratureRule:
     """Gauss-Legendre tensor rule with n points per direction (any n >= 1)."""
-    x, w = gauss_1d(n_per_dir)
+    x, w = np.polynomial.legendre.leggauss(n_per_dir)
     pts = np.array([(xi, eta) for xi in x for eta in x])
     wts = np.array([wi * wj for wi in w for wj in w])
     return QuadratureRule(pts, wts)
@@ -94,10 +89,6 @@ class Patch:
         self.conn = grid.reshape(-1, (pu + 1) * (pv + 1)).astype(np.int64)
 
     @property
-    def n_el(self) -> tuple[int, int]:
-        return len(self.spans_u), len(self.spans_v)
-
-    @property
     def n_elements(self) -> int:
         return self.conn.shape[0]
 
@@ -114,11 +105,6 @@ class Patch:
         nb = len(self.spans_v)
         return self.spans_u[eid // nb], self.spans_v[eid % nb]
 
-    def element_bounds(self, eid):
-        su, sv = self.element_spans(eid)
-        ku, kv = self.surface.kv_u.knots, self.surface.kv_v.knots
-        return (ku[su], ku[su + 1]), (kv[sv], kv[sv + 1])
-
     def element_dofs(self, eid: int) -> np.ndarray:
         return _dofs(self.conn[[eid]])[0]
 
@@ -126,7 +112,7 @@ class Patch:
         """Ids of the elements containing the parametric points theta (..., 2).
 
         A point on an interior knot line belongs to the element above it and
-        the right end of the range to the last element, as in find_span.
+        the right end of the range to the last element, as in find_spans.
         """
         theta = np.asarray(theta, dtype=float)
         a = np.searchsorted(self.spans_u, find_spans(self.surface.kv_u, theta[..., 0]))
@@ -175,8 +161,10 @@ def _batch_eval(patch: Patch, eids, theta, order: int = 2):
 
 def _boxes(patch, eids):
     """Lower and upper corners (ne, 2) of the elements' parametric boxes."""
-    (ulo, uhi), (vlo, vhi) = patch.element_bounds(np.asarray(eids, dtype=int))
-    return np.stack([ulo, vlo], axis=-1), np.stack([uhi, vhi], axis=-1)
+    su, sv = patch.element_spans(np.asarray(eids, dtype=int))
+    ku, kv = patch.surface.kv_u.knots, patch.surface.kv_v.knots
+    return (np.stack([ku[su], kv[sv]], axis=-1),
+            np.stack([ku[su + 1], kv[sv + 1]], axis=-1))
 
 
 def _to_parent(patch, eids, theta):
@@ -532,7 +520,7 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     fixed_val = fixed_kv.start if fixed_frac == 0.0 else fixed_kv.end
 
     # Gauss points of every span along the edge, span-major
-    x1, w1 = gauss_1d(n_gauss)
+    x1, w1 = np.polynomial.legendre.leggauss(n_gauss)
     spans = run_kv.spans()
     lo, hi = run_kv.knots[spans][:, None], run_kv.knots[spans + 1][:, None]
     t_run = (lo + 0.5 * (x1 + 1.0) * (hi - lo)).ravel()

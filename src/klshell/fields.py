@@ -139,19 +139,17 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
     return EnergyReport(Em=float(Em), Eb=float(Eb), Et=float(Em + Eb))
 
 
-def l2_resultant_error(sol: SolutionField, analytic, which):
-    """Relative L2 error of resultant components against analytic fields.
+def l2_resultant_error(sol: SolutionField, analytic, which) -> tuple[float, ...]:
+    """Relative L2 errors of resultant components against analytic fields.
 
-    ``which`` is 'n11', 'm11' or 'neff11' and ``analytic`` maps midsurface
-    positions (..., 3) to the exact value of that component; the result is a
-    float.  Given a tuple of components and a tuple of fields, the errors
-    come back as a tuple from one evaluation of the resultants.  The
-    integrals use a 5x5 Gauss rule per element.
+    ``which`` is a tuple of components, each 'n11', 'm11' or 'neff11', and
+    ``analytic`` a tuple of as many fields, each mapping midsurface positions
+    (..., 3) to the exact value of its component.  The errors come back as a
+    tuple of floats from one evaluation of the resultants.  The integrals use
+    a 5x5 Gauss rule per element.
     """
     key = {"n11": ("n", 0), "m11": ("m", 0), "neff11": ("neff", 0)}
-    single = isinstance(which, str)
-    names = (which,) if single else tuple(which)
-    fields = (analytic,) if single else tuple(analytic)
+    names, fields = tuple(which), tuple(analytic)
     for w in names:
         if w not in key:
             raise ValueError(f"unknown resultant component {w!r}")
@@ -169,8 +167,7 @@ def l2_resultant_error(sol: SolutionField, analytic, which):
             den[i] += np.sum(exact ** 2 * ev["dA"])
     if np.any(den <= 0.0):
         raise ValueError("analytic field has zero L2 norm: error undefined")
-    errors = tuple(float(np.sqrt(a) / np.sqrt(b)) for a, b in zip(num, den))
-    return errors[0] if single else errors
+    return tuple(float(np.sqrt(a) / np.sqrt(b)) for a, b in zip(num, den))
 
 
 def write_field(sol: SolutionField, stream, header: dict, density: int = 20) -> None:

@@ -7,9 +7,7 @@ homogeneous coordinates, and geometry-preserving refinement by knot insertion.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -69,7 +67,7 @@ class KnotVector:
 
 
 def find_spans(kv: KnotVector, theta) -> np.ndarray:
-    """Array form of :func:`find_span`: span indices of the points ``theta``.
+    """Span indices i with knots[i] <= theta < knots[i+1] of the points ``theta``.
 
     The right endpoint maps to the last nonempty span so that boundary
     points remain evaluable.
@@ -81,24 +79,6 @@ def find_spans(kv: KnotVector, theta) -> np.ndarray:
         raise DomainError(f"parameter {theta[outside].flat[0]} outside knot range "
                           f"[{k[0]}, {k[-1]}]")
     return np.minimum(np.searchsorted(k, theta, side="right") - 1, n - 1)
-
-
-def find_span(kv: KnotVector, theta: float) -> int:
-    """Return i with knots[i] <= theta < knots[i+1] (last span at the right end)."""
-    return int(find_spans(kv, theta))
-
-
-def basis_ders(kv: KnotVector, theta: float, order: int = 0) -> np.ndarray:
-    """Nonzero B-spline values and derivatives at ``theta``.
-
-    Returns an array of shape (order+1, degree+1): row d holds the d-th
-    derivatives of the degree+1 functions N_{span-p}..N_{span} supported on
-    the containing span.  Standard knot-difference recurrence, evaluated
-    before any rationalization by weights.
-    """
-    if order > 2:
-        raise ValueError(f"derivative order {order} unsupported (max 2)")
-    return _basis_ders_at_span(kv.knots, kv.degree, find_span(kv, theta), theta, order)
 
 
 def _basis_ders_at_span(knots, p, span, theta, order):
@@ -254,7 +234,7 @@ def surface_eval(surface: NurbsSurface, t1: float, t2: float, order: int = 2):
     Returns (r,) for order 0, (r, r1, r2) for order 1 and
     (r, r1, r2, r11, r22, r12) for order 2.
     """
-    su, sv = find_span(surface.kv_u, t1), find_span(surface.kv_v, t2)
+    su, sv = find_spans(surface.kv_u, t1), find_spans(surface.kv_v, t2)
     return tuple(rational_eval(surface, su, sv, t1, t2, order)[:, -4:-1])
 
 
@@ -307,19 +287,6 @@ def insert_knots(surface: NurbsSurface, direction: str, values) -> NurbsSurface:
     return _from_homogeneous(surface.kv_u, new_kv, grid_h)
 
 
-def refine_uniform(surface: NurbsSurface, direction: str, times: int) -> NurbsSurface:
-    """Bisect every nonempty span ``times`` times by knot insertion."""
-    if times < 0:
-        raise ValueError("times must be >= 0")
-    s = surface
-    for _ in range(times):
-        kv = s.kv_u if direction == "u" else s.kv_v
-        k = kv.knots
-        mids = [(k[i] + k[i + 1]) / 2.0 for i in kv.spans()]
-        s = insert_knots(s, direction, mids)
-    return s
-
-
 def make_uniform(surface: NurbsSurface, n_u: int, n_v: int) -> NurbsSurface:
     """Refine to a uniform n_u x n_v element mesh over the parametric square.
 
@@ -327,6 +294,8 @@ def make_uniform(surface: NurbsSurface, n_u: int, n_v: int) -> NurbsSurface:
     direction.  For n a power of two this produces the same knot multiset as
     repeated bisection, hence the identical refined surface.
     """
+    if n_u < 1 or n_v < 1:
+        raise ValueError(f"need at least one element per direction, got {n_u} x {n_v}")
     s = surface
     for direction, n in (("u", n_u), ("v", n_v)):
         kv = s.kv_u if direction == "u" else s.kv_v
@@ -334,75 +303,3 @@ def make_uniform(surface: NurbsSurface, n_u: int, n_v: int) -> NurbsSurface:
             raise ValueError("make_uniform expects knot ranges [0, 1]")
         s = insert_knots(s, direction, [i / n for i in range(1, n)])
     return s
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-# ---------------------------------------------------------------------------
-
-def save_surface(surface: NurbsSurface, stream) -> None:
-    """Write the surface in the plain-text exchange format.
-
-    Layout: degrees, then each knot vector (count followed by values), then
-    the grid dimensions and one "x y z w" row per control point, u-major.
-    All numbers are written with full double precision and '.' decimal point.
-    """
-    own = isinstance(stream, str)
-    f = open(stream, "w", encoding="ascii") if own else stream
-
-    def fmt(x):
-        return format(float(x), ".17g")
-
-    try:
-        f.write(f"{surface.kv_u.degree} {surface.kv_v.degree}\n")
-        for kv in (surface.kv_u, surface.kv_v):
-            f.write(f"{len(kv.knots)}\n")
-            f.write(" ".join(fmt(x) for x in kv.knots) + "\n")
-        nu, nv = surface.shape
-        f.write(f"{nu} {nv}\n")
-        for i in range(nu):
-            for j in range(nv):
-                x, y, z = surface.ctrl[i, j]
-                f.write(f"{fmt(x)} {fmt(y)} {fmt(z)} {fmt(surface.weights[i, j])}\n")
-    finally:
-        if own:
-            f.close()
-
-
-def load_surface(stream) -> NurbsSurface:
-    """Read a surface written by :func:`save_surface`; ValueError if malformed."""
-    own = isinstance(stream, str)
-    f = open(stream, "r", encoding="ascii") if own else stream
-    try:
-        tokens = f.read().split()
-    finally:
-        if own:
-            f.close()
-    it = iter(tokens)
-
-    def take(n, kind=float):
-        values = [kind(x) for x in islice(it, n)]
-        if len(values) < n:
-            raise ValueError("surface file ends before its control net does")
-        return values
-
-    pu, pv = take(2, int)
-    kvs = []
-    for p in (pu, pv):
-        (count,) = take(1, int)
-        kvs.append(KnotVector(take(count), p))
-    nu, nv = take(2, int)
-    rows = np.array(take(nu * nv * 4)).reshape(nu, nv, 4)
-    if next(it, None) is not None:
-        raise ValueError("trailing tokens after the control net")
-    return NurbsSurface(kvs[0], kvs[1], rows[..., :3], rows[..., 3])
-
-
-def surface_to_text(surface: NurbsSurface) -> str:
-    buf = io.StringIO()
-    save_surface(surface, buf)
-    return buf.getvalue()
-
-
-def surface_from_text(text: str) -> NurbsSurface:
-    return load_surface(io.StringIO(text))

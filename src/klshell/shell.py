@@ -27,6 +27,8 @@ class ShellMaterial:
     t: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.E, self.nu, self.t))):
+            raise ValueError("E, nu and t must be finite")
         if self.E <= 0.0:
             raise ValueError("Young's modulus must be positive")
         if not 0.0 <= self.nu < 0.5:

@@ -7,7 +7,7 @@ import pytest
 
 from klshell import Patch, make_uniform, surface_eval
 from klshell.cases import (REPORT_COLUMNS, _rotation_rows, make_case,
-                           run_convergence, write_report_csv)
+                           run_convergence, solve_case, write_report_csv)
 from klshell.shell import frame_arrays
 
 
@@ -56,6 +56,17 @@ class TestCaseFactories:
         assert make_case("strip", slenderness=1e2).reference == -9.4250e-1
         assert make_case("scordelis", slenderness=1e3).reference == -3.2010e1
         assert make_case("strip", thickness=0.123).reference is None
+
+    @pytest.mark.parametrize("selector", [{"slenderness": np.nan},
+                                          {"thickness": np.inf}])
+    def test_non_finite_selector_raises(self, selector):
+        with pytest.raises(ValueError, match="finite"):
+            make_case("strip", **selector)
+
+    @pytest.mark.parametrize("mesh", [(0, 1), (-3, 1), (2, 0)])
+    def test_empty_mesh_raises(self, mesh):
+        with pytest.raises(ValueError, match="at least one element"):
+            solve_case(make_case("strip"), mesh, "cas")
 
     def test_mesh_levels(self):
         strip = make_case("strip")
@@ -183,7 +194,7 @@ class TestConvergedResultantFields:
     def test_effective_membrane_field(self, bench):
         case, res = bench.solve("strip", 1e3, (64, 1), "cas")
         from klshell.fields import l2_resultant_error
-        err = l2_resultant_error(res.solution, case.analytic["neff11"], "neff11")
+        err, = l2_resultant_error(res.solution, (case.analytic["neff11"],), ("neff11",))
         assert err < 0.02
 
     def test_pointwise_signs_match_closed_form(self, bench):

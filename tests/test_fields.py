@@ -120,37 +120,37 @@ class TestL2Error:
                       for q in patch.surface.ctrl.reshape(-1, 3)])
         sol = SolutionField(patch, U, "cs", MAT)
         expect = MAT.membrane_stiffness * alpha
-        err = l2_resultant_error(sol, lambda pos: np.full(pos.shape[:-1], expect),
-                                 "n11")
+        err, = l2_resultant_error(sol, (lambda pos: np.full(pos.shape[:-1], expect),),
+                                  ("n11",))
         assert err < 1e-12
 
     def test_zero_solution_gives_one(self):
         patch = flat_patch()
         sol = SolutionField(patch, np.zeros((9, 3)), "cs", MAT)
-        err = l2_resultant_error(sol, lambda pos: np.ones(pos.shape[:-1]), "n11")
+        err, = l2_resultant_error(sol, (lambda pos: np.ones(pos.shape[:-1]),), ("n11",))
         assert abs(err - 1.0) < 1e-14
 
     def test_zero_norm_field_raises(self):
         patch = flat_patch()
         sol = SolutionField(patch, np.zeros((9, 3)), "cs", MAT)
         with pytest.raises(ValueError):
-            l2_resultant_error(sol, lambda pos: np.zeros(pos.shape[:-1]), "n11")
+            l2_resultant_error(sol, (lambda pos: np.zeros(pos.shape[:-1]),), ("n11",))
 
     def test_unknown_component_raises(self):
         patch = flat_patch()
         sol = SolutionField(patch, np.zeros((9, 3)), "cs", MAT)
         with pytest.raises(ValueError):
-            l2_resultant_error(sol, lambda pos: np.ones(pos.shape[:-1]), "n22")
+            l2_resultant_error(sol, (lambda pos: np.ones(pos.shape[:-1]),), ("n22",))
 
     @pytest.mark.parametrize("kind", ["cs", "cas"])
     def test_tuple_matches_single_components(self, kind):
-        """One pass over several components gives each single call's float."""
+        """One pass over several components gives each one-component call's error."""
         case, sol, _ = solved_case("strip", 1e2, (8, 1), kind)
         names = ("n11", "m11", "neff11")
         fields = tuple(case.analytic[w] for w in names)
         errors = l2_resultant_error(sol, fields, names)
         assert isinstance(errors, tuple) and len(errors) == 3
-        assert errors == tuple(l2_resultant_error(sol, f, w)
+        assert errors == tuple(l2_resultant_error(sol, (f,), (w,))[0]
                                for f, w in zip(fields, names))
         with pytest.raises(ValueError):
             l2_resultant_error(sol, fields[:2], names)

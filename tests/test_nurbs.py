@@ -1,17 +1,14 @@
 """Knot vectors, basis evaluation, surface evaluation and refinement."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SURFACES, basis_at, hemisphere_surface, strip_surface
-from klshell import (DomainError, KnotVector, NurbsSurface, basis_ders,
-                     find_span, make_uniform, refine_uniform, surface_eval,
-                     surface_from_text, surface_to_text)
-from klshell.nurbs import _basis_ders_at_span
+from klshell import (DomainError, KnotVector, NurbsSurface, insert_knots,
+                     make_uniform, surface_eval)
+from klshell.nurbs import _basis_ders_at_span, find_spans, rational_eval
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 KV2_MID = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
@@ -38,32 +35,37 @@ class TestKnotVector:
 
 class TestFindSpan:
     def test_clamped_start(self):
-        assert find_span(KV2, 0.0) == 2
+        assert find_spans(KV2, 0.0) == 2
 
     def test_interior(self):
-        assert find_span(KV2_MID, 0.75) == 3
+        assert find_spans(KV2_MID, 0.75) == 3
 
     def test_right_endpoint_maps_to_last_span(self):
-        assert find_span(KV2_MID, 1.0) == 3
+        assert find_spans(KV2_MID, 1.0) == 3
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            find_span(KV2, 1.5)
+            find_spans(KV2, 1.5)
         with pytest.raises(DomainError):
-            find_span(KV2, -0.1)
+            find_spans(KV2, -0.1)
+
+
+def _ders(kv, t, order=0):
+    """Nonzero basis values and derivatives (order+1, degree+1) at the points t."""
+    return _basis_ders_at_span(kv.knots, kv.degree, find_spans(kv, t), t, order)
 
 
 class TestBasisDers:
     def test_quadratic_midpoint(self):
-        vals = basis_ders(KV2, 0.5)
+        vals = _ders(KV2, 0.5)
         assert np.allclose(vals[0], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_clamped_endpoint(self):
-        vals = basis_ders(KV2, 0.0)
+        vals = _ders(KV2, 0.0)
         assert np.allclose(vals[0], [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_first_derivative_midpoint(self):
-        vals = basis_ders(KV2, 0.5, order=1)
+        vals = _ders(KV2, 0.5, order=1)
         assert np.allclose(vals[1], [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_arrays_match_points(self):
@@ -71,27 +73,26 @@ class TestBasisDers:
         kv = KnotVector([0.0] * 4 + [0.15, 0.4, 0.45, 0.8] + [1.0] * 4, 3)
         t = np.random.default_rng(2).random((6, 5))
         t[0, :3] = (0.0, 0.4, 1.0)
-        spans = np.vectorize(lambda x: find_span(kv, x))(t)
-        arr = _basis_ders_at_span(kv.knots, kv.degree, spans, t, 2)
+        arr = _ders(kv, t, order=2)
         assert arr.shape == (6, 5, 3, 4)
         for idx in np.ndindex(t.shape):
-            assert np.array_equal(arr[idx], basis_ders(kv, t[idx], order=2))
+            assert np.array_equal(arr[idx], _ders(kv, t[idx], order=2))
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            basis_ders(KV2, 0.5, order=3)
+            rational_eval(quarter_arc_strip(), 2, 2, 0.5, 0.5, order=3)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_partition_of_unity_1d(self, t):
-        vals = basis_ders(KV2_MID, t, order=2)
+        vals = _ders(KV2_MID, t, order=2)
         assert abs(vals[0].sum() - 1.0) < 1e-14
         assert abs(vals[1].sum()) < 1e-12
         assert abs(vals[2].sum()) < 1e-11
         # degrees 1-4 on a non-uniform open knot vector
         for p in range(1, 5):
             kv = KnotVector([0.0] * (p + 1) + [0.15, 0.4, 0.45, 0.8] + [1.0] * (p + 1), p)
-            vals = basis_ders(kv, t, order=2)
+            vals = _ders(kv, t, order=2)
             assert vals.shape == (3, p + 1)
             assert np.all(vals[0] >= 0.0)
             assert abs(vals[0].sum() - 1.0) < 1e-14
@@ -157,7 +158,7 @@ class TestSurfaceEval:
     @pytest.mark.parametrize("name", sorted(ALL_SURFACES))
     def test_derivatives_match_finite_differences(self, name):
         s = ALL_SURFACES[name]()
-        s = refine_uniform(refine_uniform(s, "u", 1), "v", 1)
+        s = make_uniform(s, 2, 2)
         h = 1e-5
         rng = np.random.default_rng(3)
         for t1, t2 in h + rng.random((5, 2)) * (1 - 2 * h):
@@ -198,19 +199,24 @@ class TestRationalBasis:
 class TestRefinement:
     def test_refine_zero_times_is_identity(self):
         s = quarter_arc_strip()
-        s2 = refine_uniform(s, "u", 0)
+        s2 = make_uniform(s, 1, 1)
         assert np.array_equal(s2.ctrl, s.ctrl)
         assert np.array_equal(s2.kv_u.knots, s.kv_u.knots)
 
+    @pytest.mark.parametrize("mesh", [(0, 1), (-3, 1), (1, 0)])
+    def test_empty_mesh_raises(self, mesh):
+        with pytest.raises(ValueError, match="at least one element"):
+            make_uniform(quarter_arc_strip(), *mesh)
+
     def test_single_bisection_counts(self):
         s = quarter_arc_strip()
-        s2 = refine_uniform(s, "u", 1)
+        s2 = make_uniform(s, 2, 1)
         assert np.allclose(s2.kv_u.knots, [0, 0, 0, 0.5, 1, 1, 1])
         assert s2.shape == (4, 3)
 
     def test_refined_geometry_unchanged(self):
         s = quarter_arc_strip()
-        s3 = refine_uniform(s, "u", 3)
+        s3 = make_uniform(s, 8, 1)
         rng = np.random.default_rng(5)
         for t1, t2 in rng.random((100, 2)):
             r1, = surface_eval(s, t1, t2, order=0)
@@ -229,7 +235,10 @@ class TestRefinement:
     def test_make_uniform_power_of_two_equals_bisection(self):
         s = quarter_arc_strip()
         a = make_uniform(s, 8, 1)
-        b = refine_uniform(s, "u", 3)
+        b = s
+        for _ in range(3):
+            k = b.kv_u.knots
+            b = insert_knots(b, "u", [(k[i] + k[i + 1]) / 2.0 for i in b.kv_u.spans()])
         assert np.allclose(a.kv_u.knots, b.kv_u.knots, atol=0)
         assert np.allclose(a.ctrl, b.ctrl, atol=1e-15)
 
@@ -243,45 +252,3 @@ class TestRefinement:
             r, = surface_eval(sphere, t1, t2, order=0)
             assert abs(r @ r - 100.0) < 1e-10 * 100.0
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("name", sorted(ALL_SURFACES))
-    def test_round_trip_exact(self, name):
-        s = make_uniform(ALL_SURFACES[name](), 3, 2)
-        s2 = surface_from_text(surface_to_text(s))
-        assert np.array_equal(s2.kv_u.knots, s.kv_u.knots)
-        assert np.array_equal(s2.kv_v.knots, s.kv_v.knots)
-        assert np.array_equal(s2.ctrl, s.ctrl)
-        assert np.array_equal(s2.weights, s.weights)
-
-    def test_truncated_text_raises_value_error(self):
-        tokens = surface_to_text(make_uniform(strip_surface(), 3, 2)).split()
-        for n in range(len(tokens)):
-            with pytest.raises(ValueError):
-                surface_from_text(" ".join(tokens[:n]))
-
-    def test_trailing_tokens_raise_value_error(self):
-        text = surface_to_text(strip_surface())
-        with pytest.raises(ValueError, match="trailing"):
-            surface_from_text(text + "1.0\n")
-
-    def test_zero_length_knot_vector_in_text_raises(self):
-        lines = surface_to_text(strip_surface()).split("\n")
-        lines[2] = "0 0 0 0 0 0"  # the u knot vector
-        with pytest.raises(ValueError, match="empty interval"):
-            surface_from_text("\n".join(lines))
-
-    def test_non_finite_coordinates_in_text_raise(self):
-        lines = surface_to_text(strip_surface()).split("\n")
-        lines[-2] = "nan 0 0 1"  # the last control point
-        with pytest.raises(ValueError, match="finite"):
-            surface_from_text("\n".join(lines))
-
-    def test_stream_io(self):
-        s = quarter_arc_strip()
-        buf = io.StringIO()
-        from klshell import load_surface, save_surface
-        save_surface(s, buf)
-        buf.seek(0)
-        s2 = load_surface(buf)
-        assert np.array_equal(s2.ctrl, s.ctrl)

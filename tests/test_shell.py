@@ -296,3 +296,10 @@ class TestMaterialValidation:
             ShellMaterial(E=1.0, nu=0.5, t=0.1)
         with pytest.raises(ValueError):
             ShellMaterial(E=1.0, nu=0.3, t=0.0)
+
+    @pytest.mark.parametrize("field", ["E", "nu", "t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, field, value):
+        params = {"E": 1.0, "nu": 0.3, "t": 0.1, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            ShellMaterial(**params)
