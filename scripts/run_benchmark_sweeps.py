@@ -40,15 +40,15 @@ def main():
         for s in slendernesses:
             case = make_case(case_id, slenderness=s)
             t0 = time.perf_counter()
-            rows, _ = run_convergence(case, args.element, args.quad,
+            results = run_convergence(case, args.element, args.quad,
                                       levels[case_id])
             name = f"{case_id}_{args.element}_q{args.quad}_s{s:g}.csv"
-            write_report_csv(rows, os.path.join(args.outdir, name))
-            last = rows[-1]
-            norm = ("" if last["normalized"] is None
-                    else f" normalized {last['normalized']:.5f}")
-            print(f"{name}: {len(rows)} levels, finest deflection "
-                  f"{last['deflection']:+.6e}{norm} "
+            write_report_csv(results, os.path.join(args.outdir, name))
+            last = results[-1]
+            norm = ("" if last.normalized is None
+                    else f" normalized {last.normalized:.5f}")
+            print(f"{name}: {len(results)} levels, finest deflection "
+                  f"{last.deflection:+.6e}{norm} "
                   f"[{time.perf_counter() - t0:.1f}s]")
 
 

@@ -6,7 +6,7 @@ from .elements import (CAS, CS, LinearConstraint, Patch, QuadratureRule,
 from .errors import (DomainError, IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import (EnergyReport, SolutionField, displacement_at, energies,
-                     l2_resultant_error, resultants_at, write_field)
+                     l2_resultant_error, sample, write_field)
 from .nurbs import KnotVector, NurbsSurface, insert_knots, make_uniform, surface_eval
 from .shell import ShellMaterial
 from .solver import solve_spd

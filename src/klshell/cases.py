@@ -21,17 +21,17 @@ Conventions fixed here (validated against converged solutions):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (LinearConstraint, Patch, apply_constraints,
+from .elements import (LinearConstraint, Patch, _batch_eval, apply_constraints,
                        assemble, edge_cp_lines, fix_cps, gauss_rule, load_area,
                        load_edge_line, load_point)
 from .fields import SolutionField, displacement_at, energies, l2_resultant_error
-from .nurbs import (KnotVector, NurbsSurface, find_spans, make_uniform,
-                    rational_eval, surface_eval)
+from .nurbs import KnotVector, NurbsSurface, make_uniform
 from .shell import ShellMaterial, frame_arrays
 from .solver import SolveTrace, solve_spd
 
@@ -67,7 +67,11 @@ class BenchmarkCase:
 
 @dataclass(eq=False)
 class CaseResult:
-    """One solved mesh of one case."""
+    """One solved mesh of one case, from the solver to its ``report.csv`` row.
+
+    ``wall_s`` is the time of the solve.  The L2 resultant errors and the
+    energies stay None until ``run_convergence`` post-processes the result.
+    """
 
     case: BenchmarkCase
     solution: SolutionField
@@ -75,6 +79,12 @@ class CaseResult:
     n_dof: int
     deflection: float
     trace: SolveTrace
+    wall_s: float
+    e_n11: float | None = None
+    e_m11: float | None = None
+    Em: float | None = None
+    Eb: float | None = None
+    Et: float | None = None
 
     @property
     def normalized(self) -> float | None:
@@ -198,9 +208,9 @@ def _rotation_rows(patch: Patch, edge: str):
     g = np.mean(kv.knots[j], axis=1)
     at = np.full_like(g, {"u0": s.kv_u.start, "u1": s.kv_u.end,
                           "v0": s.kv_v.start, "v1": s.kv_v.end}[edge])
-    t1, t2 = (g, at) if along_u else (at, g)
-    R = rational_eval(s, find_spans(s.kv_u, t1), find_spans(s.kv_v, t2), t1, t2)
-    a3 = frame_arrays(*R[1:, :, -4:-1])["a3"]
+    theta = np.stack((g, at) if along_u else (at, g), axis=-1)
+    ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :])
+    a3 = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])["a3"][:, 0]
     dofs = 3 * np.stack([g1, g1, g1, g0, g0, g0], axis=1) + [0, 1, 2, 0, 1, 2]
     coeffs = np.concatenate([a3, -a3], axis=1)
     return tuple(LinearConstraint(d, c) for d, c in zip(dofs, coeffs))
@@ -357,6 +367,9 @@ def make_case(case_id: str, thickness: float | None = None,
         if thickness is None:
             return _FACTORIES[case_id]()
         raise ValueError("give either thickness or slenderness, not both")
+    for name, value in (("slenderness", slenderness), ("thickness", thickness)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be a positive finite number")
     if slenderness is not None:
         thickness = _LENGTH_SCALE[case_id] / slenderness
     return _FACTORIES[case_id](thickness)
@@ -384,6 +397,7 @@ def build_loads(case: BenchmarkCase, patch: Patch, quad_n: int) -> np.ndarray:
 def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
                quad_n: int = 3) -> CaseResult:
     """Mesh, assemble, constrain and solve one benchmark configuration."""
+    t0 = time.perf_counter()
     surface = make_uniform(case.surface, *mesh)
     patch = Patch(surface)
     rule = gauss_rule(quad_n)
@@ -394,70 +408,42 @@ def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
     U = reduced.expand(np.asarray(trace.U, dtype=float)).reshape(-1, 3)
     sol = SolutionField(patch, U, kind, case.material)
 
-    t1, t2 = case.monitor_theta
-    u_mon = displacement_at(sol, t1, t2)
-    pos, = surface_eval(surface, t1, t2, order=0)
+    (pos,), (u_mon,) = displacement_at(sol, [case.monitor_theta])
     deflection = float(u_mon @ case.monitor_dir(pos))
     return CaseResult(case=case, solution=sol, mesh=mesh,
                       n_dof=len(reduced.free), deflection=deflection,
-                      trace=trace)
+                      trace=trace, wall_s=time.perf_counter() - t0)
 
 
 def run_convergence(case: BenchmarkCase, kind: str, quad_n: int,
-                    levels: int) -> tuple[list, CaseResult]:
-    """Solve a sequence of uniformly refined meshes; return the report rows
-    and the result on the finest mesh.
+                    levels: int) -> list[CaseResult]:
+    """Solve a sequence of uniformly refined meshes, one result per level.
 
-    Rows carry energies, and L2 resultant errors where the case has
-    analytic fields.
+    Each result gets the energies, and the L2 resultant errors where the
+    case has analytic fields, after its solve has returned.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    rows = []
+    results = []
     for level in range(levels):
-        row, last = solve_row(case, level, case.mesh_at_level(level), kind, quad_n,
-                              post=True)
-        rows.append(row)
-    return rows, last
-
-
-def solve_row(case: BenchmarkCase, level: int, mesh: tuple[int, int], kind: str,
-              quad_n: int, post: bool = False) -> tuple[dict, CaseResult]:
-    """Solve one mesh; return its report row and result.
-
-    With ``post`` the row also gets the energies, and the L2 resultant
-    errors where the case has analytic fields.  The row also carries the
-    wall time and the solver's ``SolveTrace``, which ``write_report_csv``
-    leaves out.
-    """
-    t0 = time.perf_counter()
-    res = solve_case(case, mesh, kind, quad_n)
-    row = {
-        "level": level, "n_el_u": mesh[0], "n_el_v": mesh[1],
-        "n_dof": res.n_dof, "deflection": res.deflection,
-        "normalized": res.normalized,
-        "e_n11": None, "e_m11": None, "Em": None, "Eb": None, "Et": None,
-        "trace": res.trace,
-    }
-    if post and case.analytic is not None:
-        row["e_n11"], row["e_m11"] = l2_resultant_error(
-            res.solution, (case.analytic["n11"], case.analytic["m11"]), ("n11", "m11"))
-    if post:
+        res = solve_case(case, case.mesh_at_level(level), kind, quad_n)
+        if case.analytic is not None:
+            res.e_n11, res.e_m11 = l2_resultant_error(
+                res.solution, (case.analytic["n11"], case.analytic["m11"]),
+                ("n11", "m11"))
         rep = energies(res.solution, gauss_rule(quad_n))
-        row["Em"], row["Eb"], row["Et"] = rep.Em, rep.Eb, rep.Et
-    row["wall_s"] = time.perf_counter() - t0
-    return row, res
+        res.Em, res.Eb, res.Et = rep.Em, rep.Eb, rep.Et
+        results.append(res)
+    return results
 
 
-def write_report_csv(rows, stream) -> None:
-    """Write report rows as CSV (``REPORT_COLUMNS``), full double precision.
+def write_report_csv(results, path) -> None:
+    """Write one CSV row (``REPORT_COLUMNS``) per result, level = list index,
+    in full double precision.
 
     Wall times are intentionally not written so identical configurations
     produce bitwise-identical files.
     """
-    own = isinstance(stream, str)
-    f = open(stream, "w", encoding="ascii", newline="\n") if own else stream
-
     def fmt(v):
         if v is None:
             return ""
@@ -465,10 +451,9 @@ def write_report_csv(rows, stream) -> None:
             return format(v, ".17g")
         return str(v)
 
-    try:
+    with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(row[c]) for c in REPORT_COLUMNS) + "\n")
-    finally:
-        if own:
-            f.close()
+        for level, res in enumerate(results):
+            row = (level, *res.mesh, res.n_dof, res.deflection, res.normalized,
+                   res.e_n11, res.e_m11, res.Em, res.Eb, res.Et)
+            f.write(",".join(fmt(v) for v in row) + "\n")

@@ -13,10 +13,7 @@ import math
 import os
 import sys
 
-# solve_case is not called here; perfbench/test_perfbench.py reaches it as
-# klshell.cli.solve_case.
-from .cases import (make_case, run_convergence, solve_case,  # noqa: F401
-                    solve_row, write_report_csv)
+from .cases import make_case, run_convergence, solve_case, write_report_csv
 from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import write_field
@@ -68,30 +65,30 @@ def main(argv=None) -> int:
 
     try:
         if args.elements_per_side is not None:
-            row, last = solve_row(case, 0, case.mesh_per_side(args.elements_per_side),
-                                  args.element, args.quad)
-            rows = [row]
+            results = [solve_case(case, case.mesh_per_side(args.elements_per_side),
+                                  args.element, args.quad)]
         else:
             levels = args.levels if args.levels is not None else 5
-            rows, last = run_convergence(case, args.element, args.quad, levels)
+            results = run_convergence(case, args.element, args.quad, levels)
     except (NumericalError, SingularSystemError, IndefiniteSystemError,
             SingularGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    for row in rows:
-        norm = "" if row["normalized"] is None else f"  norm {row['normalized']:+.5f}"
-        print(f"level {row['level']}  elems {row['n_el_u']}x{row['n_el_v']}"
-              f"  dofs {row['n_dof']}  deflection {row['deflection']:+.6e}"
-              f"{norm}  [{row.get('wall_s', 0.0):.2f}s]")
-        if row["trace"].reason == "floor":
-            print(f"level {row['level']} accepted at the evaluation floor: "
-                  f"residual {row['trace'].residual:.1e} > rtol {RESIDUAL_RTOL:.0e}",
+    for level, res in enumerate(results):
+        norm = "" if res.normalized is None else f"  norm {res.normalized:+.5f}"
+        print(f"level {level}  elems {res.mesh[0]}x{res.mesh[1]}"
+              f"  dofs {res.n_dof}  deflection {res.deflection:+.6e}"
+              f"{norm}  [{res.wall_s:.2f}s]")
+        if res.trace.reason == "floor":
+            print(f"level {level} accepted at the evaluation floor: "
+                  f"residual {res.trace.residual:.1e} > rtol {RESIDUAL_RTOL:.0e}",
                   file=sys.stderr)
 
-    write_report_csv(rows, os.path.join(args.outdir, "report.csv"))
+    write_report_csv(results, os.path.join(args.outdir, "report.csv"))
 
     if args.sample_density is not None:
+        last = results[-1]
         header = {"benchmark": case.id, "element": args.element,
                   "mesh": f"{last.mesh[0]}x{last.mesh[1]}",
                   "slenderness": format(case.slenderness, ".17g")}

@@ -259,10 +259,7 @@ def _stiffness_batch(patch, eids, mat, rule, kind):
 def element_stiffness(patch: Patch, eid: int, mat: ShellMaterial,
                       rule: QuadratureRule, kind: str) -> np.ndarray:
     """Element stiffness k = k_eps + k_kappa for one element."""
-    try:
-        k_eps, k_kappa = _stiffness_batch(patch, [eid], mat, rule, kind)
-    except SingularGeometryError as exc:
-        raise SingularGeometryError(f"element {eid}: {exc}") from exc
+    k_eps, k_kappa = _stiffness_batch(patch, [eid], mat, rule, kind)
     return k_eps[0] + k_kappa[0]
 
 
@@ -487,16 +484,12 @@ def _add_forces(F, conn, Fe):
 
 
 def load_area(patch: Patch, rule: QuadratureRule, f) -> np.ndarray:
-    """Consistent load vector for a per-area force on the midsurface.
-
-    ``f`` is either a constant 3-vector or a callable mapping positions
-    (..., 3) to force densities (..., 3).
-    """
+    """Consistent load vector for a constant per-area force 3-vector ``f``
+    on the midsurface."""
     F = np.zeros(patch.n_dof)
     for eids in _chunks(patch.n_elements):
         ev = _rule_eval(patch, eids, rule, order=1)
-        fv = f(ev["r"]) if callable(f) else np.broadcast_to(
-            np.asarray(f, dtype=float), ev["r"].shape)
+        fv = np.broadcast_to(np.asarray(f, dtype=float), ev["r"].shape)
         _add_forces(F, ev["conn"], np.einsum("eqA,eqc,eq->eAc", ev["N"], fv, ev["dA"]))
     return F
 
@@ -508,8 +501,8 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     """Consistent load vector for a per-arc-length line load on a patch edge.
 
     ``edge`` is one of 'u0', 'u1', 'v0', 'v1' (the boundary where that
-    parameter takes the given end value); ``q`` is a constant 3-vector or a
-    callable mapping positions (..., 3) to line force densities (..., 3).
+    parameter takes the given end value); ``q`` is the constant line force
+    density 3-vector.
     """
     if edge not in _EDGES:
         raise ValueError(f"{edge!r} is not a patch boundary edge")
@@ -530,8 +523,7 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
 
     ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :], order=1)
     ds = np.linalg.norm(ev["r1" if run_dir == "u" else "r2"][:, 0], axis=-1)
-    qv = q(ev["r"][:, 0]) if callable(q) else np.broadcast_to(
-        np.asarray(q, dtype=float), (len(theta), 3))
+    qv = np.broadcast_to(np.asarray(q, dtype=float), (len(theta), 3))
     Fe = ev["N"][:, 0, :, None] * qv[:, None, :] * (w_run * ds)[:, None, None]
     return _add_forces(np.zeros(patch.n_dof), ev["conn"], Fe)
 

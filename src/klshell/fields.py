@@ -60,11 +60,12 @@ def _displacements(sol, ev):
     return np.einsum("eqA,eAc->eqc", ev["N"], sol.U[ev["conn"]])
 
 
-def displacement_at(sol: SolutionField, t1: float, t2: float) -> np.ndarray:
-    """u(theta) = sum_A N_A(theta) U_A."""
-    theta = np.array([[t1, t2]], dtype=float)
+def displacement_at(sol: SolutionField, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Positions r and displacements u = sum_A N_A U_A at parametric points
+    theta (n, 2), each (n, 3), evaluated in the elements that contain them."""
+    theta = np.asarray(theta, dtype=float)
     ev = _batch_eval(sol.patch, sol.patch.locate(theta), theta[:, None, :], order=0)
-    return _displacements(sol, ev)[0, 0]
+    return ev["r"][:, 0], _displacements(sol, ev)[:, 0]
 
 
 def _strain_fields(sol, eids, ev, xi):
@@ -96,27 +97,23 @@ def _resultant_fields(sol, eids, ev, xi):
             for key, c in (("n", n), ("m", m), ("neff", neff))}
 
 
-def _point_fields(sol, theta, eids):
-    """Geometry, displacements and resultants at points theta (n, 2) of elements eids.
+def sample(sol: SolutionField, theta, eids=None) -> dict:
+    """Geometry, displacements and resultants at parametric points theta (n, 2).
 
-    Returns (ev, u, res) with leading shape (n, 1).
+    Each point is evaluated in the element that contains it
+    (``Patch.locate``) unless ``eids`` (n,) names the elements, which
+    matters on shared edges.  Returns a dict of (n, 3) arrays: the position
+    "r", the displacement "u", and the local-Cartesian (11, 22, 12)
+    components of the membrane forces "n", bending moments "m" and
+    effective membrane forces "neff".
     """
+    theta = np.asarray(theta, dtype=float)
+    eids = sol.patch.locate(theta) if eids is None else eids
     ev = _batch_eval(sol.patch, eids, theta[:, None, :], order=2)
     xi = _to_parent(sol.patch, eids, theta)[:, None, :]
-    return ev, _displacements(sol, ev), _resultant_fields(sol, eids, ev, xi)
-
-
-def resultants_at(sol: SolutionField, t1: float, t2: float, eid: int | None = None):
-    """Membrane forces, bending moments and effective membrane forces at a point.
-
-    Returns (n_hat, m_hat, neff_hat), each the local-Cartesian components
-    (11, 22, 12) as a (3,) array.  ``eid`` overrides the containing element
-    (useful on shared edges).
-    """
-    theta = np.array([[t1, t2]], dtype=float)
-    eids = sol.patch.locate(theta) if eid is None else np.array([eid])
-    _, _, res = _point_fields(sol, theta, eids)
-    return tuple(res[key][0, 0] for key in ("n", "m", "neff"))
+    fields = {"r": ev["r"], "u": _displacements(sol, ev),
+              **_resultant_fields(sol, eids, ev, xi)}
+    return {key: v[:, 0] for key, v in fields.items()}
 
 
 def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
@@ -170,29 +167,24 @@ def l2_resultant_error(sol: SolutionField, analytic, which) -> tuple[float, ...]
     return tuple(float(np.sqrt(a) / np.sqrt(b)) for a, b in zip(num, den))
 
 
-def write_field(sol: SolutionField, stream, header: dict, density: int = 20) -> None:
+def write_field(sol: SolutionField, path, header: dict, density: int = 20) -> None:
     """Sample the solution on a uniform parametric grid in a plain-text table.
 
     Header lines are '# key: value'; data rows are
-    "t1 t2 x y z ux uy uz n11 n22 n12 m11 m22 m12 neff11", t1-major.  Each
-    sample is evaluated in the element that contains it (``Patch.locate``).
+    "t1 t2 x y z ux uy uz n11 n22 n12 m11 m22 m12 neff11", t1-major, each
+    one ``sample`` row.
     """
-    own = isinstance(stream, str)
-    f = open(stream, "w", encoding="ascii") if own else stream
-    try:
+    s = sol.patch.surface
+    tu = np.linspace(s.kv_u.start, s.kv_u.end, density)
+    tv = np.linspace(s.kv_v.start, s.kv_v.end, density)
+    theta = np.stack(np.meshgrid(tu, tv, indexing="ij"), axis=-1).reshape(-1, 2)
+    with open(path, "w", encoding="ascii") as f:
         for k, v in header.items():
             f.write(f"# {k}: {v}\n")
         f.write("# columns: t1 t2 x y z ux uy uz n11 n22 n12 m11 m22 m12 neff11\n")
-        s = sol.patch.surface
-        tu = np.linspace(s.kv_u.start, s.kv_u.end, density)
-        tv = np.linspace(s.kv_v.start, s.kv_v.end, density)
-        theta = np.stack(np.meshgrid(tu, tv, indexing="ij"), axis=-1).reshape(-1, 2)
         for idx in _chunks(len(theta)):
-            ev, u, res = _point_fields(sol, theta[idx], sol.patch.locate(theta[idx]))
-            table = np.concatenate([theta[idx], ev["r"][:, 0], u[:, 0], res["n"][:, 0],
-                                    res["m"][:, 0], res["neff"][:, 0, :1]], axis=1)
+            p = sample(sol, theta[idx])
+            table = np.concatenate([theta[idx], p["r"], p["u"], p["n"], p["m"],
+                                    p["neff"][:, :1]], axis=1)
             for row in table:
                 f.write(" ".join(format(v, ".17g") for v in row) + "\n")
-    finally:
-        if own:
-            f.close()

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from klshell.cases import make_case, solve_case
-from klshell.elements import Patch, _batch_eval, gauss_rule
-from klshell.fields import energies, l2_resultant_error
+from klshell.cases import make_case, run_convergence, solve_case
+from klshell.elements import Patch, _batch_eval
 
 
 def strip_surface():
@@ -61,19 +60,15 @@ class BenchCache:
         return self._solves[key]
 
     def strip_level(self, kind, quad, slenderness, n_el):
-        """Strip solve with L2 resultant errors and energies, memoized."""
-        key = (kind, quad, slenderness, n_el)
+        """Strip result with L2 resultant errors and energies, as the CLI's
+        sweep reports it: levels 0-7 of one memoized ``run_convergence``
+        are 2-256 elements."""
+        key = (kind, quad, slenderness)
         if key not in self._strip:
-            case, res = self.solve("strip", slenderness, (n_el, 1), kind, quad)
-            e_n11, e_m11 = l2_resultant_error(
-                res.solution, (case.analytic["n11"], case.analytic["m11"]), ("n11", "m11"))
-            rep = energies(res.solution, gauss_rule(quad))
-            self._strip[key] = {
-                "deflection": res.deflection, "normalized": res.normalized,
-                "e_n11": e_n11, "e_m11": e_m11, "residual": res.trace.residual,
-                "Em": rep.Em, "Eb": rep.Eb, "Et": rep.Et,
-            }
-        return self._strip[key]
+            case = make_case("strip", slenderness=slenderness)
+            self._strip[key] = {res.mesh[0]: res
+                                for res in run_convergence(case, kind, quad, 8)}
+        return self._strip[key][n_el]
 
     def strip_sweep(self, kind, quad, slenderness, n_els=(2, 4, 8, 16, 32, 64, 128, 256)):
         return {n: self.strip_level(kind, quad, slenderness, n) for n in n_els}

@@ -5,7 +5,6 @@ complete.  Tolerances are fixed here and not tuned per machine.
 """
 
 import numpy as np
-import pytest
 
 from conftest import ALL_SURFACES, basis_at, slope_last3
 from klshell import (Patch, ShellMaterial, assemble, gauss_rule, make_uniform,
@@ -44,7 +43,7 @@ def test_criterion_2_reference_deflections(bench):
     checks = []
     for slend in (1e1, 1e2, 1e3):
         lvl = bench.strip_level("cas", 3, slend, 256)
-        checks.append(("strip", slend, lvl["normalized"], 2e-3))
+        checks.append(("strip", slend, lvl.normalized, 2e-3))
     for slend in (2.5e2, 2.5e3, 2.5e4):
         _, res = bench.solve("hemisphere", slend, (128, 128), "cas")
         checks.append(("hemisphere", slend, res.normalized, 5e-3))
@@ -64,9 +63,9 @@ def test_criterion_3_curved_cantilever_oracle(bench):
     phi = np.linspace(0.0, np.pi / 2.0, 40001)
     delta = np.trapezoid(P * (R * np.sin(phi)) ** 2 / (E * inertia), phi) * R
     lvl = bench.strip_level("cas", 3, 1e3, 64)
-    rel = abs(abs(lvl["deflection"]) - delta) / delta
+    rel = abs(abs(lvl.deflection) - delta) / delta
     report("criterion 3 (curved cantilever oracle)", rel <= 1e-3,
-           f"oracle {delta:.6f}, cas 64 elements {abs(lvl['deflection']):.6f}, "
+           f"oracle {delta:.6f}, cas 64 elements {abs(lvl.deflection):.6f}, "
            f"rel {rel:.2e} (tol 1e-3)")
 
 
@@ -77,8 +76,8 @@ def test_criterion_4_resultant_convergence_rates(bench):
     ok = True
     for slend in (1e1, 1e2, 1e3):
         sweep = bench.strip_sweep("cas", 3, slend, n_els)
-        s_n = slope_last3(n_els, [sweep[n]["e_n11"] for n in n_els])
-        s_m = slope_last3(n_els, [sweep[n]["e_m11"] for n in n_els])
+        s_n = slope_last3(n_els, [sweep[n].e_n11 for n in n_els])
+        s_m = slope_last3(n_els, [sweep[n].e_m11 for n in n_els])
         ok &= abs(s_n - 1.5) <= 0.2 and abs(s_m - 1.0) <= 0.15
         lines.append(f"R/t={slend:g}: n11 {s_n:.3f}, m11 {s_m:.3f}")
     report("criterion 4 (resultant convergence rates)", ok,
@@ -88,8 +87,8 @@ def test_criterion_4_resultant_convergence_rates(bench):
 def test_criterion_5_locking_signature(bench):
     """cs membrane-force error above 100%; cas at least 10x smaller."""
     meshes = (8, 16, 32, 64)
-    cs = {n: bench.strip_level("cs", 3, 1e3, n)["e_n11"] for n in meshes}
-    cas = {n: bench.strip_level("cas", 3, 1e3, n)["e_n11"] for n in meshes}
+    cs = {n: bench.strip_level("cs", 3, 1e3, n).e_n11 for n in meshes}
+    cas = {n: bench.strip_level("cas", 3, 1e3, n).e_n11 for n in meshes}
     above_one = any(cs[n] > 1.0 for n in meshes)
     gap = all(cas[n] <= 0.1 * cs[n] for n in meshes)
     report("criterion 5 (locking signature)", above_one and gap,
@@ -123,8 +122,8 @@ def test_criterion_7_quadrature_robustness(bench):
     worst = 0.0
     for slend in (1e1, 1e2, 1e3):
         for n in (2, 4, 8, 16, 32, 64, 128, 256):
-            d3 = bench.strip_level("cas", 3, slend, n)["deflection"]
-            d2 = bench.strip_level("cas", 2, slend, n)["deflection"]
+            d3 = bench.strip_level("cas", 3, slend, n).deflection
+            d2 = bench.strip_level("cas", 2, slend, n).deflection
             worst = max(worst, abs(d2 - d3) / abs(d3))
     ok &= worst < 0.01
     hypar_worst = 0.0
@@ -142,8 +141,8 @@ def test_criterion_7_quadrature_robustness(bench):
                 hypar_coarse = max(hypar_coarse, gap)
     ok &= hypar_worst < 0.01
     meshes = (8, 16, 32, 64)
-    cs2 = {n: bench.strip_level("cs", 2, 1e3, n)["e_n11"] for n in meshes}
-    cas2 = {n: bench.strip_level("cas", 2, 1e3, n)["e_n11"] for n in meshes}
+    cs2 = {n: bench.strip_level("cs", 2, 1e3, n).e_n11 for n in meshes}
+    cas2 = {n: bench.strip_level("cas", 2, 1e3, n).e_n11 for n in meshes}
     still_locking = all(cas2[n] <= 0.1 * cs2[n] for n in meshes)
     ok &= still_locking
     report("criterion 7 (quadrature robustness)", ok,
@@ -326,7 +325,7 @@ def test_criterion_8i_sparsity_equality():
 def test_criterion_8j_solver_residual(bench):
     worst = 0.0
     for slend in (1e1, 1e2):
-        worst = max(worst, bench.strip_level("cas", 3, slend, 64)["residual"])
+        worst = max(worst, bench.strip_level("cas", 3, slend, 64).trace.residual)
     for (cid, slend, mesh) in (("scordelis", 1e2, (20, 20)),
                                ("hemisphere", 2.5e2, (32, 32)),
                                ("hypar", 1e2, (32, 16))):

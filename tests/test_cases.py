@@ -1,13 +1,12 @@
 """Benchmark definitions, convergence driver, and report output."""
 
-import io
-
 import numpy as np
 import pytest
 
 from klshell import Patch, make_uniform, surface_eval
 from klshell.cases import (REPORT_COLUMNS, _rotation_rows, make_case,
                            run_convergence, solve_case, write_report_csv)
+from klshell.fields import sample
 from klshell.shell import frame_arrays
 
 
@@ -58,7 +57,8 @@ class TestCaseFactories:
         assert make_case("strip", thickness=0.123).reference is None
 
     @pytest.mark.parametrize("selector", [{"slenderness": np.nan},
-                                          {"thickness": np.inf}])
+                                          {"thickness": np.inf},
+                                          {"slenderness": 0.0}])
     def test_non_finite_selector_raises(self, selector):
         with pytest.raises(ValueError, match="finite"):
             make_case("strip", **selector)
@@ -94,22 +94,22 @@ class TestCurvedCantileverOracle:
         phi = np.linspace(0.0, np.pi / 2.0, 20001)
         delta = np.trapezoid(P * (R * np.sin(phi)) ** 2 / (E * inertia), phi) * R
         lvl = bench.strip_level("cas", 3, 1e3, 64)
-        assert abs(abs(lvl["deflection"]) - delta) <= 1e-3 * delta
+        assert abs(abs(lvl.deflection) - delta) <= 1e-3 * delta
 
 
 class TestConvergenceDriver:
     def test_single_level_report(self):
         case = make_case("strip", slenderness=1e2)
-        rows, _ = run_convergence(case, "cas", 3, 1)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["n_el_u"] == 2 and row["n_el_v"] == 1
-        assert row["e_n11"] is not None and row["Em"] is not None
+        results = run_convergence(case, "cas", 3, 1)
+        assert len(results) == 1
+        res = results[0]
+        assert res.mesh == (2, 1)
+        assert res.e_n11 is not None and res.Em is not None
 
     def test_levels_increase(self):
         case = make_case("scordelis", slenderness=1e2)
-        rows, _ = run_convergence(case, "cas", 3, 2)
-        assert [r["n_el_u"] for r in rows] == [4, 8]
+        results = run_convergence(case, "cas", 3, 2)
+        assert [res.mesh[0] for res in results] == [4, 8]
 
     def test_invalid_levels(self):
         with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ class TestConvergenceDriver:
         for slend in (1e1, 1e3):
             for n in (8, 16):
                 lvl = bench.strip_level("cas", 3, slend, n)
-                assert 0.9 <= lvl["normalized"] <= 1.1
+                assert 0.9 <= lvl.normalized <= 1.1
         for case_id, slend, mesh in (("scordelis", 1e2, (8, 8)),
                                      ("hemisphere", 2.5e2, (8, 8)),
                                      ("hypar", 1e2, (16, 8))):
@@ -133,8 +133,8 @@ class TestConvergenceDriver:
         for slend in (1e1, 1e2, 1e3):
             c8 = bench.strip_level("cas", 3, slend, 8)
             c256 = bench.strip_level("cas", 3, slend, 256)
-            f8 = c8["Em"] / c8["Et"]
-            f256 = c256["Em"] / c256["Et"]
+            f8 = c8.Em / c8.Et
+            f256 = c256.Em / c256.Et
             assert abs(f8 - f256) <= 0.02 * f256
 
 
@@ -166,26 +166,25 @@ class TestConstraintRows:
 
 
 class TestReportCsv:
-    def _rows(self):
+    def _results(self):
         case = make_case("strip", slenderness=1e2)
-        return run_convergence(case, "cas", 3, 2)[0]
+        return run_convergence(case, "cas", 3, 2)
 
-    def test_csv_shape_and_parse(self):
-        rows = self._rows()
-        buf = io.StringIO()
-        write_report_csv(rows, buf)
-        lines = buf.getvalue().strip().split("\n")
+    def test_csv_shape_and_parse(self, tmp_path):
+        results = self._results()
+        write_report_csv(results, tmp_path / "report.csv")
+        lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert lines[0] == ",".join(REPORT_COLUMNS)
         assert len(lines) == 3
         first = lines[1].split(",")
         assert int(first[0]) == 0
-        assert float(first[4]) == rows[0]["deflection"]
+        assert float(first[4]) == results[0].deflection
 
-    def test_csv_bitwise_deterministic(self):
-        a, b = io.StringIO(), io.StringIO()
-        write_report_csv(self._rows(), a)
-        write_report_csv(self._rows(), b)
-        assert a.getvalue() == b.getvalue()
+    def test_csv_bitwise_deterministic(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_report_csv(self._results(), a)
+        write_report_csv(self._results(), b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestConvergedResultantFields:
@@ -198,22 +197,21 @@ class TestConvergedResultantFields:
         assert err < 0.02
 
     def test_pointwise_signs_match_closed_form(self, bench):
-        import klshell
         case, res = bench.solve("strip", 1e3, (64, 1), "cas")
         qx, R = -0.1 * case.material.t ** 3, 10.0
-        for t1 in (0.2, 0.5, 0.8):
-            n, m, neff = klshell.resultants_at(res.solution, t1, 0.5)
+        p = sample(res.solution, [(t1, 0.5) for t1 in (0.2, 0.5, 0.8)])
+        for i, t1 in enumerate((0.2, 0.5, 0.8)):
             r, = surface_eval(res.solution.patch.surface, t1, 0.5, order=0)
             phi = np.arctan2(r[0], r[1])
-            assert abs(neff[0] - qx * np.cos(phi)) < 0.02 * abs(qx)
-            assert abs(m[0] - (-qx * R * np.cos(phi))) < 0.02 * abs(qx * R)
-            assert abs(n[0] - 2 * qx * np.cos(phi)) < 0.02 * abs(qx)
+            assert abs(p["neff"][i, 0] - qx * np.cos(phi)) < 0.02 * abs(qx)
+            assert abs(p["m"][i, 0] - (-qx * R * np.cos(phi))) < 0.02 * abs(qx * R)
+            assert abs(p["n"][i, 0] - 2 * qx * np.cos(phi)) < 0.02 * abs(qx)
 
     def test_cas_deflection_converges_by_16_elements(self, bench):
         for slend in (1e1, 1e2, 1e3):
             lvl = bench.strip_level("cas", 3, slend, 16)
-            assert lvl["normalized"] >= 0.99
+            assert lvl.normalized >= 0.99
 
     def test_cs_membrane_error_grows_under_early_refinement(self, bench):
-        errs = [bench.strip_level("cs", 3, 1e3, n)["e_n11"] for n in (8, 16, 32)]
+        errs = [bench.strip_level("cs", 3, 1e3, n).e_n11 for n in (8, 16, 32)]
         assert errs[1] > errs[0]

@@ -1,7 +1,5 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
-import os
-
 import numpy as np
 import pytest
 

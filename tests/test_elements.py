@@ -7,9 +7,9 @@ import scipy.sparse as sp
 from conftest import ALL_SURFACES
 import klshell.solver as solver
 from klshell import (KnotVector, NurbsSurface, Patch, ShellMaterial,
-                     apply_constraints, assemble, gauss_rule, load_area,
-                     load_edge_line, load_point, make_uniform, solve_spd,
-                     tensor_rule)
+                     SingularGeometryError, apply_constraints, assemble,
+                     gauss_rule, load_area, load_edge_line, load_point,
+                     make_uniform, solve_spd, tensor_rule)
 from klshell.cases import build_loads, make_case
 from klshell.elements import (LinearConstraint, _corner_membrane_rows,
                               _corner_weights, _dofs, _membrane_strain_rows,
@@ -110,6 +110,14 @@ class TestElementStiffnessCS:
                     B[2, 3 * A + 1] = N1[A]
                 k_oracle += (wa * wb / 4.0) * B.T @ D @ B
         assert np.abs(k_eps - k_oracle).max() <= 1e-12 * np.abs(k_oracle).max()
+
+    def test_degenerate_element_named_once(self):
+        ctrl = np.zeros((3, 3, 3))  # all control points coincide
+        patch = Patch(make_uniform(NurbsSurface(KV2, KV2, ctrl, np.ones((3, 3))), 2, 2))
+        with pytest.raises(SingularGeometryError) as exc:
+            element_stiffness(patch, 3, MAT, gauss_rule(3), "cs")
+        message = str(exc.value)
+        assert message.count("element") == 1 and "3" in message
 
 
 class TestElementStiffnessCAS:

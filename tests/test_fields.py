@@ -1,7 +1,5 @@
 """Displacements, resultants, energies, L2 errors and the field sampler."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from conftest import ALL_SURFACES
 from klshell import (KnotVector, NurbsSurface, Patch, ShellMaterial,
                      SolutionField, apply_constraints, assemble, displacement_at,
                      energies, gauss_rule, l2_resultant_error, make_uniform,
-                     resultants_at, solve_spd, surface_eval, write_field)
+                     sample, solve_spd, surface_eval, write_field)
 from klshell.cases import build_loads, make_case
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -39,13 +37,15 @@ class TestDisplacement:
         patch = flat_patch()
         c = np.array([0.1, -0.2, 0.3])
         sol = SolutionField(patch, np.tile(c, (9, 1)), "cs", MAT)
-        for theta in ((0.0, 0.0), (0.3, 0.7), (1.0, 1.0)):
-            assert np.allclose(displacement_at(sol, *theta), c, atol=1e-14)
+        r, u = displacement_at(sol, [(0.0, 0.0), (0.3, 0.7), (1.0, 1.0)])
+        assert np.allclose(u, c, atol=1e-14)
+        assert np.allclose(r, [[0.0, 0.0, 0.0], [0.3, 0.7, 0.0], [1.0, 1.0, 0.0]],
+                           atol=1e-14)
 
     def test_zero_solution(self):
         patch = flat_patch()
         sol = SolutionField(patch, np.zeros((9, 3)), "cas", MAT)
-        assert np.allclose(displacement_at(sol, 0.4, 0.6), 0.0)
+        assert np.allclose(displacement_at(sol, [(0.4, 0.6)])[1], 0.0)
 
 
 class TestResultants:
@@ -53,9 +53,9 @@ class TestResultants:
         patch = flat_patch()
         for kind in ("cs", "cas"):
             sol = SolutionField(patch, np.zeros((9, 3)), kind, MAT)
-            n, m, neff = resultants_at(sol, 0.3, 0.3)
-            assert n[0] == n[1] == n[2] == 0.0
-            assert m[0] == 0.0 and neff[0] == 0.0
+            p = sample(sol, [(0.3, 0.3)])
+            assert np.all(p["n"] == 0.0) and np.all(p["u"] == 0.0)
+            assert p["m"][0, 0] == 0.0 and p["neff"][0, 0] == 0.0
 
     def test_uniform_stretch_constant_membrane_force(self):
         patch = flat_patch()
@@ -64,11 +64,10 @@ class TestResultants:
                       for q in patch.surface.ctrl.reshape(-1, 3)])
         sol = SolutionField(patch, U, "cs", MAT)
         expect = MAT.membrane_stiffness * alpha  # nhat11 = E t e11 / (1 - nu^2)
-        for theta in ((0.1, 0.9), (0.5, 0.5)):
-            n, m, neff = resultants_at(sol, *theta)
-            assert abs(n[0] - expect) < 1e-12 * expect
-            assert abs(m[0]) < 1e-12 * expect
-            assert abs(neff[0] - expect) < 1e-12 * expect
+        p = sample(sol, [(0.1, 0.9), (0.5, 0.5)])
+        assert np.all(np.abs(p["n"][:, 0] - expect) < 1e-12 * expect)
+        assert np.all(np.abs(p["m"][:, 0]) < 1e-12 * expect)
+        assert np.all(np.abs(p["neff"][:, 0] - expect) < 1e-12 * expect)
 
     def test_cas_membrane_force_continuous_across_edges(self):
         """Corner-interpolated strains give C0 membrane forces for any U."""
@@ -77,12 +76,10 @@ class TestResultants:
         rng = np.random.default_rng(21)
         U = rng.standard_normal((patch.n_cp, 3)) * 1e-3
         sol = SolutionField(patch, U, "cas", MAT)
-        knots = surface.kv_u.knots
         edge_u = 0.5  # interior knot line
         for t2 in (0.1, 0.55, 0.9):
-            e_left, e_right = patch.locate([(edge_u - 1e-9, t2), (edge_u + 1e-9, t2)])
-            nl = resultants_at(sol, edge_u, t2, eid=e_left)[0]
-            nr = resultants_at(sol, edge_u, t2, eid=e_right)[0]
+            eids = patch.locate([(edge_u - 1e-9, t2), (edge_u + 1e-9, t2)])
+            nl, nr = sample(sol, [(edge_u, t2)] * 2, eids)["n"]
             scale = max(np.abs(nl).max(), 1e-30)
             assert np.abs(nl - nr).max() <= 1e-10 * scale
 
@@ -157,12 +154,12 @@ class TestL2Error:
 
 
 class TestFieldSampler:
-    def test_format_and_row_count(self):
+    def test_format_and_row_count(self, tmp_path):
         case, sol, _ = solved_case("strip", 1e2, (8, 1), "cas")
-        buf = io.StringIO()
-        write_field(sol, buf, {"benchmark": "strip", "element": "cas",
-                               "mesh": "8x1", "slenderness": "100"}, density=6)
-        text = buf.getvalue()
+        write_field(sol, tmp_path / "field.dat",
+                    {"benchmark": "strip", "element": "cas", "mesh": "8x1",
+                     "slenderness": "100"}, density=6)
+        text = (tmp_path / "field.dat").read_text()
         lines = text.strip().split("\n")
         header = [l for l in lines if l.startswith("#")]
         data = [l for l in lines if not l.startswith("#")]
@@ -175,8 +172,9 @@ class TestFieldSampler:
         assert abs(row[2]) < 1e-12 and abs(row[3] - 10.0) < 1e-12
 
     @pytest.mark.parametrize("kind", ["cs", "cas"])
-    def test_rows_match_point_queries(self, kind):
-        """Each row equals displacement_at and resultants_at at its (t1, t2).
+    def test_rows_match_point_queries(self, kind, tmp_path):
+        """Each row equals a one-point ``sample`` at its (t1, t2), with the
+        position from ``surface_eval``.
 
         At density 5 on a 2x2 mesh the samples with t = 0.5 lie on the
         interior knot lines, where the bending moments jump between
@@ -185,27 +183,23 @@ class TestFieldSampler:
         patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 2, 2))
         U = np.random.default_rng(17).standard_normal((patch.n_cp, 3)) * 1e-3
         sol = SolutionField(patch, U, kind, MAT)
-        buf = io.StringIO()
-        write_field(sol, buf, {}, density=5)
-        rows = np.array([[float(x) for x in line.split()]
-                         for line in buf.getvalue().splitlines()
-                         if not line.startswith("#")])
+        write_field(sol, tmp_path / "field.dat", {}, density=5)
+        rows = np.loadtxt(tmp_path / "field.dat")
         assert rows.shape == (25, 15)
         expect = []
         for t1, t2 in rows[:, :2]:
             r, = surface_eval(patch.surface, t1, t2, order=0)
-            n, m, neff = resultants_at(sol, t1, t2)
-            expect.append([t1, t2, *r, *displacement_at(sol, t1, t2),
-                           *n, *m, neff[0]])
+            p = sample(sol, [(t1, t2)])
+            expect.append([t1, t2, *r, *p["u"][0], *p["n"][0], *p["m"][0],
+                           p["neff"][0, 0]])
         expect = np.array(expect)
         scale = np.abs(expect).max(axis=0)
         assert np.all(np.abs(rows - expect) <= 1e-12 * scale)
 
         # the owner matters: the element below the knot line t1 = 0.5 gives
         # other moments at the same points
-        jump = 0.0
-        for row in rows[rows[:, 0] == 0.5]:
-            below = patch.locate((0.25, row[1]))
-            m_below = resultants_at(sol, 0.5, row[1], eid=below)[1]
-            jump = max(jump, abs(m_below[0] - row[11]))
+        on_line = rows[rows[:, 0] == 0.5]
+        below = patch.locate(np.stack([np.full(len(on_line), 0.25), on_line[:, 1]], axis=-1))
+        m_below = sample(sol, on_line[:, :2], below)["m"]
+        jump = np.abs(m_below[:, 0] - on_line[:, 11]).max()
         assert jump > 1e-6 * scale[11]

@@ -1,8 +1,8 @@
 """Every name a module imports is used in that module.
 
 No linter is a test dependency, so this is a small ``ast`` check over the
-package modules (``__init__`` re-exports by design) and the scripts.  An
-imported name on a line marked ``# noqa`` is exempt.
+package modules (``__init__`` re-exports by design), the scripts and the
+tests.
 """
 
 import ast
@@ -15,22 +15,20 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 MODULES = sorted(
     [p for p in glob.glob(os.path.join(ROOT, "src", "klshell", "*.py"))
      if os.path.basename(p) != "__init__.py"]
-    + glob.glob(os.path.join(ROOT, "scripts", "*.py")))
+    + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+    + glob.glob(os.path.join(ROOT, "tests", "*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by imports in ``source`` that nothing else in it reads."""
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa" not in lines[alias.lineno - 1]:
-                    name = alias.asname or alias.name.split(".")[0]
-                    imported[name] = alias.lineno
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in sorted(imported.items())
             if name not in used]
@@ -48,4 +46,4 @@ def test_check_catches_an_unused_import():
               "from .nurbs import find_spans, insert_knots\n"
               "x = find_spans\n")
     assert unused_imports(source) == ["insert_knots (line 4)", "io (line 1)",
-                                      "islice (line 2)"]
+                                      "islice (line 2)", "solve_case (line 3)"]

@@ -73,7 +73,7 @@ class TestResidualContract:
         """Moderate-slenderness solves certify the 1e-10 residual bound."""
         for slend in (1e1, 1e2):
             lvl = bench.strip_level("cas", 3, slend, 64)
-            assert lvl["residual"] <= 1e-10
+            assert lvl.trace.residual <= 1e-10
 
     def test_ordering_independence(self):
         rng = np.random.default_rng(3)
