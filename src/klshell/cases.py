@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (LinearConstraint, Patch, _batch_eval, apply_constraints,
-                       assemble, edge_cp_lines, fix_cps, gauss_rule, load_area,
-                       load_edge_line, load_point)
+from .elements import (_EDGES, LinearConstraint, Patch, _batch_eval,
+                       apply_constraints, assemble, edge_cp_lines, fix_cps,
+                       gauss_rule, load_area, load_edge_line, load_point)
 from .fields import SolutionField, displacement_at, energies, l2_resultant_error
 from .nurbs import KnotVector, NurbsSurface, make_uniform
 from .shell import ShellMaterial, frame_arrays
@@ -45,7 +45,7 @@ class BenchmarkCase:
     id: str
     surface: NurbsSurface
     material: ShellMaterial
-    loads: tuple                      # ("area", f) | ("edge", edge, q) | ("point", theta, P)
+    loads: object                     # callable(Patch, quad_n) -> load vector F
     constraints: object               # callable(Patch) -> (fixed dofs, rows)
     monitor_theta: tuple[float, float]
     monitor_dir: object               # callable(position) -> unit 3-vector
@@ -190,25 +190,17 @@ SCORDELIS_REFERENCES = {1e2: -3.0059e-1, 1e3: -3.2010e1}
 HYPAR_REFERENCES = {1e2: -9.3128e-5, 1e3: -6.3957e-3, 1e4: -5.3059e-1}
 
 
-def _lookup_reference(table, slenderness):
-    for key, val in table.items():
-        if abs(slenderness - key) <= 1e-6 * key:
-            return val
-    return None
-
-
 def _rotation_rows(patch: Patch, edge: str):
     """Zero-rotation-about-the-edge rows: a3 . (U_row1 - U_row0) = 0,
     collocated at the Greville stations of the edge."""
-    s = patch.surface
     g0, g1 = edge_cp_lines(patch, edge, 2).reshape(2, -1)
-    along_u = edge in ("v0", "v1")
-    kv = s.kv_u if along_u else s.kv_v
+    d, end = _EDGES[edge]
+    kvs = (patch.surface.kv_u, patch.surface.kv_v)
+    kv = kvs[1 - d]
     j = np.arange(kv.n_basis)[:, None] + 1 + np.arange(kv.degree)
     g = np.mean(kv.knots[j], axis=1)
-    at = np.full_like(g, {"u0": s.kv_u.start, "u1": s.kv_u.end,
-                          "v0": s.kv_v.start, "v1": s.kv_v.end}[edge])
-    theta = np.stack((g, at) if along_u else (at, g), axis=-1)
+    at = np.full_like(g, kvs[d].end if end else kvs[d].start)
+    theta = np.stack((at, g) if d == 0 else (g, at), axis=-1)
     ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :])
     a3 = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])["a3"][:, 0]
     dofs = 3 * np.stack([g1, g1, g1, g0, g0, g0], axis=1) + [0, 1, 2, 0, 1, 2]
@@ -250,9 +242,10 @@ def _vertical(pos):
     return np.array([0.0, 0.0, 1.0])
 
 
-def make_strip(thickness: float = 0.1) -> BenchmarkCase:
+def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
     """Cylindrical shell strip: clamped quarter circle with a radial tip load."""
     R, b, E, nu = 10.0, 1.0, 1.0e3, 0.0
+    thickness = R / slenderness
     qx = -0.1 * thickness ** 3
     surface = strip_surface(R, b)
 
@@ -269,16 +262,17 @@ def make_strip(thickness: float = 0.1) -> BenchmarkCase:
     }
     return BenchmarkCase(
         id="strip", surface=surface, material=ShellMaterial(E, nu, thickness),
-        loads=(("edge", "u1", np.array([qx, 0.0, 0.0])),),
+        loads=lambda patch, quad_n: load_edge_line(patch, "u1", quad_n,
+                                                   np.array([qx, 0.0, 0.0])),
         constraints=constraints, monitor_theta=(1.0, 0.5),
-        monitor_dir=_radial_xy, slenderness=R / thickness,
-        reference=_lookup_reference(STRIP_REFERENCES, R / thickness),
+        monitor_dir=_radial_xy, slenderness=slenderness,
+        reference=STRIP_REFERENCES.get(slenderness),
         initial_mesh=(2, 1), refine_v=False, analytic=analytic,
         implicit_residual=lambda pos: (pos[..., 0] ** 2 + pos[..., 1] ** 2
                                        - R * R) / (R * R))
 
 
-def make_hemisphere(thickness: float = 4.0e-2) -> BenchmarkCase:
+def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
     """Pinched hemisphere with an 18 degree hole, quarter model.
 
     The full model carries four alternating radial point loads of magnitude
@@ -286,6 +280,7 @@ def make_hemisphere(thickness: float = 4.0e-2) -> BenchmarkCase:
     points with P/2 (each load point is shared by two symmetric quarters).
     """
     R, E, nu = 10.0, 6.825e7, 0.3
+    thickness = R / slenderness
     P_half = 0.5 * 31250.0 * thickness ** 3
     surface = hemisphere_surface(R)
 
@@ -297,18 +292,19 @@ def make_hemisphere(thickness: float = 4.0e-2) -> BenchmarkCase:
 
     return BenchmarkCase(
         id="hemisphere", surface=surface, material=ShellMaterial(E, nu, thickness),
-        loads=(("point", (0.0, 0.0), np.array([-P_half, 0.0, 0.0])),
-               ("point", (1.0, 0.0), np.array([0.0, P_half, 0.0]))),
+        loads=lambda patch, quad_n: load_point(
+            patch, [(0.0, 0.0), (1.0, 0.0)], [(-P_half, 0.0, 0.0), (0.0, P_half, 0.0)]),
         constraints=constraints, monitor_theta=(0.0, 0.0),
-        monitor_dir=_radial_sphere, slenderness=R / thickness,
-        reference=_lookup_reference(HEMISPHERE_REFERENCES, R / thickness),
+        monitor_dir=_radial_sphere, slenderness=slenderness,
+        reference=HEMISPHERE_REFERENCES.get(slenderness),
         initial_mesh=(2, 2), refine_v=True,
         implicit_residual=lambda pos: (np.sum(pos ** 2, axis=-1) - R * R) / (R * R))
 
 
-def make_scordelis(thickness: float = 0.25) -> BenchmarkCase:
+def make_scordelis(slenderness: float = 1e2) -> BenchmarkCase:
     """Scordelis-Lo roof, whole geometry, rigid diaphragms at both ends."""
     R, L, E, nu, qz = 25.0, 50.0, 4.32e8, 0.0, 90.0
+    thickness = R / slenderness
     surface = scordelis_surface(R, L)
 
     def constraints(patch):
@@ -321,18 +317,20 @@ def make_scordelis(thickness: float = 0.25) -> BenchmarkCase:
 
     return BenchmarkCase(
         id="scordelis", surface=surface, material=ShellMaterial(E, nu, thickness),
-        loads=(("area", np.array([0.0, 0.0, -qz])),),
+        loads=lambda patch, quad_n: load_area(patch, gauss_rule(quad_n),
+                                              np.array([0.0, 0.0, -qz])),
         constraints=constraints, monitor_theta=(1.0, 0.5),
-        monitor_dir=_vertical, slenderness=R / thickness,
-        reference=_lookup_reference(SCORDELIS_REFERENCES, R / thickness),
+        monitor_dir=_vertical, slenderness=slenderness,
+        reference=SCORDELIS_REFERENCES.get(slenderness),
         initial_mesh=(4, 4), refine_v=True,
         implicit_residual=lambda pos: (pos[..., 0] ** 2 + pos[..., 2] ** 2
                                        - R * R) / (R * R))
 
 
-def make_hypar(thickness: float = 1.0e-3) -> BenchmarkCase:
+def make_hypar(slenderness: float = 1e3) -> BenchmarkCase:
     """Partly clamped hyperbolic paraboloid, half model with symmetry at y=0."""
     L, E, nu = 1.0, 2.0e11, 0.3
+    thickness = L / slenderness
     qz = 8000.0 * thickness
     surface = hypar_surface(L)
 
@@ -343,10 +341,11 @@ def make_hypar(thickness: float = 1.0e-3) -> BenchmarkCase:
 
     return BenchmarkCase(
         id="hypar", surface=surface, material=ShellMaterial(E, nu, thickness),
-        loads=(("area", np.array([0.0, 0.0, -qz])),),
+        loads=lambda patch, quad_n: load_area(patch, gauss_rule(quad_n),
+                                              np.array([0.0, 0.0, -qz])),
         constraints=constraints, monitor_theta=(1.0, 0.0),
-        monitor_dir=_vertical, slenderness=L / thickness,
-        reference=_lookup_reference(HYPAR_REFERENCES, L / thickness),
+        monitor_dir=_vertical, slenderness=slenderness,
+        reference=HYPAR_REFERENCES.get(slenderness),
         initial_mesh=(2, 1), refine_v=True,
         implicit_residual=lambda pos: pos[..., 2] - (pos[..., 0] ** 2
                                                      - pos[..., 1] ** 2))
@@ -355,24 +354,16 @@ def make_hypar(thickness: float = 1.0e-3) -> BenchmarkCase:
 _FACTORIES = {"strip": make_strip, "hemisphere": make_hemisphere,
               "scordelis": make_scordelis, "hypar": make_hypar}
 
-_LENGTH_SCALE = {"strip": 10.0, "hemisphere": 10.0, "scordelis": 25.0, "hypar": 1.0}
 
-
-def make_case(case_id: str, thickness: float | None = None,
-              slenderness: float | None = None) -> BenchmarkCase:
-    """Build a benchmark case by id, selecting thickness or slenderness."""
+def make_case(case_id: str, slenderness: float | None = None) -> BenchmarkCase:
+    """Build a benchmark case by id, at its default or the given slenderness."""
     if case_id not in _FACTORIES:
         raise ValueError(f"unknown benchmark {case_id!r}")
-    if (thickness is None) == (slenderness is None):
-        if thickness is None:
-            return _FACTORIES[case_id]()
-        raise ValueError("give either thickness or slenderness, not both")
-    for name, value in (("slenderness", slenderness), ("thickness", thickness)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be a positive finite number")
-    if slenderness is not None:
-        thickness = _LENGTH_SCALE[case_id] / slenderness
-    return _FACTORIES[case_id](thickness)
+    if slenderness is None:
+        return _FACTORIES[case_id]()
+    if not (math.isfinite(slenderness) and slenderness > 0.0):
+        raise ValueError("slenderness must be a positive finite number")
+    return _FACTORIES[case_id](slenderness)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +371,8 @@ def make_case(case_id: str, thickness: float | None = None,
 # ---------------------------------------------------------------------------
 
 def build_loads(case: BenchmarkCase, patch: Patch, quad_n: int) -> np.ndarray:
-    F = np.zeros(patch.n_dof)
-    rule = gauss_rule(quad_n)
-    for spec in case.loads:
-        if spec[0] == "area":
-            F += load_area(patch, rule, spec[1])
-        elif spec[0] == "edge":
-            F += load_edge_line(patch, spec[1], quad_n, spec[2])
-        elif spec[0] == "point":
-            F += load_point(patch, spec[1], spec[2])
-        else:
-            raise ValueError(f"unknown load kind {spec[0]!r}")
-    return F
+    """The case's load vector on a patch, quad_n Gauss points per direction."""
+    return case.loads(patch, quad_n)
 
 
 def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,

@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -18,6 +17,13 @@ from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import write_field
 from .solver import RESIDUAL_RTOL
+
+
+def count(text: str) -> int:
+    """An element, level or sample count: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,16 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", default="cas", choices=["cs", "cas"])
     p.add_argument("--quad", type=int, default=3, choices=[2, 3],
                    help="Gauss points per direction")
+    p.add_argument("--slenderness", type=float,
+                   help="R/t (L/t for the hypar); the case's default if omitted")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--slenderness", type=float,
-                   help="R/t (L/t for the hypar); converted to thickness")
-    g.add_argument("--thickness", type=float)
-    p.add_argument("--levels", type=int, default=None,
+    g.add_argument("--levels", type=count, default=None,
                    help="number of uniform refinement levels to sweep")
-    p.add_argument("--elements-per-side", type=int, default=None,
+    g.add_argument("--elements-per-side", type=count, default=None,
                    help="solve a single uniform mesh with this many elements "
                         "per side instead of sweeping levels")
-    p.add_argument("--sample-density", type=int, default=None,
+    p.add_argument("--sample-density", type=count, default=None,
                    help="write field.dat sampled on this parametric grid")
     p.add_argument("--outdir", default=".")
     return p
@@ -48,20 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("levels", "elements_per_side", "sample_density"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be >= 1")
-    for flag in ("slenderness", "thickness"):
-        value = getattr(args, flag)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            parser.error(f"--{flag} must be a positive finite number")
-    if args.levels is not None and args.elements_per_side is not None:
-        parser.error("--levels and --elements-per-side are exclusive")
-
-    case = make_case(args.benchmark, thickness=args.thickness,
-                     slenderness=args.slenderness)
-    os.makedirs(args.outdir, exist_ok=True)
+    try:
+        case = make_case(args.benchmark, slenderness=args.slenderness)
+        os.makedirs(args.outdir, exist_ok=True)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
     try:
         if args.elements_per_side is not None:

@@ -276,14 +276,26 @@ def fix_cps(cp_indices, components=(0, 1, 2)) -> np.ndarray:
     return (3 * cp[:, None] + comps[None, :]).ravel()
 
 
+# Patch edges: the parametric direction held fixed on the edge (0 = u,
+# 1 = v) and the end of it the edge lies at (0 = start, 1 = end).
+_EDGES = {"u0": (0, 0), "u1": (0, 1), "v0": (1, 0), "v1": (1, 1)}
+
+
+def _edge_lines(edge: str, shape, n_lines: int = 1) -> np.ndarray:
+    """u-major indices iu * n_v + iv of the first n_lines lines at a patch
+    edge of a grid of shape (n_u, n_v), line by line."""
+    if edge not in _EDGES:
+        raise ValueError(f"{edge!r} is not a patch edge (u0, u1, v0 or v1)")
+    d, end = _EDGES[edge]
+    k = np.arange(n_lines)[:, None]
+    line, run = (shape[d] - 1 - k if end else k), np.arange(shape[1 - d])
+    iu, iv = (line, run) if d == 0 else (run, line)
+    return (iu * shape[1] + iv).ravel()
+
+
 def edge_cp_lines(patch: Patch, edge: str, n_lines: int = 1):
     """Control point indices of the first n_lines grid lines at a patch edge."""
-    nu, nv = patch.surface.shape
-    k, i, j = np.arange(n_lines)[:, None], np.arange(nu), np.arange(nv)
-    lines = {"u0": (k, j), "u1": (nu - 1 - k, j), "v0": (i, k), "v1": (i, nv - 1 - k)}
-    if edge not in lines:
-        raise ValueError(f"unknown edge {edge!r}")
-    return patch.cp_index(*lines[edge]).ravel().astype(np.int64)
+    return _edge_lines(edge, patch.surface.shape, n_lines).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,43 +506,32 @@ def load_area(patch: Patch, rule: QuadratureRule, f) -> np.ndarray:
     return F
 
 
-_EDGES = {"u0": ("v", 0.0), "u1": ("v", 1.0), "v0": ("u", 0.0), "v1": ("u", 1.0)}
-
-
 def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     """Consistent load vector for a per-arc-length line load on a patch edge.
 
     ``edge`` is one of 'u0', 'u1', 'v0', 'v1' (the boundary where that
-    parameter takes the given end value); ``q`` is the constant line force
-    density 3-vector.
+    parameter takes its start or end value); ``q`` is the constant line
+    force density 3-vector.  Each element on the edge is integrated with
+    n_gauss points along it, and the point forces are added in order.
     """
-    if edge not in _EDGES:
-        raise ValueError(f"{edge!r} is not a patch boundary edge")
-    s = patch.surface
-    run_dir, fixed_frac = _EDGES[edge]
-    run_kv = s.kv_u if run_dir == "u" else s.kv_v
-    fixed_kv = s.kv_v if run_dir == "u" else s.kv_u
-    fixed_val = fixed_kv.start if fixed_frac == 0.0 else fixed_kv.end
-
-    # Gauss points of every span along the edge, span-major
+    eids = _edge_lines(edge, (len(patch.spans_u), len(patch.spans_v)))
+    d, end = _EDGES[edge]
     x1, w1 = np.polynomial.legendre.leggauss(n_gauss)
-    spans = run_kv.spans()
-    lo, hi = run_kv.knots[spans][:, None], run_kv.knots[spans + 1][:, None]
-    t_run = (lo + 0.5 * (x1 + 1.0) * (hi - lo)).ravel()
-    w_run = (w1 * (0.5 * (hi - lo))).ravel()
-    t_fix = np.full_like(t_run, fixed_val)
-    theta = np.stack((t_run, t_fix) if run_dir == "u" else (t_fix, t_run), axis=-1)
+    xi = np.empty((n_gauss, 2))
+    xi[:, d], xi[:, 1 - d] = 2.0 * end - 1.0, x1
 
-    ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :], order=1)
-    ds = np.linalg.norm(ev["r1" if run_dir == "u" else "r2"][:, 0], axis=-1)
-    qv = np.broadcast_to(np.asarray(q, dtype=float), (len(theta), 3))
-    Fe = ev["N"][:, 0, :, None] * qv[:, None, :] * (w_run * ds)[:, None, None]
-    return _add_forces(np.zeros(patch.n_dof), ev["conn"], Fe)
+    ev = _parent_eval(patch, eids, xi, order=1)
+    ds = np.linalg.norm(ev["r2" if d == 0 else "r1"], axis=-1)
+    w = w1 * ev["half"][:, 1 - d, None]
+    Fe = ev["N"][..., None] * np.asarray(q, dtype=float) * (w * ds)[..., None, None]
+    conn = np.repeat(ev["conn"], n_gauss, axis=0)
+    return _add_forces(np.zeros(patch.n_dof), conn, Fe.reshape(len(conn), -1, 3))
 
 
 def load_point(patch: Patch, theta, P) -> np.ndarray:
-    """Load vector for a concentrated force at a parametric point."""
-    theta = np.array([theta], dtype=float)
+    """Load vector for concentrated forces P (n, 3) at parametric points
+    theta (n, 2), added point by point in order."""
+    theta = np.asarray(theta, dtype=float).reshape(-1, 2)
     ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :], order=0)
-    Fe = ev["N"][:, 0, :, None] * np.asarray(P, dtype=float)
+    Fe = ev["N"][:, 0, :, None] * np.asarray(P, dtype=float).reshape(-1, 1, 3)
     return _add_forces(np.zeros(patch.n_dof), ev["conn"], Fe)

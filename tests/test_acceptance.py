@@ -11,7 +11,7 @@ from klshell import (Patch, ShellMaterial, assemble, gauss_rule, make_uniform,
                      surface_eval)
 from klshell.cases import make_case
 from klshell.elements import element_stiffness
-from klshell.fields import energies
+from klshell.fields import energies, sample
 
 
 def report(name, ok, detail):
@@ -149,6 +149,44 @@ def test_criterion_7_quadrature_robustness(bench):
            f"cas 2GP-vs-3GP worst: strip {worst:.2e}, hypar {hypar_worst:.2e} "
            f"from 8 elems/long-direction (tol 1e-2; coarsest two levels reach "
            f"{hypar_coarse:.2e}); cs 2GP still locking-prone: {still_locking}")
+
+
+# Criterion 9 bounds the total variation of n11 along t2 = 0.5, divided by
+# that of a fine cas solve.  Measured with this kernel (2x2 / 3x3 points):
+# hypar L/t 1e4, 32x16 against 128x64: cs 278 / 24.2, cas 1.72 / 1.71;
+# Scordelis-Lo R/t 1e3, 16x16 against 64x64: cs 648 / 228, cas 0.88 / 0.88.
+# Margins: cas at most 1.5x its largest measured ratio, cs at least half its
+# smallest, so the bounds say "no oscillation" and "oscillation", not "as
+# measured".
+OSCILLATION_BOUNDS = {
+    ("hypar", 1e4, (32, 16), (128, 64)): {"cas": 1.5 * 1.72, "cs": 0.5 * 24.2},
+    ("scordelis", 1e3, (16, 16), (64, 64)): {"cas": 1.5 * 0.88, "cs": 0.5 * 228.0},
+}
+
+
+def membrane_variation(sol):
+    """Total variation of n11 at 801 points along t2 = 0.5."""
+    t1 = np.linspace(0.0, 1.0, 801)
+    n11 = sample(sol, np.stack([t1, np.full_like(t1, 0.5)], axis=-1))["n"][:, 0]
+    return float(np.abs(np.diff(n11)).sum())
+
+
+def test_criterion_9_membrane_force_oscillations(bench):
+    """cas excises the membrane-force oscillations of cs on 2-D benchmarks."""
+    ok = True
+    lines = []
+    for (cid, slend, coarse, fine), bound in OSCILLATION_BOUNDS.items():
+        _, ref = bench.solve(cid, slend, fine, "cas")
+        tv_ref = membrane_variation(ref.solution)
+        for kind in ("cs", "cas"):
+            for quad in (2, 3):
+                _, res = bench.solve(cid, slend, coarse, kind, quad)
+                ratio = membrane_variation(res.solution) / tv_ref
+                ok &= ratio <= bound[kind] if kind == "cas" else ratio >= bound[kind]
+                lines.append(f"{cid} {kind} {quad}GP {ratio:.3g}")
+    report("criterion 9 (membrane-force oscillations)", ok,
+           "; ".join(lines) + " (cas <= 2.58 hypar, 1.32 roof; "
+           "cs >= 12.1 hypar, 114 roof)")
 
 
 # --------------------------------------------------------------------------

@@ -47,17 +47,22 @@ class TestCaseFactories:
 
     def test_exclusive_selectors(self):
         with pytest.raises(ValueError):
-            make_case("strip", thickness=0.1, slenderness=1e2)
-        with pytest.raises(ValueError):
             make_case("nosuch")
+
+    @pytest.mark.parametrize("case_id,slenderness", [("hypar", 2.5e4), ("strip", 1e6)])
+    def test_slenderness_stored_as_given(self, case_id, slenderness):
+        """The stored value, which field.dat's header prints, is the one
+        asked for, not R/t recomputed from the thickness."""
+        case = make_case(case_id, slenderness=slenderness)
+        assert case.slenderness == slenderness
 
     def test_reference_lookup(self):
         assert make_case("strip", slenderness=1e2).reference == -9.4250e-1
         assert make_case("scordelis", slenderness=1e3).reference == -3.2010e1
-        assert make_case("strip", thickness=0.123).reference is None
+        assert make_case("strip", slenderness=81.3).reference is None
 
     @pytest.mark.parametrize("selector", [{"slenderness": np.nan},
-                                          {"thickness": np.inf},
+                                          {"slenderness": np.inf},
                                           {"slenderness": 0.0}])
     def test_non_finite_selector_raises(self, selector):
         with pytest.raises(ValueError, match="finite"):

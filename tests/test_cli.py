@@ -117,8 +117,9 @@ class TestExitCodes:
         ["--slenderness", "0"],
         ["--slenderness", "-5"],
         ["--slenderness", "nan"],
-        ["--thickness", "inf"],
+        ["--slenderness", "inf"],
         ["--sample-density", "-2"],
+        ["--levels", "0"],
     ])
     def test_bad_value_is_exit_2_before_solving(self, argv, tmp_path):
         out = tmp_path / "out"
@@ -126,6 +127,19 @@ class TestExitCodes:
             cli.main(["--benchmark", "strip", *argv, "--outdir", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_outdir_on_a_file_is_exit_2_before_solving(self, tmp_path, monkeypatch,
+                                                       below):
+        def unreachable(*a, **k):
+            raise AssertionError("solved despite an unusable --outdir")
+        monkeypatch.setattr(cli, "run_convergence", unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--benchmark", "strip", "--outdir", str(blocker / below)])
+        assert exc.value.code == 2
+        assert blocker.read_text() == "kept"
 
     def test_numerical_failure_is_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):

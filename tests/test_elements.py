@@ -315,12 +315,19 @@ class TestLoads:
         F = load_edge_line(patch, "u1", 3, np.zeros(3))
         assert np.all(F == 0.0)
 
-    def test_straight_edge_total(self):
-        patch = Patch(flat_patch(a=2.0, b=3.0))
+    @pytest.mark.parametrize("edge,length", [("u0", 3.0), ("u1", 3.0),
+                                             ("v0", 2.0), ("v1", 2.0)])
+    def test_straight_edge_total(self, edge, length):
+        """The total is q times the edge length, and only the control points
+        of that edge are loaded."""
+        patch = Patch(make_uniform(flat_patch(a=2.0, b=3.0), 3, 2))
         q = np.array([0.5, 0.0, -1.0])
-        F = load_edge_line(patch, "u1", 3, q)
-        assert abs(F[0::3].sum() - q[0] * 3.0) < 1e-12
-        assert abs(F[2::3].sum() - q[2] * 3.0) < 1e-12
+        F = load_edge_line(patch, edge, 3, q)
+        assert abs(F[0::3].sum() - q[0] * length) < 1e-12
+        assert abs(F[2::3].sum() - q[2] * length) < 1e-12
+        on_edge = np.zeros(patch.n_cp, dtype=bool)
+        on_edge[edge_cp_lines(patch, edge)] = True
+        assert np.array_equal(np.any(F.reshape(-1, 3) != 0.0, axis=1), on_edge)
 
     def test_strip_free_end_total(self):
         t = 0.1
@@ -340,6 +347,16 @@ class TestLoads:
         g = patch.cp_index(0, 0)
         assert np.allclose(F[3 * g: 3 * g + 3], P, atol=1e-14)
         assert abs(F.sum() - P.sum()) < 1e-14
+
+    def test_point_loads_add_in_order(self):
+        """Several points in one call give the sum of one call per point."""
+        patch = Patch(make_uniform(flat_patch(), 3, 2))
+        theta = [(0.0, 0.0), (0.3, 0.4), (1.0, 0.0), (0.3, 0.45)]
+        P = [(1.0, 2.0, 3.0), (-0.5, 0.25, 1.0), (0.0, 4.0, 0.0), (0.1, 0.2, 0.3)]
+        one_by_one = np.zeros(patch.n_dof)
+        for t, p in zip(theta, P):
+            one_by_one += load_point(patch, t, p)
+        assert np.array_equal(load_point(patch, theta, P), one_by_one)
 
     def test_zero_point_load(self):
         patch = Patch(flat_patch())

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every name the
+benchmark harness reaches into exists.
 
 No linter is a test dependency, so this is a small ``ast`` check over the
 package modules (``__init__`` re-exports by design), the scripts and the
@@ -7,6 +8,7 @@ tests.
 
 import ast
 import glob
+import importlib
 import os
 
 import pytest
@@ -47,3 +49,24 @@ def test_check_catches_an_unused_import():
               "x = find_spans\n")
     assert unused_imports(source) == ["insert_knots (line 4)", "io (line 1)",
                                       "islice (line 2)", "solve_case (line 3)"]
+
+
+def traced_names():
+    """(module, attr) of every ``Target`` in perfbench/tracer.py, read from
+    its source, and the ``klshell.cli`` names the harness self-test calls."""
+    with open(os.path.join(ROOT, "perfbench", "tracer.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    targets = [tuple(arg.value for arg in node.args[1:3]) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Target"]
+    return targets + [("klshell.cli", "make_case"), ("klshell.cli", "solve_case")]
+
+
+def test_harness_targets_are_read():
+    assert len(traced_names()) >= 15
+
+
+@pytest.mark.parametrize("module,attr", traced_names(),
+                         ids=[f"{m}.{a}" for m, a in traced_names()])
+def test_traced_name_resolves(module, attr):
+    """A missing name would only print "not traced" during a traced run."""
+    assert hasattr(importlib.import_module(module), attr)
