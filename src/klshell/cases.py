@@ -245,8 +245,8 @@ def _vertical(pos):
 def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
     """Cylindrical shell strip: clamped quarter circle with a radial tip load."""
     R, b, E, nu = 10.0, 1.0, 1.0e3, 0.0
-    thickness = R / slenderness
-    qx = -0.1 * thickness ** 3
+    mat = ShellMaterial(E, nu, R / slenderness)  # refuses t^3 out of range
+    qx = -0.1 * mat.t ** 3
     surface = strip_surface(R, b)
 
     def constraints(patch):
@@ -261,7 +261,7 @@ def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
         "neff11": lambda pos: qx * np.cos(phi(pos)),
     }
     return BenchmarkCase(
-        id="strip", surface=surface, material=ShellMaterial(E, nu, thickness),
+        id="strip", surface=surface, material=mat,
         loads=lambda patch, quad_n: load_edge_line(patch, "u1", quad_n,
                                                    np.array([qx, 0.0, 0.0])),
         constraints=constraints, monitor_theta=(1.0, 0.5),
@@ -280,8 +280,8 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
     points with P/2 (each load point is shared by two symmetric quarters).
     """
     R, E, nu = 10.0, 6.825e7, 0.3
-    thickness = R / slenderness
-    P_half = 0.5 * 31250.0 * thickness ** 3
+    mat = ShellMaterial(E, nu, R / slenderness)  # refuses t^3 out of range
+    P_half = 0.5 * 31250.0 * mat.t ** 3
     surface = hemisphere_surface(R)
 
     def constraints(patch):
@@ -291,7 +291,7 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
         return np.concatenate([sym_y, sym_x, pin_z]), rot_y + rot_x
 
     return BenchmarkCase(
-        id="hemisphere", surface=surface, material=ShellMaterial(E, nu, thickness),
+        id="hemisphere", surface=surface, material=mat,
         loads=lambda patch, quad_n: load_point(
             patch, [(0.0, 0.0), (1.0, 0.0)], [(-P_half, 0.0, 0.0), (0.0, P_half, 0.0)]),
         constraints=constraints, monitor_theta=(0.0, 0.0),

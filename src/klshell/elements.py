@@ -212,7 +212,7 @@ def _corner_weights(xi):
 
 
 def _membrane_strain_rows(patch, eids, ev, xi, kind):
-    """Membrane strain rows of an element kind, (ne, nq, 3, 3*nfun), plain 12.
+    """Membrane strain rows of an element kind, (ne, nq, 3, 3*nfun), Voigt form.
 
     ``cs`` takes the compatible rows at the points of ``ev``.  ``cas``
     evaluates the compatible rows at the four element corners and
@@ -245,11 +245,7 @@ def _stiffness_batch(patch, eids, mat, rule, kind):
     except SingularGeometryError as exc:
         raise SingularGeometryError(f"elements {list(eids)}: {exc}") from exc
 
-    # unit Voigt law times area, shear row and column doubled to act on
-    # plain 12 rows (exact: powers of two)
-    C = constitutive_voigt(fr["a_inv"], ev["dA"], mat.nu)
-    C[..., 2, :] *= 2.0
-    C[..., :, 2] *= 2.0
+    C = constitutive_voigt(fr["a_inv"], ev["dA"], mat.nu)  # unit law times area
     Bk = bending_rows(ev, fr)
     Bm = _membrane_strain_rows(patch, eids, ev, rule.points, kind)
     return (mat.membrane_stiffness * _contract(Bm, C),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .elements import (Patch, QuadratureRule, _batch_eval, _chunks, _dofs,
                        _membrane_strain_rows, _rule_eval, _to_parent, tensor_rule)
-from .shell import (_VOIGT, ShellMaterial, bending_rows, cartesian_components,
+from .shell import (ShellMaterial, bending_rows, cartesian_components,
                     constitutive_voigt, effective_membrane_forces, frame_arrays,
                     resultant_law)
 
@@ -72,8 +72,8 @@ def _strain_fields(sol, eids, ev, xi):
     """Strains and frames at the points of ev, parent coordinates xi.
 
     Membrane strains follow the element kind; curvatures are compatible.
-    Returns (fr, eps, kappa) with eps/kappa of shape (ne, nq, 3) in
-    component order (11, 22, 12), plain 12 storage.
+    Returns (fr, eps, kappa) with eps/kappa of shape (ne, nq, 3) in Voigt
+    form (11, 22, 2*12).
     """
     fr = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])
     Uloc = sol.local_dofs(eids)
@@ -129,10 +129,8 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
         fr, eps, kappa = _strain_fields(sol, eids, ev, rule.points)
         Dm = constitutive_voigt(fr["a_inv"], sol.mat.membrane_stiffness, sol.mat.nu)
         Db = constitutive_voigt(fr["a_inv"], sol.mat.bending_stiffness, sol.mat.nu)
-        sm = eps * _VOIGT
-        sb = kappa * _VOIGT
-        Em += 0.5 * np.einsum("eqa,eqab,eqb,eq->", sm, Dm, sm, ev["dA"])
-        Eb += 0.5 * np.einsum("eqa,eqab,eqb,eq->", sb, Db, sb, ev["dA"])
+        Em += 0.5 * np.einsum("eqa,eqab,eqb,eq->", eps, Dm, eps, ev["dA"])
+        Eb += 0.5 * np.einsum("eqa,eqab,eqb,eq->", kappa, Db, kappa, ev["dA"])
     return EnergyReport(Em=float(Em), Eb=float(Eb), Et=float(Em + Eb))
 
 

@@ -242,49 +242,37 @@ def surface_eval(surface: NurbsSurface, t1: float, t2: float, order: int = 2):
 # Knot insertion
 # ---------------------------------------------------------------------------
 
-def _insert_knot_1d(knots, p, grid_h, ubar, axis):
-    """Insert ubar once along the given grid axis, in homogeneous coordinates."""
-    n = len(knots) - p - 1
-    k = int(np.searchsorted(knots, ubar, side="right") - 1)
-    k = min(max(k, p), n - 1)
-    grid = np.moveaxis(grid_h, axis, 0)
-    new = np.empty((grid.shape[0] + 1,) + grid.shape[1:])
-    new[: k - p + 1] = grid[: k - p + 1]
-    new[k + 1:] = grid[k:]
-    for i in range(k - p + 1, k + 1):
-        alpha = (ubar - knots[i]) / (knots[i + p] - knots[i])
-        new[i] = alpha * grid[i] + (1.0 - alpha) * grid[i - 1]
-    new_knots = np.insert(knots, k + 1, ubar)
-    return new_knots, np.moveaxis(new, 0, axis)
-
-
-def _from_homogeneous(kv_u, kv_v, grid_h):
-    w = grid_h[..., 3]
-    return NurbsSurface(kv_u, kv_v, grid_h[..., :3] / w[..., None], w)
-
-
 def insert_knots(surface: NurbsSurface, direction: str, values) -> NurbsSurface:
     """Insert each value once in the given direction ('u' or 'v').
 
     Values already present in the knot vector (to 1e-12) are skipped so the
     simple-interior-knot invariant is preserved.  Geometry is unchanged.
+    The homogeneous net is kept as a list of rows across the insertion
+    direction; each knot replaces the p - 1 rows it changes with p new ones
+    (Boehm's insertion, The NURBS Book A5.1).
     """
     if direction not in ("u", "v"):
         raise ValueError(f"direction must be 'u' or 'v', got {direction!r}")
-    kv = surface.kv_u if direction == "u" else surface.kv_v
-    axis = 0 if direction == "u" else 1
-    knots, p = kv.knots.copy(), kv.degree
-    grid_h = surface.homogeneous()
+    axis = "uv".index(direction)
+    kvs = [surface.kv_u, surface.kv_v]
+    knots, p = list(kvs[axis].knots), kvs[axis].degree
+    rows = list(np.moveaxis(surface.homogeneous(), axis, 0))
     for ubar in values:
         if ubar <= knots[0] or ubar >= knots[-1]:
             raise DomainError(f"knot {ubar} outside open range")
-        if np.any(np.abs(knots - ubar) < 1e-12):
+        if any(abs(u - ubar) < 1e-12 for u in knots):
             continue
-        knots, grid_h = _insert_knot_1d(knots, p, grid_h, float(ubar), axis)
-    new_kv = KnotVector(knots, p)
-    if direction == "u":
-        return _from_homogeneous(new_kv, surface.kv_v, grid_h)
-    return _from_homogeneous(surface.kv_u, new_kv, grid_h)
+        ubar = float(ubar)
+        k = int(np.searchsorted(knots, ubar, side="right") - 1)
+        new = []
+        for i in range(k - p + 1, k + 1):
+            alpha = (ubar - knots[i]) / (knots[i + p] - knots[i])
+            new.append(alpha * rows[i] + (1.0 - alpha) * rows[i - 1])
+        rows = rows[:k - p + 1] + new + rows[k:]
+        knots.insert(k + 1, ubar)
+    kvs[axis] = KnotVector(knots, p)
+    net = np.moveaxis(np.stack(rows), 0, axis)
+    return NurbsSurface(*kvs, net[..., :3] / net[..., 3:], net[..., 3])
 
 
 def make_uniform(surface: NurbsSurface, n_u: int, n_v: int) -> NurbsSurface:

@@ -20,7 +20,11 @@ from .errors import SingularGeometryError
 
 @dataclass(frozen=True)
 class ShellMaterial:
-    """Isotropic linear-elastic shell material: modulus, Poisson ratio, thickness."""
+    """Isotropic linear-elastic shell material: modulus, Poisson ratio, thickness.
+
+    Both stiffnesses must be positive normal floats; t^3 leaves that range
+    long before t does.
+    """
 
     E: float
     nu: float
@@ -35,6 +39,14 @@ class ShellMaterial:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
         if self.t <= 0.0:
             raise ValueError("thickness must be positive")
+        with np.errstate(over="ignore", under="ignore"):
+            try:
+                stiffness = (self.membrane_stiffness, self.bending_stiffness)
+            except OverflowError:  # t ** 3 of a Python float
+                stiffness = (np.inf,)
+        if not all(np.finfo(float).tiny <= k < np.inf for k in stiffness):
+            raise ValueError(f"thickness {self.t:g} puts the membrane or bending "
+                             "stiffness outside the normal float range")
 
     @property
     def membrane_stiffness(self) -> float:
@@ -93,19 +105,20 @@ def frame_arrays(r1, r2, r11, r22, r12):
 # Strain operators (per-dof rows)
 # ---------------------------------------------------------------------------
 # Rows are indexed by the local dof (A, i) with A the basis function and i the
-# global Cartesian direction, flattened as 3*A + i.  Component order of the
-# strain rows is (11, 22, 12), storing the plain 12 coefficient.
+# global Cartesian direction, flattened as 3*A + i.  Strain rows are in Voigt
+# form: component order (11, 22, 12) with the shear row giving 2*eps_12
+# (2*kappa_12 for bending), the vector ``constitutive_voigt`` acts on.
 
 def membrane_rows(N1, N2, a1, a2):
     """Membrane strain rows, batched.
 
     N1, N2: (..., nfun) rational basis partials; a1, a2: (..., 3) tangents.
-    Returns (..., 3, 3*nfun) with eps_ab = rows @ dofs.
+    Returns (..., 3, 3*nfun) with (eps_11, eps_22, 2*eps_12) = rows @ dofs.
     """
     e11 = np.einsum("...A,...i->...Ai", N1, a1)
     e22 = np.einsum("...A,...i->...Ai", N2, a2)
-    e12 = 0.5 * (np.einsum("...A,...i->...Ai", N1, a2)
-                 + np.einsum("...A,...i->...Ai", N2, a1))
+    e12 = (np.einsum("...A,...i->...Ai", N1, a2)
+           + np.einsum("...A,...i->...Ai", N2, a1))
     rows = np.stack([e11, e22, e12], axis=-3)
     return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * 3,))
 
@@ -120,7 +133,7 @@ def bending_rows(basis_arrays, frame_arrays_):
                              + (c . a3) ( (a2 x a3) . u_,1 + (a3 x a1) . u_,2 ) ]
 
     basis_arrays: dict with N1, N2, N11, N22, N12 of shape (..., nfun).
-    Returns (..., 3, 3*nfun) rows in component order (11, 22, 12).
+    Returns (..., 3, 3*nfun) rows of (kappa_11, kappa_22, 2*kappa_12).
     """
     f = frame_arrays_
     a1, a2, a3, jac, d2 = f["a1"], f["a2"], f["a3"], f["jac"], f["d2"]
@@ -141,6 +154,7 @@ def bending_rows(basis_arrays, frame_arrays_):
                + np.einsum("...A,...i->...Ai", N1, v1)
                + np.einsum("...A,...i->...Ai", N2, v2))
         comps.append(row)
+    comps[2] *= 2.0  # Voigt shear row
     rows = np.stack(comps, axis=-3)
     return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * 3,))
 
@@ -148,11 +162,8 @@ def bending_rows(basis_arrays, frame_arrays_):
 # ---------------------------------------------------------------------------
 # Constitutive laws and resultant transforms
 # ---------------------------------------------------------------------------
-# Batched over leading dimensions; strain and resultant vectors hold the
-# components (11, 22, 12), plain 12 storage.
-
-_VOIGT = np.array([1.0, 1.0, 2.0])
-
+# Batched over leading dimensions; strain vectors are in Voigt form (11, 22,
+# 2*12), resultant vectors hold the plain contravariant components (11, 22, 12).
 
 def constitutive_voigt(a_inv, scale, nu):
     """Voigt 3x3 law matrix D with strain vector (e11, e22, 2*e12), batched.
@@ -177,9 +188,9 @@ def constitutive_voigt(a_inv, scale, nu):
 
 
 def resultant_law(strain, a_inv, scale, nu):
-    """Contravariant resultants c [(1-nu) A E A + nu A tr(A E)], A = a_inv."""
-    return np.einsum("...ab,...b->...a", constitutive_voigt(a_inv, scale, nu),
-                     strain * _VOIGT)
+    """Contravariant resultants c [(1-nu) A E A + nu A tr(A E)], A = a_inv,
+    of Voigt strains (E_11, E_22, 2*E_12)."""
+    return np.einsum("...ab,...b->...a", constitutive_voigt(a_inv, scale, nu), strain)
 
 
 def effective_membrane_forces(n, m, b_mixed):

@@ -238,9 +238,13 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
         A = A.copy()
         A.sum_duplicates()
     F = np.asarray(F, dtype=float)
-    norm_f = np.linalg.norm(F)
-    if norm_f == 0.0:
+    if not np.any(F):
         return SolveTrace(np.zeros_like(F), 0.0, 0.0, "rtol", "none")
+    # refine on F scaled by a power of two to max|F| in [0.5, 1): exact, and
+    # its 2-norm cannot underflow however small the load
+    e = int(np.frexp(np.max(np.abs(F)))[1])
+    F = np.ldexp(F, -e)
+    norm_f = np.linalg.norm(F)
 
     factor, path = _factor_checked(A)
     Al, absA = A.astype(np.longdouble), abs(A)
@@ -256,7 +260,7 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
             path = "shifted"
     if rel <= max(RESIDUAL_RTOL, floor):
         reason = "rtol" if rel <= RESIDUAL_RTOL else "floor"
-        return SolveTrace(U, rel, floor, reason, path)
+        return SolveTrace(np.ldexp(U, e), rel, floor, reason, path)
     raise NumericalError(f"residual {rel:.3e} above tolerance {RESIDUAL_RTOL:.1e} "
                          f"and above the evaluation floor {floor:.3e} "
                          f"after {_MAX_REFINE} refinement steps")

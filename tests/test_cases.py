@@ -68,6 +68,14 @@ class TestCaseFactories:
         with pytest.raises(ValueError, match="finite"):
             make_case("strip", **selector)
 
+    @pytest.mark.parametrize("case_id", ["strip", "hemisphere", "scordelis", "hypar"])
+    @pytest.mark.parametrize("slenderness", [1e-300, 1e-110, 1e250, 1e300])
+    def test_stiffness_out_of_float_range_raises(self, case_id, slenderness):
+        """t^3 overflows at the thick end and underflows to 0 at the thin
+        end: either is a usage error, not a traceback or a zero deflection."""
+        with pytest.raises(ValueError, match="normal float range"):
+            make_case(case_id, slenderness=slenderness)
+
     @pytest.mark.parametrize("mesh", [(0, 1), (-3, 1), (2, 0)])
     def test_empty_mesh_raises(self, mesh):
         with pytest.raises(ValueError, match="at least one element"):

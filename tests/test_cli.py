@@ -118,6 +118,8 @@ class TestExitCodes:
         ["--slenderness", "-5"],
         ["--slenderness", "nan"],
         ["--slenderness", "inf"],
+        ["--slenderness", "1e-300"],
+        ["--slenderness", "1e300"],
         ["--sample-density", "-2"],
         ["--levels", "0"],
     ])

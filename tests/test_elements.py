@@ -253,12 +253,12 @@ class TestMembranePatch:
     """A linear in-plane field U_A = G x_A on a distorted rational flat patch.
 
     NURBS reproduce linear fields exactly, so the compatible covariant
-    strains are eps_ab = sym(a_a . G a_b).  cs reproduces them; cas does not
-    on a distorted patch: bilinear corner interpolation of covariant
-    components is exact only where they are bilinear in the parent
-    coordinates, as on the affine patch of criterion 8g.  Its error falls at
-    about the O(h^2) rate: 5.9e-2, 1.8e-2, 5.1e-3, 1.4e-3 from 3x3 to 24x24
-    elements.
+    strains are eps_ab = sym(a_a . G a_b), with 2 eps_12 in the Voigt shear
+    row.  cs reproduces them; cas does not on a distorted patch: bilinear
+    corner interpolation of covariant components is exact only where they
+    are bilinear in the parent coordinates, as on the affine patch of
+    criterion 8g.  Its error falls at about the O(h^2) rate: 6.8e-2, 2.1e-2,
+    6.0e-3, 1.7e-3 from 3x3 to 24x24 elements.
     """
 
     G = np.array([[0.3, -0.2, 0.0], [0.5, 0.1, 0.0], [0.0, 0.0, 0.0]])
@@ -278,7 +278,7 @@ class TestMembranePatch:
             return np.einsum("eqi,ij,eqj->eq", p, self.G, q)
 
         exact = np.stack([form(a1, a1), form(a2, a2),
-                          0.5 * (form(a1, a2) + form(a2, a1))], axis=-1)
+                          form(a1, a2) + form(a2, a1)], axis=-1)
         return np.abs(eps - exact).max() / np.abs(exact).max()
 
     @pytest.mark.parametrize("n", [3, 6])

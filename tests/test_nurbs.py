@@ -242,6 +242,40 @@ class TestRefinement:
         assert np.allclose(a.kv_u.knots, b.kv_u.knots, atol=0)
         assert np.allclose(a.ctrl, b.ctrl, atol=1e-15)
 
+    def test_insertion_outside_the_open_range_raises(self):
+        for value in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(DomainError):
+                insert_knots(quarter_arc_strip(), "u", [value])
+
+    def test_present_or_repeated_values_are_skipped(self):
+        """Values within 1e-12 of a knot, present before the call or
+        inserted earlier in it, change neither the knots nor the net."""
+        s = make_uniform(quarter_arc_strip(), 4, 1)
+        for got, expect in ((insert_knots(s, "u", [0.5, 0.25 + 1e-13]),
+                             insert_knots(s, "u", [])),
+                            (insert_knots(s, "u", [0.3, 0.3, 0.3 + 5e-13]),
+                             insert_knots(s, "u", [0.3]))):
+            assert np.array_equal(got.kv_u.knots, expect.kv_u.knots)
+            assert np.array_equal(got.ctrl, expect.ctrl)
+            assert np.array_equal(got.weights, expect.weights)
+
+    @pytest.mark.parametrize("direction", ["w", "U", 0])
+    def test_unknown_direction_raises(self, direction):
+        with pytest.raises(ValueError, match="direction"):
+            insert_knots(quarter_arc_strip(), direction, [0.5])
+
+    def test_unsorted_nonuniform_v_insertion_keeps_the_geometry(self):
+        s = make_uniform(hemisphere_surface(), 3, 2)
+        s2 = insert_knots(s, "v", [0.83, 0.07, 0.61, 0.29])
+        assert np.array_equal(s2.kv_v.knots, [0, 0, 0, 0.07, 0.29, 0.5, 0.61,
+                                              0.83, 1, 1, 1])
+        assert np.array_equal(s2.kv_u.knots, s.kv_u.knots)
+        rng = np.random.default_rng(17)
+        for t1, t2 in rng.random((60, 2)):
+            r1, = surface_eval(s, t1, t2, order=0)
+            r2, = surface_eval(s2, t1, t2, order=0)
+            assert np.linalg.norm(r1 - r2) <= 1e-12 * (1 + np.linalg.norm(r1))
+
     def test_exact_conics_after_refinement(self):
         rng = np.random.default_rng(13)
         strip = make_uniform(strip_surface(), 8, 2)

@@ -220,7 +220,8 @@ class TestLaws:
         s = sphere_patch()
         f = frame(s, 0.37, 0.61)
         eps = np.array([e11, e22, e12])
-        n = resultant_law(eps, f["a_inv"], mat.membrane_stiffness, mat.nu)
+        n = resultant_law(eps * [1.0, 1.0, 2.0], f["a_inv"],
+                          mat.membrane_stiffness, mat.nu)
         assert energy_pairing(eps, n) >= -1e-12 * mat.E * mat.t
 
 

@@ -67,6 +67,19 @@ class TestBasicSolves:
         U = solve_spd(K, np.zeros(4)).U
         assert np.all(np.asarray(U) == 0.0)
 
+    def test_tiny_load_is_solved_exactly_scaled(self):
+        """A load whose 2-norm underflows is still a load: the solve is the
+        unit-scale solve scaled by the same power of two, bit for bit."""
+        rng = np.random.default_rng(21)
+        B = rng.random((30, 30))
+        K = sp.csr_matrix(B @ B.T + 30 * np.eye(30))
+        F = rng.standard_normal(30)
+        unit, tiny = solve_spd(K, F), solve_spd(K, 2.0 ** -600 * F)
+        assert np.any(tiny.U != 0.0)
+        assert np.array_equal(tiny.U, 2.0 ** -600 * unit.U)
+        assert (tiny.residual, tiny.floor, tiny.reason, tiny.path) == \
+            (unit.residual, unit.floor, unit.reason, unit.path)
+
 
 class TestResidualContract:
     def test_benchmark_residual(self, bench):
