@@ -149,20 +149,26 @@ def l2_resultant_error(sol: SolutionField, analytic, which) -> tuple[float, ...]
         if w not in key:
             raise ValueError(f"unknown resultant component {w!r}")
     rule = tensor_rule(5)
-    num = np.zeros(len(names))
-    den = np.zeros(len(names))
+    diffs, exacts, dAs = [[] for _ in names], [[] for _ in names], []
     for eids in _chunks(sol.patch.n_elements):
         ev = _rule_eval(sol.patch, eids, rule)
         res = _resultant_fields(sol, eids, ev, rule.points)
+        dAs.append(ev["dA"])
         for i, (w, exact_at) in enumerate(zip(names, fields, strict=True)):
             name, comp = key[w]
-            exact = exact_at(ev["r"])
-            diff = res[name][..., comp] - exact
-            num[i] += np.sum(diff ** 2 * ev["dA"])
-            den[i] += np.sum(exact ** 2 * ev["dA"])
-    if np.any(den <= 0.0):
-        raise ValueError("analytic field has zero L2 norm: error undefined")
-    return tuple(float(np.sqrt(a) / np.sqrt(b)) for a, b in zip(num, den))
+            exacts[i].append(exact_at(ev["r"]))
+            diffs[i].append(res[name][..., comp] - exacts[i][-1])
+    # square the fields scaled by a power of two to max|exact| in [0.5, 1):
+    # exact, and the sums cannot underflow however small the field
+    errors = []
+    for diff, exact in zip(diffs, exacts):
+        e = int(np.frexp(max(np.max(np.abs(x)) for x in exact))[1])
+        num = sum(np.sum(np.ldexp(d, -e) ** 2 * dA) for d, dA in zip(diff, dAs))
+        den = sum(np.sum(np.ldexp(x, -e) ** 2 * dA) for x, dA in zip(exact, dAs))
+        if den <= 0.0:
+            raise ValueError("analytic field has zero L2 norm: error undefined")
+        errors.append(float(np.sqrt(num) / np.sqrt(den)))
+    return tuple(errors)
 
 
 def write_field(sol: SolutionField, path, header: dict, density: int = 20) -> None:

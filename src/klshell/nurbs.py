@@ -7,6 +7,7 @@ homogeneous coordinates, and geometry-preserving refinement by knot insertion.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def find_spans(kv: KnotVector, theta) -> np.ndarray:
     """
     k, n = kv.knots, kv.n_basis
     theta = np.asarray(theta, dtype=float)
-    outside = (theta < k[0]) | (theta > k[-1])
+    outside = ~((theta >= k[0]) & (theta <= k[-1]))  # NaN is outside
     if np.any(outside):
         raise DomainError(f"parameter {theta[outside].flat[0]} outside knot range "
                           f"[{k[0]}, {k[-1]}]")
@@ -258,12 +259,12 @@ def insert_knots(surface: NurbsSurface, direction: str, values) -> NurbsSurface:
     knots, p = list(kvs[axis].knots), kvs[axis].degree
     rows = list(np.moveaxis(surface.homogeneous(), axis, 0))
     for ubar in values:
-        if ubar <= knots[0] or ubar >= knots[-1]:
+        if not knots[0] < ubar < knots[-1]:  # false for NaN as well
             raise DomainError(f"knot {ubar} outside open range")
-        if any(abs(u - ubar) < 1e-12 for u in knots):
-            continue
         ubar = float(ubar)
-        k = int(np.searchsorted(knots, ubar, side="right") - 1)
+        k = bisect.bisect_right(knots, ubar) - 1
+        if min(ubar - knots[k], knots[k + 1] - ubar) < 1e-12:
+            continue
         new = []
         for i in range(k - p + 1, k + 1):
             alpha = (ubar - knots[i]) / (knots[i + p] - knots[i])

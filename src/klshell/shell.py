@@ -61,6 +61,17 @@ def _dot(u, v):
     return np.einsum("...i,...i->...", u, v)
 
 
+def _sym(v):
+    """Symmetric 2x2 matrices (..., 2, 2) from components (11, 22, 12)."""
+    return v[..., [[0, 2], [2, 1]]]
+
+
+def _vec(S):
+    """Components (11, 22, 12) of 2x2 matrices, the 12 one symmetrized."""
+    return np.stack([S[..., 0, 0], S[..., 1, 1], 0.5 * (S[..., 0, 1] + S[..., 1, 0])],
+                    axis=-1)
+
+
 def frame_arrays(r1, r2, r11, r22, r12):
     """Frame quantities from parametric derivatives; broadcasts over leading dims.
 
@@ -76,29 +87,18 @@ def frame_arrays(r1, r2, r11, r22, r12):
         raise SingularGeometryError("degenerate tangents: ||a1 x a2|| = 0")
     a3 = cross / jac[..., None]
 
-    a_ab = np.empty(r1.shape[:-1] + (2, 2))
-    a_ab[..., 0, 0] = _dot(r1, r1)
-    a_ab[..., 0, 1] = a_ab[..., 1, 0] = _dot(r1, r2)
-    a_ab[..., 1, 1] = _dot(r2, r2)
-    det = a_ab[..., 0, 0] * a_ab[..., 1, 1] - a_ab[..., 0, 1] ** 2
-    a_inv = np.empty_like(a_ab)
-    a_inv[..., 0, 0] = a_ab[..., 1, 1] / det
-    a_inv[..., 1, 1] = a_ab[..., 0, 0] / det
-    a_inv[..., 0, 1] = a_inv[..., 1, 0] = -a_ab[..., 0, 1] / det
-
+    g = np.stack([_dot(r1, r1), _dot(r2, r2), _dot(r1, r2)], axis=-1)
+    det = g[..., 0] * g[..., 1] - g[..., 2] ** 2
+    a_inv = _sym(g[..., [1, 0, 2]] * [1.0, 1.0, -1.0] / det[..., None])
     d2 = np.stack([r11, r22, r12], axis=-2)
-    b_ab = np.empty_like(a_ab)
-    b_ab[..., 0, 0] = _dot(r11, a3)
-    b_ab[..., 1, 1] = _dot(r22, a3)
-    b_ab[..., 0, 1] = b_ab[..., 1, 0] = _dot(r12, a3)
-    b_mixed = a_inv @ b_ab
+    b_ab = _sym(_dot(d2, a3[..., None, :]))
 
     e1 = r1 / np.linalg.norm(r1, axis=-1, keepdims=True)
     t = r2 - _dot(r2, e1)[..., None] * e1
     e2 = t / np.linalg.norm(t, axis=-1, keepdims=True)
 
-    return dict(a1=r1, a2=r2, a3=a3, a_ab=a_ab, a_inv=a_inv, b_ab=b_ab,
-                b_mixed=b_mixed, e1=e1, e2=e2, jac=jac, d2=d2)
+    return dict(a1=r1, a2=r2, a3=a3, a_ab=_sym(g), a_inv=a_inv, b_ab=b_ab,
+                b_mixed=a_inv @ b_ab, e1=e1, e2=e2, jac=jac, d2=d2)
 
 
 # ---------------------------------------------------------------------------
@@ -126,36 +126,23 @@ def membrane_rows(N1, N2, a1, a2):
 def bending_rows(basis_arrays, frame_arrays_):
     """Bending pseudo-strain rows, batched.
 
-    Implements, per component ab with c = r_,ab and j = ||a1 x a2||:
+    Implements the linearized change of curvature in Christoffel form,
 
-        kappa_ab = -a3 . u_,ab
-                   + (1/j) [ (c x a2) . u_,1 + (a1 x c) . u_,2
-                             + (c . a3) ( (a2 x a3) . u_,1 + (a3 x a1) . u_,2 ) ]
+        kappa_ab = -a3 . (u_,ab - Gamma^g_ab u_,g),   Gamma^g_ab = r_,ab . a^g,
+
+    with a^g = a_inv[g, d] a_d the contravariant tangents.
 
     basis_arrays: dict with N1, N2, N11, N22, N12 of shape (..., nfun).
     Returns (..., 3, 3*nfun) rows of (kappa_11, kappa_22, 2*kappa_12).
     """
-    f = frame_arrays_
-    a1, a2, a3, jac, d2 = f["a1"], f["a2"], f["a3"], f["jac"], f["d2"]
-    N1, N2 = basis_arrays["N1"], basis_arrays["N2"]
-    second = (basis_arrays["N11"], basis_arrays["N22"], basis_arrays["N12"])
-
-    a2xa3 = np.cross(a2, a3)
-    a3xa1 = np.cross(a3, a1)
-    inv_j = 1.0 / jac[..., None]
-
-    comps = []
-    for k, Nab in enumerate(second):
-        c = d2[..., k, :]
-        c_dot_a3 = _dot(c, a3)[..., None]
-        v1 = (np.cross(c, a2) + c_dot_a3 * a2xa3) * inv_j
-        v2 = (np.cross(a1, c) + c_dot_a3 * a3xa1) * inv_j
-        row = (-np.einsum("...A,...i->...Ai", Nab, a3)
-               + np.einsum("...A,...i->...Ai", N1, v1)
-               + np.einsum("...A,...i->...Ai", N2, v2))
-        comps.append(row)
-    comps[2] *= 2.0  # Voigt shear row
-    rows = np.stack(comps, axis=-3)
+    f, N = frame_arrays_, basis_arrays
+    a_con = f["a_inv"] @ np.stack([f["a1"], f["a2"]], axis=-2)   # rows a^1, a^2
+    G = f["d2"] @ np.swapaxes(a_con, -1, -2)                     # (..., 3, 2)
+    second = np.stack([N["N11"], N["N22"], N["N12"]], axis=-2)
+    coef = (G[..., 0:1] * N["N1"][..., None, :] + G[..., 1:2] * N["N2"][..., None, :]
+            - second)
+    coef[..., 2, :] *= 2.0  # Voigt shear row
+    rows = coef[..., None] * f["a3"][..., None, None, :]
     return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * 3,))
 
 
@@ -201,14 +188,7 @@ def effective_membrane_forces(n, m, b_mixed):
     (e.g. the tangential tip-load component on a statically determinate
     arch), which the opposite sign does not for any surface orientation.
     """
-    bm = b_mixed
-    neff = np.empty_like(n)
-    neff[..., 0] = n[..., 0] - m[..., 0] * bm[..., 0, 0] - m[..., 2] * bm[..., 0, 1]
-    neff[..., 1] = n[..., 1] - m[..., 2] * bm[..., 1, 0] - m[..., 1] * bm[..., 1, 1]
-    off1 = m[..., 0] * bm[..., 1, 0] + m[..., 2] * bm[..., 1, 1]
-    off2 = m[..., 2] * bm[..., 0, 0] + m[..., 1] * bm[..., 0, 1]
-    neff[..., 2] = n[..., 2] - 0.5 * (off1 + off2)
-    return neff
+    return n - _vec(_sym(m) @ np.swapaxes(b_mixed, -1, -2))
 
 
 def cartesian_components(c, e1, e2, a1, a2):
@@ -217,18 +197,5 @@ def cartesian_components(c, e1, e2, a1, a2):
     The output carries physical units (force/length for membrane forces,
     force for moments).
     """
-    T = np.empty(c.shape[:-1] + (2, 2))
-    T[..., 0, 0] = _dot(e1, a1)
-    T[..., 0, 1] = _dot(e1, a2)
-    T[..., 1, 0] = _dot(e2, a1)
-    T[..., 1, 1] = _dot(e2, a2)
-    M = np.empty(c.shape[:-1] + (2, 2))
-    M[..., 0, 0] = c[..., 0]
-    M[..., 1, 1] = c[..., 1]
-    M[..., 0, 1] = M[..., 1, 0] = c[..., 2]
-    H = np.einsum("...ab,...bc,...dc->...ad", T, M, T)
-    out = np.empty_like(c)
-    out[..., 0] = H[..., 0, 0]
-    out[..., 1] = H[..., 1, 1]
-    out[..., 2] = 0.5 * (H[..., 0, 1] + H[..., 1, 0])
-    return out
+    T = np.stack([e1, e2], axis=-2) @ np.swapaxes(np.stack([a1, a2], axis=-2), -1, -2)
+    return _vec(T @ _sym(c) @ np.swapaxes(T, -1, -2))

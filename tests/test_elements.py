@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from conftest import ALL_SURFACES
 import klshell.solver as solver
-from klshell import (KnotVector, NurbsSurface, Patch, ShellMaterial,
+from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial,
                      SingularGeometryError, apply_constraints, assemble,
                      gauss_rule, load_area, load_edge_line, load_point,
                      make_uniform, solve_spd, tensor_rule)
@@ -357,6 +357,11 @@ class TestLoads:
         for t, p in zip(theta, P):
             one_by_one += load_point(patch, t, p)
         assert np.array_equal(load_point(patch, theta, P), one_by_one)
+
+    def test_nan_point_raises(self):
+        patch = Patch(make_uniform(flat_patch(), 3, 2))
+        with pytest.raises(DomainError):
+            load_point(patch, [(float("nan"), 0.5)], [(1.0, 0.0, 0.0)])
 
     def test_zero_point_load(self):
         patch = Patch(flat_patch())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_SURFACES
-from klshell import (KnotVector, NurbsSurface, Patch, ShellMaterial,
+from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial,
                      SolutionField, apply_constraints, assemble, displacement_at,
                      energies, gauss_rule, l2_resultant_error, make_uniform,
                      sample, solve_spd, surface_eval, write_field)
@@ -68,6 +68,11 @@ class TestResultants:
         assert np.all(np.abs(p["n"][:, 0] - expect) < 1e-12 * expect)
         assert np.all(np.abs(p["m"][:, 0]) < 1e-12 * expect)
         assert np.all(np.abs(p["neff"][:, 0] - expect) < 1e-12 * expect)
+
+    def test_nan_point_raises_domain_error(self):
+        sol = SolutionField(flat_patch(), np.zeros((9, 3)), "cs", MAT)
+        with pytest.raises(DomainError):
+            sample(sol, [(float("nan"), 0.5)])
 
     def test_cas_membrane_force_continuous_across_edges(self):
         """Corner-interpolated strains give C0 membrane forces for any U."""
@@ -138,6 +143,15 @@ class TestL2Error:
         sol = SolutionField(patch, np.zeros((9, 3)), "cs", MAT)
         with pytest.raises(ValueError):
             l2_resultant_error(sol, (lambda pos: np.ones(pos.shape[:-1]),), ("n22",))
+
+    def test_tiny_field_gives_the_unscaled_error(self):
+        """Solution and exact field scaled by 2^-600 (their squares underflow)
+        give the unscaled error bit for bit."""
+        case, sol, _ = solved_case("strip", 1e2, (8, 1), "cas")
+        exact = case.analytic["n11"]
+        tiny = SolutionField(sol.patch, np.ldexp(sol.U, -600), "cas", sol.mat)
+        assert (l2_resultant_error(tiny, (lambda r: np.ldexp(exact(r), -600),), ("n11",))
+                == l2_resultant_error(sol, (exact,), ("n11",)))
 
     @pytest.mark.parametrize("kind", ["cs", "cas"])
     def test_tuple_matches_single_components(self, kind):

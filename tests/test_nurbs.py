@@ -48,6 +48,8 @@ class TestFindSpan:
             find_spans(KV2, 1.5)
         with pytest.raises(DomainError):
             find_spans(KV2, -0.1)
+        with pytest.raises(DomainError):
+            find_spans(KV2_MID, [0.25, float("nan")])
 
 
 def _ders(kv, t, order=0):
@@ -243,7 +245,7 @@ class TestRefinement:
         assert np.allclose(a.ctrl, b.ctrl, atol=1e-15)
 
     def test_insertion_outside_the_open_range_raises(self):
-        for value in (0.0, 1.0, -0.5, 1.5):
+        for value in (0.0, 1.0, -0.5, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 insert_knots(quarter_arc_strip(), "u", [value])
 
@@ -251,7 +253,7 @@ class TestRefinement:
         """Values within 1e-12 of a knot, present before the call or
         inserted earlier in it, change neither the knots nor the net."""
         s = make_uniform(quarter_arc_strip(), 4, 1)
-        for got, expect in ((insert_knots(s, "u", [0.5, 0.25 + 1e-13]),
+        for got, expect in ((insert_knots(s, "u", [0.5, 0.25 + 1e-13, 0.5 - 1e-13]),
                              insert_knots(s, "u", [])),
                             (insert_knots(s, "u", [0.3, 0.3, 0.3 + 5e-13]),
                              insert_knots(s, "u", [0.3]))):

@@ -169,6 +169,32 @@ class TestBendingOperator:
             assert np.all(np.abs(kap) < 1e-9 * scale)
 
 
+@pytest.mark.parametrize("name", sorted(ALL_SURFACES))
+def test_strain_rows_match_finite_differences(name):
+    """On the surface with control points ctrl + eps U, the membrane rows give
+    d a_ab / 2 and the bending rows -d b_ab (Voigt: 12 doubled), d/d eps by
+    central differences; the error is O(eps^2)."""
+    s = make_uniform(ALL_SURFACES[name](), 3, 2)
+    rng = np.random.default_rng(11)
+    U = rng.standard_normal(s.ctrl.shape)
+    eps, voigt = 1e-5, np.array([1.0, 1.0, 2.0])
+
+    def forms(sign, t1, t2):
+        moved = NurbsSurface(s.kv_u, s.kv_v, s.ctrl + sign * eps * U, s.weights)
+        f = frame(moved, t1, t2)
+        return (np.array([f[k][0, 0], f[k][1, 1], f[k][0, 1]]) for k in ("a_ab", "b_ab"))
+
+    for t1, t2 in rng.random((10, 2)):
+        be, f = basis_at(s, t1, t2), frame(s, t1, t2)
+        (a_p, b_p), (a_m, b_m) = forms(1, t1, t2), forms(-1, t1, t2)
+        Uloc = U.reshape(-1, 3)[be["conn"]]
+        checks = ((rows_apply(membrane_rows(be["N1"], be["N2"], f["a1"], f["a2"]), Uloc),
+                   0.5 * voigt * (a_p - a_m) / (2 * eps)),
+                  (rows_apply(bending_rows(be, f), Uloc), -voigt * (b_p - b_m) / (2 * eps)))
+        for got, fd in checks:
+            assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
 class TestLaws:
     MAT = ShellMaterial(E=200.0, nu=0.0, t=0.05)
 
