@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (_EDGES, LinearConstraint, Patch, _batch_eval,
-                       apply_constraints, assemble, edge_cp_lines, fix_cps,
-                       gauss_rule, load_area, load_edge_line, load_point)
+from .elements import (_EDGES, Patch, _batch_eval, apply_constraints, assemble,
+                       edge_lines, fix_cps, gauss_rule, load_area, load_edge_line,
+                       load_point)
 from .fields import SolutionField, displacement_at, energies, l2_resultant_error
 from .nurbs import KnotVector, NurbsSurface, make_uniform
 from .shell import ShellMaterial, frame_arrays
@@ -46,7 +46,7 @@ class BenchmarkCase:
     surface: NurbsSurface
     material: ShellMaterial
     loads: object                     # callable(Patch, quad_n) -> load vector F
-    constraints: object               # callable(Patch) -> (fixed dofs, rows)
+    supports: tuple                   # (edge, components, tie, at); see constraints
     monitor_theta: tuple[float, float]
     monitor_dir: object               # callable(position) -> unit 3-vector
     slenderness: float
@@ -55,6 +55,32 @@ class BenchmarkCase:
     refine_v: bool                    # refine the second direction with the first
     analytic: dict | None = None      # component -> callable(positions)
     implicit_residual: object = None  # callable(positions) -> normalized residual
+
+    def constraints(self, patch: Patch):
+        """The supports on a patch as (fixed dofs, multipoint rows), in order.
+
+        A support (edge, components, tie, at) fixes displacement components
+        on the edge's control-point row (all three for a clamp, the one
+        normal to the plane for a mirror-symmetry edge), or only on its point
+        int(at * len(row)) for ``at`` a fraction.  ``tie`` removes the
+        rotation about the edge by tying the surface-normal displacement of
+        the adjacent row to the edge row (``_rotation_rows``), not by fixing
+        that row.  At a clamp, fixing it would also force the membrane
+        strains to vanish there, which the exact solution does not satisfy:
+        an O(1) boundary layer in the membrane forces that caps their L2
+        rate at 1/2.  At a symmetry edge, fixing its plane-normal component
+        does not stop the rotation on curved edges, which moves second-row
+        points along a3, with no component normal to the plane.
+        """
+        fixed, rows = [], ()
+        for edge, components, tie, at in self.supports:
+            line = edge_lines(edge, patch.surface.shape)
+            if at is not None:
+                line = line[[int(at * len(line))]]
+            fixed.append(fix_cps(line, components))
+            if tie:
+                rows += _rotation_rows(patch, edge)
+        return np.concatenate(fixed), rows
 
     def mesh_at_level(self, level: int) -> tuple[int, int]:
         return self.mesh_per_side(self.initial_mesh[0] * 2 ** level)
@@ -191,9 +217,13 @@ HYPAR_REFERENCES = {1e2: -9.3128e-5, 1e3: -6.3957e-3, 1e4: -5.3059e-1}
 
 
 def _rotation_rows(patch: Patch, edge: str):
-    """Zero-rotation-about-the-edge rows: a3 . (U_row1 - U_row0) = 0,
-    collocated at the Greville stations of the edge."""
-    g0, g1 = edge_cp_lines(patch, edge, 2).reshape(2, -1)
+    """Zero-rotation-about-the-edge rows (dofs, coeffs), a3 . (U_row0 - U_row1)
+    = 0 collocated at the Greville stations of the edge.
+
+    The edge row is listed first, so that on a tie in coefficient size its
+    dof becomes the slave (see ``_mpc_transform``) and the reduced matrix
+    keeps the band of K."""
+    g0, g1 = edge_lines(edge, patch.surface.shape, 2).reshape(2, -1)
     d, end = _EDGES[edge]
     kvs = (patch.surface.kv_u, patch.surface.kv_v)
     kv = kvs[1 - d]
@@ -203,30 +233,9 @@ def _rotation_rows(patch: Patch, edge: str):
     theta = np.stack((at, g) if d == 0 else (g, at), axis=-1)
     ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :])
     a3 = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])["a3"][:, 0]
-    dofs = 3 * np.stack([g1, g1, g1, g0, g0, g0], axis=1) + [0, 1, 2, 0, 1, 2]
+    dofs = 3 * np.stack([g0, g0, g0, g1, g1, g1], axis=1) + [0, 1, 2, 0, 1, 2]
     coeffs = np.concatenate([a3, -a3], axis=1)
-    return tuple(LinearConstraint(d, c) for d, c in zip(dofs, coeffs))
-
-
-def edge_constraints(patch: Patch, edge: str, components=(0, 1, 2)):
-    """Fixed edge row and zero rotation about the edge.
-
-    The given displacement components are fixed on the edge control point
-    row: all three for a clamp, the one normal to the plane for a
-    mirror-symmetry edge.  The rotation about the edge is removed by tying
-    the surface-normal displacement of the adjacent row to the edge row,
-    a3 . (U_row1 - U_row0) = 0 collocated at the Greville stations, rather
-    than by fixing that row.  At a clamp, fixing the adjacent row entirely
-    would also force the membrane strains to vanish there, which the exact
-    solution does not satisfy; that over-constraint shows up as an O(1)
-    boundary layer in the membrane forces and caps their L2 convergence
-    rate at 1/2.  At a symmetry edge, fixing the plane-normal component of
-    the adjacent row does not constrain this rotation on curved edges (the
-    rotation moves second-row points along a3, which has no component
-    normal to the plane).
-    """
-    fixed = fix_cps(edge_cp_lines(patch, edge, 1), components)
-    return fixed, _rotation_rows(patch, edge)
+    return tuple(zip(dofs, coeffs))
 
 
 def _radial_xy(pos):
@@ -247,10 +256,6 @@ def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
     R, b, E, nu = 10.0, 1.0, 1.0e3, 0.0
     mat = ShellMaterial(E, nu, R / slenderness)  # refuses t^3 out of range
     qx = -0.1 * mat.t ** 3
-    surface = strip_surface(R, b)
-
-    def constraints(patch):
-        return edge_constraints(patch, "u0")
 
     def phi(pos):
         return np.arctan2(pos[..., 0], pos[..., 1])  # 0 at clamp, pi/2 at tip
@@ -261,10 +266,10 @@ def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
         "neff11": lambda pos: qx * np.cos(phi(pos)),
     }
     return BenchmarkCase(
-        id="strip", surface=surface, material=mat,
+        id="strip", surface=strip_surface(R, b), material=mat,
         loads=lambda patch, quad_n: load_edge_line(patch, "u1", quad_n,
                                                    np.array([qx, 0.0, 0.0])),
-        constraints=constraints, monitor_theta=(1.0, 0.5),
+        supports=(("u0", (0, 1, 2), True, None),), monitor_theta=(1.0, 0.5),
         monitor_dir=_radial_xy, slenderness=slenderness,
         reference=STRIP_REFERENCES.get(slenderness),
         initial_mesh=(2, 1), refine_v=False, analytic=analytic,
@@ -282,20 +287,13 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
     R, E, nu = 10.0, 6.825e7, 0.3
     mat = ShellMaterial(E, nu, R / slenderness)  # refuses t^3 out of range
     P_half = 0.5 * 31250.0 * mat.t ** 3
-    surface = hemisphere_surface(R)
-
-    def constraints(patch):
-        sym_y, rot_y = edge_constraints(patch, "u0", (1,))
-        sym_x, rot_x = edge_constraints(patch, "u1", (0,))
-        pin_z = fix_cps([patch.cp_index(0, 0)], components=(2,))
-        return np.concatenate([sym_y, sym_x, pin_z]), rot_y + rot_x
-
     return BenchmarkCase(
-        id="hemisphere", surface=surface, material=mat,
+        id="hemisphere", surface=hemisphere_surface(R), material=mat,
         loads=lambda patch, quad_n: load_point(
             patch, [(0.0, 0.0), (1.0, 0.0)], [(-P_half, 0.0, 0.0), (0.0, P_half, 0.0)]),
-        constraints=constraints, monitor_theta=(0.0, 0.0),
-        monitor_dir=_radial_sphere, slenderness=slenderness,
+        supports=(("u0", (1,), True, None), ("u1", (0,), True, None),
+                  ("u0", (2,), False, 0.0)),
+        monitor_theta=(0.0, 0.0), monitor_dir=_radial_sphere, slenderness=slenderness,
         reference=HEMISPHERE_REFERENCES.get(slenderness),
         initial_mesh=(2, 2), refine_v=True,
         implicit_residual=lambda pos: (np.sum(pos ** 2, axis=-1) - R * R) / (R * R))
@@ -304,23 +302,15 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
 def make_scordelis(slenderness: float = 1e2) -> BenchmarkCase:
     """Scordelis-Lo roof, whole geometry, rigid diaphragms at both ends."""
     R, L, E, nu, qz = 25.0, 50.0, 4.32e8, 0.0, 90.0
-    thickness = R / slenderness
-    surface = scordelis_surface(R, L)
-
-    def constraints(patch):
-        dia0 = fix_cps(edge_cp_lines(patch, "v0", 1), components=(0, 2))
-        dia1 = fix_cps(edge_cp_lines(patch, "v1", 1), components=(0, 2))
-        # gauge the free axial translation; does not affect u_x, u_z
-        n_v = patch.surface.kv_v.n_basis
-        pin_y = fix_cps([patch.cp_index(0, n_v // 2)], components=(1,))
-        return np.concatenate([dia0, dia1, pin_y]), ()
-
     return BenchmarkCase(
-        id="scordelis", surface=surface, material=ShellMaterial(E, nu, thickness),
+        id="scordelis", surface=scordelis_surface(R, L),
+        material=ShellMaterial(E, nu, R / slenderness),
         loads=lambda patch, quad_n: load_area(patch, gauss_rule(quad_n),
                                               np.array([0.0, 0.0, -qz])),
-        constraints=constraints, monitor_theta=(1.0, 0.5),
-        monitor_dir=_vertical, slenderness=slenderness,
+        # the pin of u_y gauges the free axial translation, leaving u_x, u_z
+        supports=(("v0", (0, 2), False, None), ("v1", (0, 2), False, None),
+                  ("u0", (1,), False, 0.5)),
+        monitor_theta=(1.0, 0.5), monitor_dir=_vertical, slenderness=slenderness,
         reference=SCORDELIS_REFERENCES.get(slenderness),
         initial_mesh=(4, 4), refine_v=True,
         implicit_residual=lambda pos: (pos[..., 0] ** 2 + pos[..., 2] ** 2
@@ -332,19 +322,12 @@ def make_hypar(slenderness: float = 1e3) -> BenchmarkCase:
     L, E, nu = 1.0, 2.0e11, 0.3
     thickness = L / slenderness
     qz = 8000.0 * thickness
-    surface = hypar_surface(L)
-
-    def constraints(patch):
-        clamp, rot_c = edge_constraints(patch, "u0")
-        sym, rot_s = edge_constraints(patch, "v0", (1,))
-        return np.concatenate([clamp, sym]), rot_c + rot_s
-
     return BenchmarkCase(
-        id="hypar", surface=surface, material=ShellMaterial(E, nu, thickness),
+        id="hypar", surface=hypar_surface(L), material=ShellMaterial(E, nu, thickness),
         loads=lambda patch, quad_n: load_area(patch, gauss_rule(quad_n),
                                               np.array([0.0, 0.0, -qz])),
-        constraints=constraints, monitor_theta=(1.0, 0.0),
-        monitor_dir=_vertical, slenderness=slenderness,
+        supports=(("u0", (0, 1, 2), True, None), ("v0", (1,), True, None)),
+        monitor_theta=(1.0, 0.0), monitor_dir=_vertical, slenderness=slenderness,
         reference=HYPAR_REFERENCES.get(slenderness),
         initial_mesh=(2, 1), refine_v=True,
         implicit_residual=lambda pos: pos[..., 2] - (pos[..., 0] ** 2

@@ -277,9 +277,10 @@ def fix_cps(cp_indices, components=(0, 1, 2)) -> np.ndarray:
 _EDGES = {"u0": (0, 0), "u1": (0, 1), "v0": (1, 0), "v1": (1, 1)}
 
 
-def _edge_lines(edge: str, shape, n_lines: int = 1) -> np.ndarray:
+def edge_lines(edge: str, shape, n_lines: int = 1) -> np.ndarray:
     """u-major indices iu * n_v + iv of the first n_lines lines at a patch
-    edge of a grid of shape (n_u, n_v), line by line."""
+    edge of a grid of shape (n_u, n_v), line by line: control-point rows of
+    the control net, element rows of the element grid."""
     if edge not in _EDGES:
         raise ValueError(f"{edge!r} is not a patch edge (u0, u1, v0 or v1)")
     d, end = _EDGES[edge]
@@ -287,28 +288,6 @@ def _edge_lines(edge: str, shape, n_lines: int = 1) -> np.ndarray:
     line, run = (shape[d] - 1 - k if end else k), np.arange(shape[1 - d])
     iu, iv = (line, run) if d == 0 else (run, line)
     return (iu * shape[1] + iv).ravel()
-
-
-def edge_cp_lines(patch: Patch, edge: str, n_lines: int = 1):
-    """Control point indices of the first n_lines grid lines at a patch edge."""
-    return _edge_lines(edge, patch.surface.shape, n_lines).astype(np.int64)
-
-
-@dataclass(frozen=True, eq=False)
-class LinearConstraint:
-    """One homogeneous multipoint condition: sum_i coeffs[i] * U[dofs[i]] = 0.
-
-    Used for rotation conditions at symmetry edges, which couple the surface
-    normal components of adjacent control point rows.
-    """
-
-    dofs: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.dofs) != np.shape(self.coeffs):
-            raise ValueError(f"{np.shape(self.dofs)} dofs but "
-                             f"{np.shape(self.coeffs)} coefficients")
 
 
 @dataclass(eq=False)
@@ -331,19 +310,20 @@ class ReducedSystem:
 def _mpc_transform(n, fixed_mask, rows):
     """Master/slave elimination basis T for homogeneous multipoint rows.
 
-    Sequential elimination with eager substitution: each row is rewritten in
-    the current masters through the slave expressions, its
-    largest-coefficient dof (the smallest index on ties) becomes a slave,
-    and that slave is at once substituted out of the earlier expressions,
-    so every expression holds masters only.  Rows that reduce to nothing
-    (all dofs fixed or already implied) are dropped.  Returns the free dofs
-    and T (n, n_free); without rows T selects the dofs that are not fixed.
+    Each row is a pair (dofs, coeffs) of equal-shape arrays, the condition
+    sum_i coeffs[i] * U[dofs[i]] = 0.  Sequential elimination with eager
+    substitution: each row is rewritten in the current masters through the
+    slave expressions, its largest-coefficient dof (the first listed on
+    ties) becomes a slave, and that slave is at once substituted out of the
+    earlier expressions, so every expression holds masters only.  Rows that
+    reduce to nothing (all dofs fixed or already implied) are dropped.
+    Returns the free dofs and T (n, n_free); without rows T selects the dofs
+    that are not fixed.
     """
     slave_of = {}
-    for lc in rows:
+    for dofs, coeffs in rows:
         out = {}
-        for d, c in zip(np.asarray(lc.dofs, dtype=int),
-                        np.asarray(lc.coeffs, dtype=float)):
+        for d, c in zip(dofs, coeffs):
             if fixed_mask[d]:
                 continue
             for dm, wm in slave_of.get(int(d), {int(d): 1.0}).items():
@@ -353,7 +333,7 @@ def _mpc_transform(n, fixed_mask, rows):
             continue
         scale = max(abs(c) for c in out.values())
         out = {d: c for d, c in out.items() if abs(c) > 1e-14 * scale}
-        slave = min(d for d, c in out.items() if abs(c) == scale)
+        slave = next(d for d, c in out.items() if abs(c) == scale)
         cs = out.pop(slave)
         expr = {d: -c / cs for d, c in sorted(out.items())}
         for entry in slave_of.values():
@@ -384,21 +364,27 @@ def apply_constraints(K: sp.csr_matrix, F: np.ndarray, fixed,
                       linear=()) -> ReducedSystem:
     """Eliminate the dofs ``fixed`` (value 0) and the multipoint rows ``linear``.
 
-    Both go through one master/slave basis T: K -> T' K T keeps symmetry
-    and definiteness, and without multipoint rows T selects the free dofs.
+    Each multipoint row is a pair (dofs, coeffs), the homogeneous condition
+    sum_i coeffs[i] * U[dofs[i]] = 0 with finite coefficients.  Both go
+    through one master/slave basis T: K -> T' K T keeps symmetry and
+    definiteness, and without multipoint rows T selects the free dofs.
     The reduced matrix is its upper triangle mirrored, so it is exactly
     symmetric, canonical and stores no zeros.
     """
     n = K.shape[0]
     fixed = np.asarray(fixed, dtype=np.int64)
-    dofs = np.concatenate([fixed] + [np.asarray(lc.dofs, dtype=np.int64)
-                                     for lc in linear])
+    rows = [(np.asarray(d, dtype=np.int64), np.asarray(c, dtype=float)) for d, c in linear]
+    for i, (d, c) in enumerate(rows):
+        if d.shape != c.shape or not np.all(np.isfinite(c)):
+            raise ValueError(f"multipoint row {i}: dofs {d} need as many "
+                             f"finite coefficients, not {c}")
+    dofs = np.concatenate([fixed] + [d for d, _ in rows])
     if len(dofs) and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError("constraint dof index out of range")
     fixed_mask = np.zeros(n, dtype=bool)
     fixed_mask[fixed] = True
 
-    free, T = _mpc_transform(n, fixed_mask, linear)
+    free, T = _mpc_transform(n, fixed_mask, rows)
     if free.size == 0:
         raise ValueError("all dofs constrained: empty reduced system")
     upper = sp.triu(T.T @ K @ T, format="csr")
@@ -510,7 +496,7 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     force density 3-vector.  Each element on the edge is integrated with
     n_gauss points along it, and the point forces are added in order.
     """
-    eids = _edge_lines(edge, (len(patch.spans_u), len(patch.spans_v)))
+    eids = edge_lines(edge, (len(patch.spans_u), len(patch.spans_v)))
     d, end = _EDGES[edge]
     x1, w1 = np.polynomial.legendre.leggauss(n_gauss)
     xi = np.empty((n_gauss, 2))

@@ -46,20 +46,21 @@ _MAX_REFINE = 400
 #   hypar 16x8            n   466  bw   64   0.7 ms vs   3.5 ms
 #   hypar 32x16           n  1698  bw  112   4.2 ms vs    24 ms
 #   hypar 128x64          n 25218  bw  400   0.25 s vs   1.08 s
-#   hemisphere 16x16      n   899  bw  149   2.5 ms vs   8.9 ms
-#   hemisphere 64x64      n 12803  bw  533   0.20 s vs   0.40 s
-#   hemisphere 128x128    n 50179  bw 1045    2.2 s vs    3.9 s
-#   hemisphere 160x160    n 78083  bw 1301    4.8 s vs    6.9 s
-# Upper bound: square meshes have bw^2 ~ 22 n, so the band's work grows as
-# n^2 against SuperLU's ~n^1.5.  The time ratio, 0.57 at 128x128 and 0.69
-# at 160x160 (n bw^2 = 4900 and 6100 n^1.5), extrapolates to 1 near
-# 8800 n^1.5 (a ~230x230 mesh, not measured); the bound stays below that,
-# where the band (813 MB at 160x160) is still near SuperLU's L+U (52M
-# nonzeros).  A matrix with long-range couplings (bw ~ n) passes it only
-# below ~350 dofs.  Lower bound: below it the band saves at most a few
-# milliseconds a solve, so small systems (strips up to 512 elements, hypar
-# 16x8) stay on SuperLU, whose factorizations perfbench/tracer.py counts
-# at ``splu``.
+#   hemisphere 16x16      n   899  bw  116   2.2 ms vs   7.9 ms
+#   hemisphere 64x64      n 12803  bw  404   0.15 s vs   0.49 s
+#   hemisphere 128x128    n 50179  bw  788    1.5 s vs    3.5 s
+#   hemisphere 160x160    n 78083  bw  980    3.8 s vs    7.5 s
+# Upper bound: square meshes have bw^2 ~ 12 n, so the band's work grows as
+# n^2 against SuperLU's ~n^1.5.  The time ratio is 0.44 at 128x128 and
+# 0.51 at 160x160 (n bw^2 = 2800 and 3400 n^1.5; two runs each).  The
+# bound lies below 8800 n^1.5, where the ratio reached 1 extrapolated from
+# 0.57 and 0.69 at 4900 and 6100 n^1.5 (these meshes with wider bands);
+# larger systems are not measured.  At 160x160 the band (613 MB) is below
+# SuperLU's L+U (52M nonzeros).  A matrix with long-range couplings
+# (bw ~ n) passes it only below ~350 dofs.  Lower bound: below it the band
+# saves at most a few milliseconds a solve, so small systems (strips up to
+# 512 elements, hypar 16x8) stay on SuperLU, whose factorizations
+# perfbench/tracer.py counts at ``splu``.
 _BAND_MIN_WORK = 4_000_000
 _BAND_MAX_WORK = 6500
 
@@ -248,7 +249,7 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
 
     factor, path = _factor_checked(A)
     Al, absA = A.astype(np.longdouble), abs(A)
-    rel, floor, U = _refine(factor, Al, absA, F, norm_f)
+    rel, floor, U, steps = _refine(factor, Al, absA, F, norm_f)
     if rel > max(RESIDUAL_RTOL, floor) and path != "shifted":
         # primary factors can be polluted by a roundoff pivot of a
         # zero-energy mode (refinement then stalls or diverges); retry
@@ -256,14 +257,14 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
         factor = _shifted_factor(A, "refinement stalled on primary factors")
         retry = _refine(factor, Al, absA, F, norm_f)
         if retry[0] < rel:
-            rel, floor, U = retry
+            rel, floor, U, steps = retry
             path = "shifted"
     if rel <= max(RESIDUAL_RTOL, floor):
         reason = "rtol" if rel <= RESIDUAL_RTOL else "floor"
         return SolveTrace(np.ldexp(U, e), rel, floor, reason, path)
     raise NumericalError(f"residual {rel:.3e} above tolerance {RESIDUAL_RTOL:.1e} "
                          f"and above the evaluation floor {floor:.3e} "
-                         f"after {_MAX_REFINE} refinement steps")
+                         f"after {steps} refinement steps on the {path} factor")
 
 
 def _floor(absA, U, norm_f) -> float:
@@ -282,13 +283,14 @@ def _refine(factor, Al, absA, F, norm_f):
     """Iterative refinement with residuals in extended precision.
 
     ``Al`` is the matrix cast to long double and ``absA`` its entrywise
-    absolute value.  Returns (rel, floor, U) for the iterate U with the
-    smallest relative residual rel and its evaluation floor
-    (:func:`_floor`); :func:`solve_spd` alone decides from them whether U
-    is accepted, and on which ground.  Refinement stops once rel <=
-    RESIDUAL_RTOL, once the best iterate is at or below its floor and a
-    step fails to halve its residual, after 30 steps without halving, on
-    divergence (a polluted factorization) or after ``_MAX_REFINE`` steps.
+    absolute value.  Returns (rel, floor, U, steps): the iterate U with the
+    smallest relative residual rel, its evaluation floor (:func:`_floor`),
+    and the number of steps (corrections) taken; :func:`solve_spd`
+    alone decides from them whether U is accepted, and on which ground.
+    Refinement stops once rel <= RESIDUAL_RTOL, once the best iterate is at
+    or below its floor and a step fails to halve its residual, after 30
+    steps without halving, on divergence (a polluted factorization) or
+    after ``_MAX_REFINE`` steps.
     The refined iterate keeps its extended-precision bits: rounding it to
     float64 would perturb K @ U by ~eps * || |K| |U| ||, which for loads
     scaling with t^3 can exceed RESIDUAL_RTOL * ||F|| on its own.
@@ -296,7 +298,7 @@ def _refine(factor, Al, absA, F, norm_f):
     Fl = F.astype(np.longdouble)
     U = factor.solve(F).astype(np.longdouble)
     best = None
-    since_improved = 0
+    since_improved = steps = 0
     for _ in range(_MAX_REFINE):
         r = Fl - Al @ U
         rel = float(np.linalg.norm(r.astype(float)) / norm_f)
@@ -309,4 +311,5 @@ def _refine(factor, Al, absA, F, norm_f):
         if since_improved >= 30 or rel > 1e3 * best[0]:
             break
         U = U + factor.solve(r.astype(float))
-    return best
+        steps += 1
+    return best + (steps,)

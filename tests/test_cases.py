@@ -1,9 +1,12 @@
 """Benchmark definitions, convergence driver, and report output."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
-from klshell import Patch, make_uniform, surface_eval
+from klshell import NumericalError, NurbsSurface, Patch, make_uniform, surface_eval
 from klshell.cases import (REPORT_COLUMNS, _rotation_rows, make_case,
                            run_convergence, solve_case, write_report_csv)
 from klshell.fields import sample
@@ -155,15 +158,15 @@ class TestConstraintRows:
     @pytest.mark.parametrize("case_id", ["hemisphere", "hypar"])
     @pytest.mark.parametrize("edge", ["u0", "u1", "v0", "v1"])
     def test_rotation_rows_match_per_station_frames(self, case_id, edge):
-        """Each batched row is a3 . (U_row1 - U_row0) with a3 from the frame
-        at its Greville station."""
+        """Each batched row is a3 . (U_row0 - U_row1), edge row first, with
+        a3 from the frame at its Greville station."""
         s = make_uniform(make_case(case_id).surface, 7, 5)
         patch = Patch(s)
         nu, nv = s.shape
         along = s.kv_v if edge in ("u0", "u1") else s.kv_u
         rows = _rotation_rows(patch, edge)
         assert len(rows) == along.n_basis
-        for j, lc in enumerate(rows):
+        for j, (dofs, coeffs) in enumerate(rows):
             g = float(np.mean(along.knots[j + 1: j + 1 + along.degree]))
             theta, cp0, cp1 = {
                 "u0": ((0.0, g), (0, j), (1, j)),
@@ -173,9 +176,122 @@ class TestConstraintRows:
             }[edge]
             a3 = frame_arrays(*surface_eval(s, *theta)[1:])["a3"]
             g0, g1 = patch.cp_index(*cp0), patch.cp_index(*cp1)
-            assert list(lc.dofs) == [3 * g1, 3 * g1 + 1, 3 * g1 + 2,
-                                     3 * g0, 3 * g0 + 1, 3 * g0 + 2]
-            assert np.max(np.abs(lc.coeffs - np.concatenate([a3, -a3]))) <= 1e-14
+            assert list(dofs) == [3 * g0, 3 * g0 + 1, 3 * g0 + 2,
+                                  3 * g1, 3 * g1 + 1, 3 * g1 + 2]
+            assert np.max(np.abs(coeffs - np.concatenate([a3, -a3]))) <= 1e-14
+
+
+def transposed(case):
+    """The case with u and v swapped: the same shell and supports, numbered
+    v-major.  It carries the original case's load vector, permuted."""
+    def swap(s):
+        return NurbsSurface(s.kv_v, s.kv_u, s.ctrl.transpose(1, 0, 2), s.weights.T)
+
+    def loads(patch, quad_n):
+        F = case.loads(Patch(swap(patch.surface)), quad_n)
+        return F.reshape(*patch.surface.shape[::-1], 3).transpose(1, 0, 2).ravel()
+
+    edge = {"u0": "v0", "u1": "v1", "v0": "u0", "v1": "u1"}
+    return replace(case, surface=swap(case.surface), loads=loads,
+                   supports=tuple((edge[e], *rest) for e, *rest in case.supports),
+                   monitor_theta=case.monitor_theta[::-1],
+                   initial_mesh=case.initial_mesh[::-1])
+
+
+def trace_det(voigt):
+    """Trace and determinant of local-Cartesian (11, 22, 12) tensors (n, 3)."""
+    return (voigt[:, 0] + voigt[:, 1],
+            voigt[:, 0] * voigt[:, 1] - voigt[:, 2] ** 2)
+
+
+class TestTransposition:
+    """Swapping u and v renumbers control points and dofs, and changes
+    nothing else: the stencil slots, the edge table, the rotation ties and
+    the band all meet the other numbering."""
+
+    @pytest.mark.parametrize("quad", [2, 3])
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    @pytest.mark.parametrize("case_id,mesh", [
+        ("hypar", (8, 4)), ("hypar", (16, 8)), ("scordelis", (8, 8)),
+        ("scordelis", (6, 4)), ("hemisphere", (8, 8)), ("hemisphere", (8, 4)),
+    ])
+    def test_same_answer(self, case_id, mesh, kind, quad):
+        """Deflections, displacements and the invariants of the resultants
+        agree to 1e-8 at 10 random points; they measured up to 2.4e-10
+        (deflections and u) and 8.6e-10 (invariants).  Transposing flips
+        a3, so the trace of m changes sign.
+
+        The cas roof keeps its zero-energy generator mode, whose amplitude
+        depends on the numbering: its displacements differ by 2.6e-2 to
+        1.3 relative while its deflection agrees to 2.3e-12, so its u is
+        not compared."""
+        case = make_case(case_id)
+        res = solve_case(case, mesh, kind, quad)
+        res_t = solve_case(transposed(case), mesh[::-1], kind, quad)
+        assert abs(res_t.deflection - res.deflection) <= 1e-8 * abs(res.deflection)
+
+        theta = np.random.default_rng(5).random((10, 2))
+        p, p_t = sample(res.solution, theta), sample(res_t.solution, theta[:, ::-1])
+        if not (case_id == "scordelis" and kind == "cas"):
+            assert np.abs(p_t["u"] - p["u"]).max() <= 1e-8 * np.abs(p["u"]).max()
+        for key, sign in (("n", 1.0), ("m", -1.0), ("neff", 1.0)):
+            (tr, det), (tr_t, det_t) = trace_det(p[key]), trace_det(p_t[key])
+            assert np.abs(tr_t - sign * tr).max() <= 1e-8 * np.abs(tr).max()
+            assert np.abs(det_t - det).max() <= 1e-8 * np.abs(det).max()
+
+
+def rotated(case, Q):
+    """The case turned rigidly by the rotation matrix Q, with its loads and
+    monitor direction."""
+    def turn(s, Q):
+        return NurbsSurface(s.kv_u, s.kv_v, s.ctrl @ Q.T, s.weights)
+
+    def loads(patch, quad_n):
+        F = case.loads(Patch(turn(patch.surface, Q.T)), quad_n)
+        return (F.reshape(-1, 3) @ Q.T).ravel()
+
+    return replace(case, surface=turn(case.surface, Q), loads=loads,
+                   monitor_dir=lambda pos: Q @ case.monitor_dir(Q.T @ pos))
+
+
+class TestRigidRotation:
+    """A rigid rotation of the strip, with its load and monitor direction,
+    changes neither the deflection nor the local-Cartesian resultants: the
+    clamp fixes all three components, so the supports turn with the shell.
+
+    The cas strips at R/t 1e2 and 1e3 are left out of the sweep: their
+    generator zero-energy mode (ROADMAP item 3) makes 10 of 80 rotated
+    strips (five rotations, 2 to 128 elements, quad 2 and 3) raise
+    NumericalError where the unrotated ones solve.
+    ``test_cas_generator_mode_fails_a_rotated_strip`` keeps one of them."""
+
+    @pytest.mark.parametrize("quad", [2, 3])
+    @pytest.mark.parametrize("kind,slenderness",
+                             [("cs", 1e1), ("cs", 1e2), ("cs", 1e3), ("cas", 1e1)])
+    @pytest.mark.parametrize("seed,n_el", [(0, 2), (1, 8), (2, 32), (3, 128), (4, 8)])
+    def test_same_answer(self, bench, seed, n_el, kind, slenderness, quad):
+        """Over all five rotations at 2, 8, 32 and 128 elements, deflections
+        and resultants at 10 random points agreed to 4.3e-8 at R/t up to 1e2
+        and 3.9e-7 at 1e3, with roundoff amplified by the conditioning; the
+        tolerances leave a margin of more than 10."""
+        Q = Rotation.random(random_state=seed).as_matrix()
+        case, res = bench.solve("strip", slenderness, (n_el, 1), kind, quad)
+        res_q = solve_case(rotated(case, Q), (n_el, 1), kind, quad)
+        tol = 5e-6 if slenderness > 1e2 else 5e-7
+        assert abs(res_q.deflection - res.deflection) <= tol * abs(res.deflection)
+        theta = np.random.default_rng(5).random((10, 2))
+        p, p_q = sample(res.solution, theta), sample(res_q.solution, theta)
+        for key in ("n", "m"):
+            assert np.abs(p_q[key] - p[key]).max() <= tol * np.abs(p[key]).max()
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="cas generator zero-energy mode, not gauged "
+                              "(ROADMAP item 3)")
+    def test_cas_generator_mode_fails_a_rotated_strip(self):
+        """Refinement stops above tolerance and floor on this rotated cas
+        strip, while the unrotated one solves."""
+        Q = Rotation.random(random_state=3).as_matrix()
+        solve_case(rotated(make_case("strip", slenderness=1e3), Q), (8, 1), "cas", 2)
 
 
 class TestReportCsv:

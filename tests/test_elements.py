@@ -11,10 +11,9 @@ from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial
                      gauss_rule, load_area, load_edge_line, load_point,
                      make_uniform, solve_spd, tensor_rule)
 from klshell.cases import build_loads, make_case
-from klshell.elements import (LinearConstraint, _corner_membrane_rows,
-                              _corner_weights, _dofs, _membrane_strain_rows,
-                              _rule_eval, _stiffness_batch, edge_cp_lines,
-                              element_stiffness, fix_cps)
+from klshell.elements import (_corner_membrane_rows, _corner_weights, _dofs,
+                              _membrane_strain_rows, _rule_eval, _stiffness_batch,
+                              edge_lines, element_stiffness, fix_cps)
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 MAT = ShellMaterial(E=200.0, nu=0.3, t=0.05)
@@ -326,7 +325,7 @@ class TestLoads:
         assert abs(F[0::3].sum() - q[0] * length) < 1e-12
         assert abs(F[2::3].sum() - q[2] * length) < 1e-12
         on_edge = np.zeros(patch.n_cp, dtype=bool)
-        on_edge[edge_cp_lines(patch, edge)] = True
+        on_edge[edge_lines(edge, patch.surface.shape)] = True
         assert np.array_equal(np.any(F.reshape(-1, 3) != 0.0, axis=1), on_edge)
 
     def test_strip_free_end_total(self):
@@ -391,7 +390,7 @@ class TestConstraints:
         patch = Patch(flat_patch())
         K = assemble(patch, MAT, gauss_rule(2), "cs")
         red = apply_constraints(K, np.zeros(patch.n_dof),
-                                fix_cps(edge_cp_lines(patch, "u0", 1)))
+                                fix_cps(edge_lines("u0", patch.surface.shape)))
         assert len(red.free) == 27 - 9
 
     def test_all_fixed_raises(self):
@@ -404,9 +403,9 @@ class TestConstraints:
         """A two-dof tie U_a = U_b is satisfied exactly by the expansion."""
         patch = Patch(flat_patch())
         K = assemble(patch, MAT, gauss_rule(3), "cs")
-        row = LinearConstraint(np.array([13, 16]), np.array([1.0, -1.0]))
+        row = (np.array([13, 16]), np.array([1.0, -1.0]))
         F = load_area(patch, gauss_rule(3), np.array([0.0, 1.0, 0.0]))
-        red = apply_constraints(K, F, fix_cps(edge_cp_lines(patch, "u0", 1)), (row,))
+        red = apply_constraints(K, F, fix_cps(edge_lines("u0", patch.surface.shape)), (row,))
         U = red.expand(np.asarray(solve_spd(red.K, red.F).U, float))
         assert abs(U[13] - U[16]) < 1e-12 * max(1.0, abs(U).max())
 
@@ -422,16 +421,42 @@ class TestConstraints:
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_multipoint_row_lengths_must_match(self):
+        K = sp.identity(27, format="csr")
         with pytest.raises(ValueError):
-            LinearConstraint(np.array([13, 16, 17]), np.array([1.0, -1.0]))
+            apply_constraints(K, np.zeros(27), [],
+                              ((np.array([13, 16, 17]), np.array([1.0, -1.0])),))
 
     @pytest.mark.parametrize("dof", [10 ** 6, -1])
     def test_multipoint_dof_out_of_range(self, dof):
         patch = Patch(flat_patch())
         K = assemble(patch, MAT, gauss_rule(2), "cs")
-        row = LinearConstraint(np.array([13, dof]), np.array([1.0, -1.0]))
+        row = (np.array([13, dof]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="out of range"):
             apply_constraints(K, np.zeros(patch.n_dof), [], (row,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_coefficient_raises(self, bad, at):
+        """A NaN or inf coefficient is refused by name, not dropped from
+        the tie, which would leave a different condition in T."""
+        coeffs = np.array([2.0, 1.0, 1.0])
+        coeffs[at] = bad
+        rows = [(np.array([4, 5]), np.array([1.0, -1.0])), (np.array([1, 2, 3]), coeffs)]
+        with pytest.raises(ValueError, match="row 1"):
+            apply_constraints(sp.identity(6, format="csr"), np.zeros(6), [0], rows)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("case_id", ["strip", "hemisphere", "scordelis", "hypar"])
+    def test_reduced_band_within_the_band_of_k(self, case_id, n):
+        """Tie slaves sit on the edge row, so eliminating the supports never
+        widens the band the banded Cholesky factors."""
+        K, _, red = constrained(case_id, (n, n), "cas")
+
+        def half_band(A):
+            upper = sp.triu(A).tocoo()
+            return int((upper.col - upper.row).max())
+
+        assert half_band(red.K) <= half_band(K)
 
     def test_fix_cps_rejects_components_outside_xyz(self):
         with pytest.raises(ValueError):
@@ -452,9 +477,9 @@ class TestConstraints:
         n = patch.n_dof
         red = apply_constraints(sp.identity(n, format="csr"), np.zeros(n), fixed, rows)
         T = red.T
-        for lc in rows:
-            tie = T[lc.dofs].T @ lc.coeffs
-            assert np.abs(tie).max() <= 1e-13 * np.abs(lc.coeffs).max()
+        for dofs, coeffs in rows:
+            tie = T[dofs].T @ coeffs
+            assert np.abs(tie).max() <= 1e-13 * np.abs(coeffs).max()
         assert T[np.unique(fixed)].nnz == 0
         Tf = T[red.free].tocoo()
         assert Tf.nnz == len(red.free)
@@ -465,7 +490,7 @@ class TestConstraints:
         """A row that reuses a slave is written in masters, a later slave is
         substituted out of earlier expressions, and a row implied by earlier
         ones or on fixed dofs only is dropped."""
-        rows = [LinearConstraint(np.array(d), np.array(c)) for d, c in [
+        rows = [(np.array(d), np.array(c)) for d, c in [
             ([5, 6], [1.0, 0.5]), ([6, 7], [2.0, 1.0]), ([5, 7], [1.0, -0.25]),
             ([0], [3.0])]]
         red = apply_constraints(sp.identity(10, format="csr"), np.zeros(10), [0], rows)
@@ -558,6 +583,7 @@ class TestZeroEnergyModes:
         d = 1.0 / np.sqrt(np.diag(K))
         lam, V = np.linalg.eigh(K * d[:, None] * d[None, :])
         U = red.expand(d * V[:, 0]).reshape(-1, 3)
-        boundary = np.concatenate([edge_cp_lines(patch, e) for e in ("u0", "u1", "v0", "v1")])
+        boundary = np.concatenate([edge_lines(e, patch.surface.shape)
+                                   for e in ("u0", "u1", "v0", "v1")])
         bound = np.finfo(float).eps * lam[-1] / lam[1]
         assert np.abs(U[boundary]).max() <= bound * np.abs(U).max()

@@ -179,7 +179,7 @@ class TestFloorStop:
         def stalled_first(*args):
             out = real_refine(*args)
             calls.append(out)
-            return (1e-3, 0.0, out[2]) if len(calls) == 1 else out
+            return (1e-3, 0.0, out[2], out[3]) if len(calls) == 1 else out
 
         monkeypatch.setattr(solver, "_refine", stalled_first)
         trace = solver.solve_spd(K, F)
@@ -192,10 +192,24 @@ class TestFloorStop:
     def _always_stalled_solve(counted, monkeypatch, K, F):
         monkeypatch.setattr(solver, "_refine",
                             lambda lu, Al, absA, F, *rest:
-                            (1e-3, 0.0, np.zeros(len(F))))
+                            (1e-3, 0.0, np.zeros(len(F)), 1))
         with pytest.raises(NumericalError):
             solve_spd(K, F)
         return counted["paths"]
+
+    def test_error_names_the_steps_taken(self, monkeypatch):
+        """A factor whose corrections are zero never halves the residual:
+        refinement stops after 30 steps without halving, and the error
+        says so, with the factor it ran on."""
+        class Stalled:
+            def solve(self, b):
+                return np.zeros_like(b)
+
+        monkeypatch.setattr(solver, "_factor_checked", lambda A: (Stalled(), "superlu"))
+        monkeypatch.setattr(solver, "_shifted_factor", lambda A, reason: Stalled())
+        with pytest.raises(NumericalError, match="after 30 refinement steps on the "
+                                                 "superlu factor"):
+            solve_spd(*spd_system())
 
     def test_stall_above_floor_gets_the_shifted_retry(self, counted, monkeypatch):
         """A primary solve stalled above max(rtol, floor) is refactored shifted."""
