@@ -45,7 +45,7 @@ class BenchmarkCase:
     id: str
     surface: NurbsSurface
     material: ShellMaterial
-    loads: object                     # callable(Patch, quad_n) -> load vector F
+    loads: object                     # callable(Patch, quad_n, area) -> load vector F
     supports: tuple                   # (edge, components, tie, at); see constraints
     monitor_theta: tuple[float, float]
     monitor_dir: object               # callable(position) -> unit 3-vector
@@ -199,10 +199,8 @@ def hypar_surface(L: float = 1.0) -> NurbsSurface:
     ys = np.array([0.0, L / 4.0, L / 2.0])
     zx = np.array([L * L / 4.0, -L * L / 4.0, L * L / 4.0])
     zy = np.array([0.0, 0.0, L * L / 4.0])
-    ctrl = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            ctrl[i, j] = [xs[i], ys[j], zx[i] - zy[j]]
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    ctrl = np.stack([x, y, zx[:, None] - zy[None, :]], axis=-1)
     return NurbsSurface(_KV1, _KV1, ctrl, np.ones((3, 3)))
 
 
@@ -267,8 +265,8 @@ def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
     }
     return BenchmarkCase(
         id="strip", surface=strip_surface(R, b), material=mat,
-        loads=lambda patch, quad_n: load_edge_line(patch, "u1", quad_n,
-                                                   np.array([qx, 0.0, 0.0])),
+        loads=lambda patch, quad_n, area: load_edge_line(patch, "u1", quad_n,
+                                                         np.array([qx, 0.0, 0.0])),
         supports=(("u0", (0, 1, 2), True, None),), monitor_theta=(1.0, 0.5),
         monitor_dir=_radial_xy, slenderness=slenderness,
         reference=STRIP_REFERENCES.get(slenderness),
@@ -289,7 +287,7 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
     P_half = 0.5 * 31250.0 * mat.t ** 3
     return BenchmarkCase(
         id="hemisphere", surface=hemisphere_surface(R), material=mat,
-        loads=lambda patch, quad_n: load_point(
+        loads=lambda patch, quad_n, area: load_point(
             patch, [(0.0, 0.0), (1.0, 0.0)], [(-P_half, 0.0, 0.0), (0.0, P_half, 0.0)]),
         supports=(("u0", (1,), True, None), ("u1", (0,), True, None),
                   ("u0", (2,), False, 0.0)),
@@ -305,8 +303,7 @@ def make_scordelis(slenderness: float = 1e2) -> BenchmarkCase:
     return BenchmarkCase(
         id="scordelis", surface=scordelis_surface(R, L),
         material=ShellMaterial(E, nu, R / slenderness),
-        loads=lambda patch, quad_n: load_area(patch, gauss_rule(quad_n),
-                                              np.array([0.0, 0.0, -qz])),
+        loads=lambda patch, quad_n, area: load_area(area, [0.0, 0.0, -qz]),
         # the pin of u_y gauges the free axial translation, leaving u_x, u_z
         supports=(("v0", (0, 2), False, None), ("v1", (0, 2), False, None),
                   ("u0", (1,), False, 0.5)),
@@ -324,8 +321,7 @@ def make_hypar(slenderness: float = 1e3) -> BenchmarkCase:
     qz = 8000.0 * thickness
     return BenchmarkCase(
         id="hypar", surface=hypar_surface(L), material=ShellMaterial(E, nu, thickness),
-        loads=lambda patch, quad_n: load_area(patch, gauss_rule(quad_n),
-                                              np.array([0.0, 0.0, -qz])),
+        loads=lambda patch, quad_n, area: load_area(area, [0.0, 0.0, -qz]),
         supports=(("u0", (0, 1, 2), True, None), ("v0", (1,), True, None)),
         monitor_theta=(1.0, 0.0), monitor_dir=_vertical, slenderness=slenderness,
         reference=HYPAR_REFERENCES.get(slenderness),
@@ -353,21 +349,22 @@ def make_case(case_id: str, slenderness: float | None = None) -> BenchmarkCase:
 # Solving and convergence sweeps
 # ---------------------------------------------------------------------------
 
-def build_loads(case: BenchmarkCase, patch: Patch, quad_n: int) -> np.ndarray:
-    """The case's load vector on a patch, quad_n Gauss points per direction."""
-    return case.loads(patch, quad_n)
+def build_loads(case: BenchmarkCase, patch: Patch, quad_n: int,
+                area: np.ndarray) -> np.ndarray:
+    """The case's load vector on a patch (quad_n Gauss points per direction,
+    ``area`` the area vector of ``assemble``)."""
+    return case.loads(patch, quad_n, area)
 
 
 def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
                quad_n: int = 3) -> CaseResult:
     """Mesh, assemble, constrain and solve one benchmark configuration."""
     t0 = time.perf_counter()
-    surface = make_uniform(case.surface, *mesh)
-    patch = Patch(surface)
-    rule = gauss_rule(quad_n)
-    K = assemble(patch, case.material, rule, kind)
-    F = build_loads(case, patch, quad_n)
+    patch = Patch(make_uniform(case.surface, *mesh))
+    K, area = assemble(patch, case.material, gauss_rule(quad_n), kind)
+    F = build_loads(case, patch, quad_n, area)
     reduced = apply_constraints(K, F, *case.constraints(patch))
+    del K, F  # not held through the factorization
     trace = solve_spd(reduced.K, reduced.F)
     U = reduced.expand(np.asarray(trace.U, dtype=float)).reshape(-1, 3)
     sol = SolutionField(patch, U, kind, case.material)

@@ -18,6 +18,7 @@ the solver take that matrix as it is.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +47,21 @@ class QuadratureRule:
         return len(self.weights)
 
 
+@functools.cache
+def _line_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre points and weights on [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.cache
 def tensor_rule(n_per_dir: int) -> QuadratureRule:
-    """Gauss-Legendre tensor rule with n points per direction (any n >= 1)."""
-    x, w = np.polynomial.legendre.leggauss(n_per_dir)
+    """Read-only Gauss-Legendre tensor rule, n >= 1 points per direction, built once."""
+    x, w = _line_rule(n_per_dir)
     pts = np.array([(xi, eta) for xi in x for eta in x])
     wts = np.array([wi * wj for wi in w for wj in w])
+    pts.flags.writeable = wts.flags.writeable = False
     return QuadratureRule(pts, wts)
 
 
@@ -185,9 +196,9 @@ def _parent_eval(patch, eids, xi, order: int = 2):
     return ev
 
 
-def _rule_eval(patch, eids, rule, order: int = 2):
+def _rule_eval(patch, eids, rule):
     """_parent_eval at the rule's points, plus the area weights "dA" (ne, nq)."""
-    ev = _parent_eval(patch, eids, rule.points, order)
+    ev = _parent_eval(patch, eids, rule.points)
     jac = np.linalg.norm(np.cross(ev["r1"], ev["r2"]), axis=-1)
     ev["dA"] = (rule.weights[None, :] * jac
                 * (ev["half"][:, 0] * ev["half"][:, 1])[:, None])
@@ -205,10 +216,8 @@ def _corner_weights(xi):
 
     Corner order as _CORNERS.
     """
-    xi = np.asarray(xi, dtype=float)
-    cols = [(1.0 + su * xi[..., 0]) * (1.0 + sv * xi[..., 1]) * 0.25
-            for su, sv in _CORNERS]
-    return np.stack(cols, axis=-1)
+    xi = np.asarray(xi, dtype=float)[..., None, :]
+    return (1.0 + _CORNERS[:, 0] * xi[..., 0]) * (1.0 + _CORNERS[:, 1] * xi[..., 1]) * 0.25
 
 
 def _membrane_strain_rows(patch, eids, ev, xi, kind):
@@ -238,7 +247,7 @@ def _contract(B, C):
 
 
 def _stiffness_batch(patch, eids, mat, rule, kind):
-    """Membrane and bending element stiffness for a batch, (ne, nd, nd) each."""
+    """Membrane and bending stiffness (ne, nd, nd) and integrals of N_A dA (ne, nfun)."""
     ev = _rule_eval(patch, eids, rule)
     try:
         fr = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])
@@ -249,13 +258,14 @@ def _stiffness_batch(patch, eids, mat, rule, kind):
     Bk = bending_rows(ev, fr)
     Bm = _membrane_strain_rows(patch, eids, ev, rule.points, kind)
     return (mat.membrane_stiffness * _contract(Bm, C),
-            mat.bending_stiffness * _contract(Bk, C))
+            mat.bending_stiffness * _contract(Bk, C),
+            np.einsum("eqA,eq->eA", ev["N"], ev["dA"]))
 
 
 def element_stiffness(patch: Patch, eid: int, mat: ShellMaterial,
                       rule: QuadratureRule, kind: str) -> np.ndarray:
     """Element stiffness k = k_eps + k_kappa for one element."""
-    k_eps, k_kappa = _stiffness_batch(patch, [eid], mat, rule, kind)
+    k_eps, k_kappa, _ = _stiffness_batch(patch, [eid], mat, rule, kind)
     return k_eps[0] + k_kappa[0]
 
 
@@ -413,18 +423,12 @@ def _stencil(patch: Patch):
     return pair_slot, du - pu, dv - pv
 
 
-def _stencil_csr(n, vals, cols, keep):
-    """CSR matrix of the entries ``keep`` of stencil values (n_cp, 3, n_slot, 3)
-    in row-major order, rows 3 g + c."""
-    keep = np.broadcast_to(keep, vals.shape)
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=(2, 3)).ravel())))
-    return sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep], indptr),
-                         shape=(n, n))
-
-
 def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
-             kind: str) -> sp.csr_matrix:
+             kind: str) -> tuple[sp.csr_matrix, np.ndarray]:
     """Scatter-add all element stiffness matrices into the global matrix.
+
+    Returns K and, from the same pass over the rule's points, the area
+    vector area[g] = integral of N_g dA (n_cp,) that ``load_area`` takes.
 
     The matrix is built as a control-point stencil: S[g, s] is the 3x3 block
     coupling the dofs of control point g to those of the control point at
@@ -446,10 +450,12 @@ def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
     centre = n_slot // 2
     a_up, b_up = np.nonzero(pair_slot >= centre)
     S = np.zeros((nu * nv, n_slot, 3, 3))
+    area = np.zeros(nu * nv)
     for eids in _chunks(patch.n_elements):
-        k_eps, k_kappa = _stiffness_batch(patch, eids, mat, rule, kind)
-        k = (k_eps + k_kappa).reshape(len(eids), nfun, 3, nfun, 3)
+        k_eps, k_kappa, area_e = _stiffness_batch(patch, eids, mat, rule, kind)
+        k = np.add(k_eps, k_kappa, out=k_eps).reshape(len(eids), nfun, 3, nfun, 3)
         conn = patch.conn[eids]
+        np.add.at(area, conn, area_e)
         for a, b in zip(a_up, b_up):
             S[conn[:, a], pair_slot[a, b]] += k[:, a, :, b, :]
     used = np.zeros((nu * nv, n_slot), dtype=bool)
@@ -464,11 +470,15 @@ def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
         Sg[to + (n_slot - 1 - s,)] = Sg[fro + (s,)].swapaxes(-1, -2)
         used_g[to + (n_slot - 1 - s,)] = used_g[fro + (s,)]
 
-    # rows 3 g + c, columns in slot order, which is column order since the
-    # slots one control point reaches differ in dv by less than n_v
+    # the stored entries in row-major order: rows 3 g + c, columns in slot
+    # order, which is column order since the slots one control point reaches
+    # differ in dv by less than n_v
     vals = np.ascontiguousarray(S.transpose(0, 2, 1, 3))
+    keep = np.broadcast_to(used[:, None, :, None], vals.shape)
     cols = 3 * (np.arange(nu * nv)[:, None] + du * nv + dv)[:, None, :, None] + np.arange(3)
-    return _stencil_csr(patch.n_dof, vals, cols, used[:, None, :, None])
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=(2, 3)).ravel())))
+    return sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep], indptr),
+                         shape=(patch.n_dof, patch.n_dof)), area
 
 
 def _add_forces(F, conn, Fe):
@@ -477,15 +487,9 @@ def _add_forces(F, conn, Fe):
     return F
 
 
-def load_area(patch: Patch, rule: QuadratureRule, f) -> np.ndarray:
-    """Consistent load vector for a constant per-area force 3-vector ``f``
-    on the midsurface."""
-    F = np.zeros(patch.n_dof)
-    for eids in _chunks(patch.n_elements):
-        ev = _rule_eval(patch, eids, rule, order=1)
-        fv = np.broadcast_to(np.asarray(f, dtype=float), ev["r"].shape)
-        _add_forces(F, ev["conn"], np.einsum("eqA,eqc,eq->eAc", ev["N"], fv, ev["dA"]))
-    return F
+def load_area(area: np.ndarray, f) -> np.ndarray:
+    """Consistent load vector area (x) f of a constant per-area force 3-vector f."""
+    return np.outer(area, np.asarray(f, dtype=float)).ravel()
 
 
 def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
@@ -498,7 +502,7 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     """
     eids = edge_lines(edge, (len(patch.spans_u), len(patch.spans_v)))
     d, end = _EDGES[edge]
-    x1, w1 = np.polynomial.legendre.leggauss(n_gauss)
+    x1, w1 = _line_rule(n_gauss)
     xi = np.empty((n_gauss, 2))
     xi[:, d], xi[:, 1 - d] = 2.0 * end - 1.0, x1
 

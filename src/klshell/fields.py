@@ -122,8 +122,7 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
     Using the same rule as assembly reproduces the discrete identity
     E_t = 0.5 * U K U for the matching element kind.
     """
-    Em = 0.0
-    Eb = 0.0
+    Em = Eb = 0.0
     for eids in _chunks(sol.patch.n_elements):
         ev = _rule_eval(sol.patch, eids, rule)
         fr, eps, kappa = _strain_fields(sol, eids, ev, rule.points)
@@ -182,6 +181,7 @@ def write_field(sol: SolutionField, path, header: dict, density: int = 20) -> No
     tu = np.linspace(s.kv_u.start, s.kv_u.end, density)
     tv = np.linspace(s.kv_v.start, s.kv_v.end, density)
     theta = np.stack(np.meshgrid(tu, tv, indexing="ij"), axis=-1).reshape(-1, 2)
+    row_format = " ".join(["%.17g"] * 15) + "\n"  # format(v, ".17g") per value
     with open(path, "w", encoding="ascii") as f:
         for k, v in header.items():
             f.write(f"# {k}: {v}\n")
@@ -190,5 +190,4 @@ def write_field(sol: SolutionField, path, header: dict, density: int = 20) -> No
             p = sample(sol, theta[idx])
             table = np.concatenate([theta[idx], p["r"], p["u"], p["n"], p["m"],
                                     p["neff"][:, :1]], axis=1)
-            for row in table:
-                f.write(" ".join(format(v, ".17g") for v in row) + "\n")
+            f.writelines(row_format % row for row in map(tuple, table.tolist()))

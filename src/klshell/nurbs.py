@@ -222,11 +222,15 @@ def rational_eval(surface: NurbsSurface, su, sv, t1, t2, order: int = 2) -> np.n
     iv = np.asarray(sv)[..., None] - pv + np.arange(pv + 1)
     idx = iu[..., :, None] * surface.kv_v.n_basis + iv[..., None, :]
     H = surface.homogeneous().reshape(-1, 4)[idx.reshape(idx.shape[:-2] + (-1,))]
-    B = np.stack([Du[..., d1, :, None] * Dv[..., d2, None, :]
-                  for d1, d2 in _DERS[:_N_ROWS[order]]])
+    B = np.empty((_N_ROWS[order],) + np.broadcast_shapes(Du.shape[:-2], Dv.shape[:-2])
+                 + (pu + 1, pv + 1))
+    for k, (d1, d2) in enumerate(_DERS[:len(B)]):
+        np.multiply(Du[..., d1, :, None], Dv[..., d2, None, :], out=B[k])
     B = B.reshape(B.shape[:-2] + (-1,))
-    return quotient_rule(np.concatenate(
-        [B * H[..., 3], np.einsum("k...A,...Ac->k...c", B, H)], axis=-1))
+    S = np.empty(B.shape[:-1] + (B.shape[-1] + 4,))  # [w_A B_A | sum_A B_A H_A]
+    np.multiply(B, H[..., 3], out=S[..., :-4])
+    np.einsum("k...A,...Ac->k...c", B, H, out=S[..., -4:])
+    return quotient_rule(S)
 
 
 def surface_eval(surface: NurbsSurface, t1: float, t2: float, order: int = 2):

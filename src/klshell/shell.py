@@ -159,9 +159,7 @@ def constitutive_voigt(a_inv, scale, nu):
     strains; shared by the membrane and bending contractions (only the
     thickness scale differs).
     """
-    A11 = a_inv[..., 0, 0]
-    A22 = a_inv[..., 1, 1]
-    A12 = a_inv[..., 0, 1]
+    A11, A22, A12 = a_inv[..., 0, 0], a_inv[..., 1, 1], a_inv[..., 0, 1]
     D = np.empty(a_inv.shape[:-2] + (3, 3))
     D[..., 0, 0] = A11 ** 2
     D[..., 1, 1] = A22 ** 2
@@ -169,9 +167,7 @@ def constitutive_voigt(a_inv, scale, nu):
     D[..., 0, 2] = D[..., 2, 0] = A11 * A12
     D[..., 1, 2] = D[..., 2, 1] = A22 * A12
     D[..., 2, 2] = nu * A12 ** 2 + 0.5 * (1.0 - nu) * (A11 * A22 + A12 ** 2)
-    if np.ndim(scale) > 0:
-        return D * scale[..., None, None]
-    return D * scale
+    return D * np.asarray(scale)[..., None, None]
 
 
 def resultant_law(strain, a_inv, scale, nu):

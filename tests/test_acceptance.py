@@ -226,7 +226,7 @@ def test_criterion_8c_stiffness_symmetry():
         patch = Patch(make_uniform(ALL_SURFACES[name](), 3, 3))
         mat = ShellMaterial(E=1e3, nu=0.3, t=0.05)
         for kind in ("cs", "cas"):
-            K = assemble(patch, mat, gauss_rule(3), kind)
+            K, _ = assemble(patch, mat, gauss_rule(3), kind)
             worst = max(worst, abs(K - K.T).max() / abs(K).max())
     report("criterion 8 [stiffness symmetry]", worst <= 1e-10,
            f"worst relative asymmetry {worst:.1e} (tol 1e-10)")
@@ -341,7 +341,7 @@ def test_criterion_8h_energy_identity(bench):
     for kind in ("cs", "cas"):
         case, res = bench.solve("scordelis", 1e2, (8, 8), kind)
         rep = energies(res.solution, gauss_rule(3))
-        K = assemble(res.solution.patch, case.material, gauss_rule(3), kind)
+        K, _ = assemble(res.solution.patch, case.material, gauss_rule(3), kind)
         U = res.solution.U.reshape(-1)
         half_uku = 0.5 * float(U @ (K @ U))
         worst = max(worst, abs(rep.Et - half_uku) / abs(half_uku))
@@ -352,8 +352,8 @@ def test_criterion_8h_energy_identity(bench):
 def test_criterion_8i_sparsity_equality():
     patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 4, 4))
     mat = ShellMaterial(E=1e3, nu=0.0, t=0.1)
-    Kcs = assemble(patch, mat, gauss_rule(3), "cs")
-    Kcas = assemble(patch, mat, gauss_rule(3), "cas")
+    Kcs, _ = assemble(patch, mat, gauss_rule(3), "cs")
+    Kcas, _ = assemble(patch, mat, gauss_rule(3), "cas")
     same = (np.array_equal(Kcs.indptr, Kcas.indptr)
             and np.array_equal(Kcs.indices, Kcas.indices))
     report("criterion 8 [sparsity pattern cs = cas]", same,

@@ -183,12 +183,14 @@ class TestConstraintRows:
 
 def transposed(case):
     """The case with u and v swapped: the same shell and supports, numbered
-    v-major.  It carries the original case's load vector, permuted."""
+    v-major.  It carries the original case's load vector, permuted, and
+    gives that case its area vector permuted back."""
     def swap(s):
         return NurbsSurface(s.kv_v, s.kv_u, s.ctrl.transpose(1, 0, 2), s.weights.T)
 
-    def loads(patch, quad_n):
-        F = case.loads(Patch(swap(patch.surface)), quad_n)
+    def loads(patch, quad_n, area):
+        area = area.reshape(patch.surface.shape).T.ravel()
+        F = case.loads(Patch(swap(patch.surface)), quad_n, area)
         return F.reshape(*patch.surface.shape[::-1], 3).transpose(1, 0, 2).ravel()
 
     edge = {"u0": "v0", "u1": "v1", "v0": "u0", "v1": "u1"}
@@ -246,8 +248,8 @@ def rotated(case, Q):
     def turn(s, Q):
         return NurbsSurface(s.kv_u, s.kv_v, s.ctrl @ Q.T, s.weights)
 
-    def loads(patch, quad_n):
-        F = case.loads(Patch(turn(patch.surface, Q.T)), quad_n)
+    def loads(patch, quad_n, area):
+        F = case.loads(Patch(turn(patch.surface, Q.T)), quad_n, area)
         return (F.reshape(-1, 3) @ Q.T).ravel()
 
     return replace(case, surface=turn(case.surface, Q), loads=loads,

@@ -46,6 +46,14 @@ class TestQuadrature:
         val = np.sum(rule.weights * rule.points[:, 0] ** 2 * rule.points[:, 1] ** 2)
         assert abs(val - 4.0 / 9.0) < 1e-14
 
+    def test_rules_are_built_once_and_read_only(self):
+        rule = tensor_rule(3)
+        assert gauss_rule(3) is rule and tensor_rule(5) is tensor_rule(5)
+        with pytest.raises(ValueError):
+            rule.points[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             gauss_rule(4)
@@ -73,8 +81,8 @@ class TestElementStiffnessCS:
         rule = gauss_rule(3)
         m1 = ShellMaterial(E=100.0, nu=0.2, t=0.04)
         m2 = ShellMaterial(E=100.0, nu=0.2, t=0.08)
-        ke1, kk1 = _stiffness_batch(patch, [0], m1, rule, "cs")
-        ke2, kk2 = _stiffness_batch(patch, [0], m2, rule, "cs")
+        ke1, kk1, _ = _stiffness_batch(patch, [0], m1, rule, "cs")
+        ke2, kk2, _ = _stiffness_batch(patch, [0], m2, rule, "cs")
         assert np.allclose(ke2, 2.0 * ke1, rtol=1e-12)
         assert np.allclose(kk2, 8.0 * kk1, rtol=1e-12)
 
@@ -82,7 +90,7 @@ class TestElementStiffnessCS:
         """Independent plane-stress stiffness on the same quadratic basis."""
         patch = Patch(flat_patch())
         rule = gauss_rule(3)
-        k_eps, _ = _stiffness_batch(patch, [0], MAT, rule, "cs")
+        k_eps, _, _ = _stiffness_batch(patch, [0], MAT, rule, "cs")
         k_eps = k_eps[0]
 
         # oracle: direct Bernstein/Gauss integration of B' D B in x-space
@@ -169,15 +177,15 @@ class TestAssembly:
     def test_single_element_padding(self):
         patch = Patch(flat_patch())
         rule = gauss_rule(3)
-        K = assemble(patch, MAT, rule, "cs").toarray()
+        K = assemble(patch, MAT, rule, "cs")[0].toarray()
         k = element_stiffness(patch, 0, MAT, rule, "cs")
         dofs = patch.element_dofs(0)
         assert np.allclose(K[np.ix_(dofs, dofs)], k, atol=1e-14 * np.abs(k).max())
 
     def test_sparsity_pattern_cs_equals_cas(self):
         patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 3, 3))
-        Kcs = assemble(patch, MAT, gauss_rule(3), "cs")
-        Kcas = assemble(patch, MAT, gauss_rule(3), "cas")
+        Kcs, _ = assemble(patch, MAT, gauss_rule(3), "cs")
+        Kcas, _ = assemble(patch, MAT, gauss_rule(3), "cas")
         assert np.array_equal(Kcs.indptr, Kcas.indptr)
         assert np.array_equal(Kcs.indices, Kcas.indices)
         # both equal the support-overlap pattern: dofs couple iff some
@@ -194,14 +202,14 @@ class TestAssembly:
 
     def test_global_symmetry(self):
         patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 3, 3))
-        K = assemble(patch, MAT, gauss_rule(3), "cas")
+        K, _ = assemble(patch, MAT, gauss_rule(3), "cas")
         diff = abs(K - K.T)
         assert diff.max() <= 1e-10 * abs(K).max()
 
     def test_bitwise_deterministic(self):
         patch = Patch(make_uniform(ALL_SURFACES["strip"](), 4, 2))
-        K1 = assemble(patch, MAT, gauss_rule(2), "cas")
-        K2 = assemble(patch, MAT, gauss_rule(2), "cas")
+        K1, _ = assemble(patch, MAT, gauss_rule(2), "cas")
+        K2, _ = assemble(patch, MAT, gauss_rule(2), "cas")
         assert np.array_equal(K1.data, K2.data)
         assert np.array_equal(K1.indices, K2.indices)
         assert np.array_equal(K1.indptr, K2.indptr)
@@ -219,7 +227,7 @@ class TestAssembly:
         case = make_case(case_id)
         patch = Patch(make_uniform(case.surface, *mesh))
         rule = gauss_rule(quad)
-        K = assemble(patch, case.material, rule, kind)
+        K, _ = assemble(patch, case.material, rule, kind)
         n = patch.n_dof
         dense, shared = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
         for e in range(patch.n_elements):
@@ -291,23 +299,50 @@ class TestMembranePatch:
             assert coarse / fine > 2.5
 
 
+def area_load_by_elements(patch, rule, f):
+    """The consistent area load summed element by element, sum_q N f dA."""
+    F = np.zeros(patch.n_dof)
+    for e in range(patch.n_elements):
+        ev = _rule_eval(patch, [e], rule)
+        F[patch.element_dofs(e)] += np.einsum("qA,c,q->Ac", ev["N"][0], f,
+                                              ev["dA"][0]).ravel()
+    return F
+
+
 class TestLoads:
     def test_zero_area_load(self):
         patch = Patch(flat_patch())
-        F = load_area(patch, gauss_rule(3), np.zeros(3))
+        _, area = assemble(patch, MAT, gauss_rule(3), "cs")
+        F = load_area(area, np.zeros(3))
+        assert F.shape == (patch.n_dof,)
         assert np.all(F == 0.0)
 
     def test_unit_square_total_load(self):
         patch = Patch(flat_patch())
-        F = load_area(patch, gauss_rule(3), np.array([0.0, 0.0, 1.0]))
+        _, area = assemble(patch, MAT, gauss_rule(3), "cs")
+        assert abs(area.sum() - 1.0) < 1e-12
+        F = load_area(area, np.array([0.0, 0.0, 1.0]))
         assert abs(F[2::3].sum() - 1.0) < 1e-12
 
     def test_roof_total_vertical_load(self):
         case_surface = make_uniform(ALL_SURFACES["scordelis"](), 4, 4)
         patch = Patch(case_surface)
-        F = load_area(patch, gauss_rule(3), np.array([0.0, 0.0, -90.0]))
+        _, area_vec = assemble(patch, MAT, gauss_rule(3), "cas")
+        F = load_area(area_vec, np.array([0.0, 0.0, -90.0]))
         area = (2 * np.radians(40.0)) * 25.0 * 50.0  # exact midsurface area
+        assert abs(area_vec.sum() - area) < 1e-6 * area
         assert abs(F[2::3].sum() + 90.0 * area) < 1e-6 * 90.0 * area
+
+    @pytest.mark.parametrize("quad", [2, 3])
+    @pytest.mark.parametrize("case_id,mesh", [("hypar", (8, 4)), ("scordelis", (4, 4))])
+    def test_area_vector_matches_element_sums(self, case_id, mesh, quad):
+        """area (x) f is the per-element sum of N f dA over the rule's points."""
+        case = make_case(case_id)
+        patch = Patch(make_uniform(case.surface, *mesh))
+        f = np.array([0.3, -1.2, -90.0])
+        _, area = assemble(patch, case.material, gauss_rule(quad), "cas")
+        F = area_load_by_elements(patch, gauss_rule(quad), f)
+        assert np.abs(load_area(area, f) - F).max() <= 1e-15 * np.abs(F).max()
 
     def test_zero_edge_load(self):
         patch = Patch(flat_patch())
@@ -372,15 +407,15 @@ def constrained(case_id, mesh, kind, quad=3):
     """The assembled K and F of a benchmark case and their reduced system."""
     case = make_case(case_id)
     patch = Patch(make_uniform(case.surface, *mesh))
-    K = assemble(patch, case.material, gauss_rule(quad), kind)
-    F = build_loads(case, patch, quad)
+    K, area = assemble(patch, case.material, gauss_rule(quad), kind)
+    F = build_loads(case, patch, quad, area)
     return K, F, apply_constraints(K, F, *case.constraints(patch))
 
 
 class TestConstraints:
     def test_no_constraints_identity(self):
         patch = Patch(flat_patch())
-        K = assemble(patch, MAT, gauss_rule(2), "cs")
+        K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
         red = apply_constraints(K, np.zeros(patch.n_dof), [])
         assert len(red.free) == patch.n_dof
         U = red.expand(np.ones(len(red.free)))
@@ -388,23 +423,23 @@ class TestConstraints:
 
     def test_fixed_count(self):
         patch = Patch(flat_patch())
-        K = assemble(patch, MAT, gauss_rule(2), "cs")
+        K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
         red = apply_constraints(K, np.zeros(patch.n_dof),
                                 fix_cps(edge_lines("u0", patch.surface.shape)))
         assert len(red.free) == 27 - 9
 
     def test_all_fixed_raises(self):
         patch = Patch(flat_patch())
-        K = assemble(patch, MAT, gauss_rule(2), "cs")
+        K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
         with pytest.raises(ValueError):
             apply_constraints(K, np.zeros(patch.n_dof), np.arange(patch.n_dof))
 
     def test_multipoint_tie(self):
         """A two-dof tie U_a = U_b is satisfied exactly by the expansion."""
         patch = Patch(flat_patch())
-        K = assemble(patch, MAT, gauss_rule(3), "cs")
+        K, area = assemble(patch, MAT, gauss_rule(3), "cs")
         row = (np.array([13, 16]), np.array([1.0, -1.0]))
-        F = load_area(patch, gauss_rule(3), np.array([0.0, 1.0, 0.0]))
+        F = load_area(area, np.array([0.0, 1.0, 0.0]))
         red = apply_constraints(K, F, fix_cps(edge_lines("u0", patch.surface.shape)), (row,))
         U = red.expand(np.asarray(solve_spd(red.K, red.F).U, float))
         assert abs(U[13] - U[16]) < 1e-12 * max(1.0, abs(U).max())
@@ -413,8 +448,8 @@ class TestConstraints:
         case = make_case("scordelis", slenderness=1e2)
         surface = make_uniform(case.surface, 8, 8)
         patch = Patch(surface)
-        K = assemble(patch, case.material, gauss_rule(3), "cas")
-        red = apply_constraints(K, build_loads(case, patch, 3), *case.constraints(patch))
+        K, area = assemble(patch, case.material, gauss_rule(3), "cas")
+        red = apply_constraints(K, build_loads(case, patch, 3, area), *case.constraints(patch))
         U = np.asarray(solve_spd(red.K, red.F).U, float)
         lhs = U @ red.F
         rhs = U @ (red.K @ U)
@@ -429,7 +464,7 @@ class TestConstraints:
     @pytest.mark.parametrize("dof", [10 ** 6, -1])
     def test_multipoint_dof_out_of_range(self, dof):
         patch = Patch(flat_patch())
-        K = assemble(patch, MAT, gauss_rule(2), "cs")
+        K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
         row = (np.array([13, dof]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="out of range"):
             apply_constraints(K, np.zeros(patch.n_dof), [], (row,))
@@ -558,7 +593,7 @@ class TestZeroEnergyModes:
     def test_counts(self, case_id, mesh, kind, quad):
         case = make_case(case_id)
         patch = Patch(make_uniform(case.surface, *mesh))
-        K = assemble(patch, case.material, gauss_rule(quad), kind)
+        K, _ = assemble(patch, case.material, gauss_rule(quad), kind)
         generator = int(kind == "cas" and case_id in ("strip", "scordelis"))
         assert _zero_modes(K.toarray()) == 6 + generator
         red = apply_constraints(K, np.zeros(patch.n_dof), *case.constraints(patch))
@@ -577,7 +612,7 @@ class TestZeroEnergyModes:
         below that bound."""
         case = make_case(case_id)
         patch = Patch(make_uniform(case.surface, *mesh))
-        red = apply_constraints(assemble(patch, case.material, gauss_rule(quad), "cas"),
+        red = apply_constraints(assemble(patch, case.material, gauss_rule(quad), "cas")[0],
                                 np.zeros(patch.n_dof), *case.constraints(patch))
         K = red.K.toarray()
         d = 1.0 / np.sqrt(np.diag(K))

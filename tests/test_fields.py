@@ -8,6 +8,7 @@ from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial
                      SolutionField, apply_constraints, assemble, displacement_at,
                      energies, gauss_rule, l2_resultant_error, make_uniform,
                      sample, solve_spd, surface_eval, write_field)
+import klshell.fields as fields
 from klshell.cases import build_loads, make_case
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -26,8 +27,8 @@ def solved_case(case_id, slenderness, mesh, kind):
     case = make_case(case_id, slenderness=slenderness)
     surface = make_uniform(case.surface, *mesh)
     patch = Patch(surface)
-    K = assemble(patch, case.material, gauss_rule(3), kind)
-    red = apply_constraints(K, build_loads(case, patch, 3), *case.constraints(patch))
+    K, area = assemble(patch, case.material, gauss_rule(3), kind)
+    red = apply_constraints(K, build_loads(case, patch, 3, area), *case.constraints(patch))
     U = red.expand(np.asarray(solve_spd(red.K, red.F).U, float)).reshape(-1, 3)
     return case, SolutionField(patch, U, kind, case.material), red
 
@@ -184,6 +185,32 @@ class TestFieldSampler:
         assert len(row) == 15
         # first sample sits at the clamped corner: position (0, R, z)
         assert abs(row[2]) < 1e-12 and abs(row[3] - 10.0) < 1e-12
+
+    def test_rows_format_each_value_as_17_digits(self, monkeypatch, tmp_path):
+        """The rows hold the bytes of format(v, ".17g") per value, joined
+        by single spaces, for signed zeros, subnormals and huge values too."""
+        special = [0.0, -0.0, 5e-324, -1.5e-310, 1e300, -1e300, 1.0 / 3.0,
+                   -2.5, 123456.789, np.pi, 1e-5, 7.0]
+        table = np.resize(special, (9, 15))
+        table[:, 12:] = np.roll(table[:, 12:], 1, axis=0)  # neff columns differ
+
+        def fake_sample(sol, theta):
+            rows = table[:len(theta)]
+            return {"r": rows[:, :3], "u": rows[:, 3:6], "n": rows[:, 6:9],
+                    "m": rows[:, 9:12], "neff": rows[:, 12:15]}
+
+        monkeypatch.setattr(fields, "sample", fake_sample)
+        patch = flat_patch()
+        write_field(SolutionField(patch, np.zeros((patch.n_cp, 3)), "cs", MAT),
+                    tmp_path / "field.dat", {"mesh": "1x1"}, density=3)
+        t = np.linspace(0.0, 1.0, 3)
+        expect = ("# mesh: 1x1\n# columns: t1 t2 x y z ux uy uz n11 n22 n12 "
+                  "m11 m22 m12 neff11\n")
+        for i, (t1, t2) in enumerate((a, b) for a in t for b in t):
+            row = (t1, t2, *table[i, :13])
+            expect += " ".join(format(v, ".17g") for v in row) + "\n"
+        assert (tmp_path / "field.dat").read_bytes() == expect.encode("ascii")
+        assert b" -0 " in (tmp_path / "field.dat").read_bytes()
 
     @pytest.mark.parametrize("kind", ["cs", "cas"])
     def test_rows_match_point_queries(self, kind, tmp_path):

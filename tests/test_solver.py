@@ -255,8 +255,9 @@ def reduced_system(case_id, slenderness, mesh, kind="cas"):
     """The constrained (K, F) that ``solve_case`` hands to the solver."""
     case = make_case(case_id, slenderness=slenderness)
     patch = Patch(make_uniform(case.surface, *mesh))
-    K = assemble(patch, case.material, gauss_rule(3), kind)
-    reduced = apply_constraints(K, cases.build_loads(case, patch, 3), *case.constraints(patch))
+    K, area = assemble(patch, case.material, gauss_rule(3), kind)
+    reduced = apply_constraints(K, cases.build_loads(case, patch, 3, area),
+                                *case.constraints(patch))
     return reduced.K, reduced.F
 
 
