@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (_EDGES, Patch, _batch_eval, apply_constraints, assemble,
+from .elements import (_EDGES, Patch, _batch_eval, _dofs, apply_constraints, assemble,
                        edge_lines, fix_cps, gauss_rule, load_area, load_edge_line,
                        load_point)
 from .fields import SolutionField, displacement_at, energies, l2_resultant_error
 from .nurbs import KnotVector, NurbsSurface, make_uniform
-from .shell import ShellMaterial, frame_arrays
+from .shell import ShellMaterial
 from .solver import SolveTrace, solve_spd
 
 SQ2_2 = np.sqrt(2.0) / 2.0
@@ -229,9 +229,8 @@ def _rotation_rows(patch: Patch, edge: str):
     g = np.mean(kv.knots[j], axis=1)
     at = np.full_like(g, kvs[d].end if end else kvs[d].start)
     theta = np.stack((at, g) if d == 0 else (g, at), axis=-1)
-    ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :])
-    a3 = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])["a3"][:, 0]
-    dofs = 3 * np.stack([g0, g0, g0, g1, g1, g1], axis=1) + [0, 1, 2, 0, 1, 2]
+    a3 = _batch_eval(patch, patch.locate(theta), theta[:, None, :])["a3"][:, 0]
+    dofs = _dofs(np.stack([g0, g1], axis=1))
     coeffs = np.concatenate([a3, -a3], axis=1)
     return tuple(zip(dofs, coeffs))
 

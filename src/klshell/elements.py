@@ -153,20 +153,29 @@ def _chunks(n: int):
 
 
 def _batch_eval(patch: Patch, eids, theta, order: int = 2):
-    """Geometry and rational basis arrays at parametric points of elements.
+    """The record of a batch of points: basis, geometry and surface frame.
 
     ``theta`` (ne, nq, 2) holds points of the elements ``eids``.  Returns a
-    dict with conn (ne, nfun) and arrays of leading shape (ne, nq): r, r1,
-    r2, r11, r22, r12 (..., 3) and N, N1, N2, N11, N22, N12 (..., nfun), up
-    to the requested derivative order.
+    dict with eids (ne,), conn (ne, nfun) and arrays of leading shape
+    (ne, nq): r, r1, r2, r11, r22, r12 (..., 3) and N, N1, N2, N11, N22, N12
+    (..., nfun), up to the requested derivative order, and at order 2 the
+    ``frame_arrays`` entries (a1, a2, a3, a_inv, b_mixed, e1, e2, jac, ...).
+    Raises SingularGeometryError naming the elements with a degenerate point.
     """
     eids = np.asarray(eids, dtype=int)
     su, sv = patch.element_spans(eids)
     R = rational_eval(patch.surface, su[:, None], sv[:, None],
                       theta[..., 0], theta[..., 1], order)
-    ev = {"conn": patch.conn[eids]}
+    ev = {"eids": eids, "conn": patch.conn[eids]}
     for d, row in zip(("", "1", "2", "11", "22", "12"), R):
         ev["N" + d], ev["r" + d] = row[..., :-4], row[..., -4:-1]
+    if order == 2:
+        try:
+            ev.update(frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"]))
+        except SingularGeometryError as exc:
+            jac = np.linalg.norm(np.cross(ev["r1"], ev["r2"]), axis=-1)
+            bad = np.unique(eids[~np.all(np.isfinite(jac) & (jac > 0.0), axis=1)])
+            raise SingularGeometryError(f"elements {bad.tolist()}: {exc}") from exc
     return ev
 
 
@@ -187,20 +196,20 @@ def _to_parent(patch, eids, theta):
 def _parent_eval(patch, eids, xi, order: int = 2):
     """_batch_eval at the parent points xi (nq, 2) of every element.
 
-    Adds "half" (ne, 2), the half-widths of the elements' parametric boxes.
+    Adds those exact points as "xi" and "half" (ne, 2), the half-widths of
+    the elements' parametric boxes.
     """
     lo, hi = _boxes(patch, eids)
     theta = lo[:, None, :] + 0.5 * (xi + 1.0) * (hi - lo)[:, None, :]
     ev = _batch_eval(patch, eids, theta, order)
-    ev["half"] = 0.5 * (hi - lo)
+    ev["xi"], ev["half"] = xi, 0.5 * (hi - lo)
     return ev
 
 
 def _rule_eval(patch, eids, rule):
     """_parent_eval at the rule's points, plus the area weights "dA" (ne, nq)."""
     ev = _parent_eval(patch, eids, rule.points)
-    jac = np.linalg.norm(np.cross(ev["r1"], ev["r2"]), axis=-1)
-    ev["dA"] = (rule.weights[None, :] * jac
+    ev["dA"] = (rule.weights[None, :] * ev["jac"]
                 * (ev["half"][:, 0] * ev["half"][:, 1])[:, None])
     return ev
 
@@ -220,12 +229,12 @@ def _corner_weights(xi):
     return (1.0 + _CORNERS[:, 0] * xi[..., 0]) * (1.0 + _CORNERS[:, 1] * xi[..., 1]) * 0.25
 
 
-def _membrane_strain_rows(patch, eids, ev, xi, kind):
+def _membrane_strain_rows(patch, ev, kind):
     """Membrane strain rows of an element kind, (ne, nq, 3, 3*nfun), Voigt form.
 
-    ``cs`` takes the compatible rows at the points of ``ev``.  ``cas``
-    evaluates the compatible rows at the four element corners and
-    interpolates them bilinearly to the parent points ``xi`` of those points,
+    ``cs`` takes the compatible rows at the points of the record ``ev``.
+    ``cas`` evaluates the compatible rows at the four corners of its
+    elements and interpolates them bilinearly to its parent points "xi",
     (nq, 2) shared or (ne, nq, 2) per element.
     """
     if kind == CS:
@@ -234,8 +243,8 @@ def _membrane_strain_rows(patch, eids, ev, xi, kind):
         raise ValueError(f"unknown element kind {kind!r}")
     if patch.surface.kv_u.degree != 2 or patch.surface.kv_v.degree != 2:
         raise ValueError("cas elements are defined for quadratic patches only")
-    L = np.broadcast_to(_corner_weights(xi), ev["N"].shape[:2] + (4,))
-    return np.einsum("eql,elai->eqai", L, _corner_membrane_rows(patch, eids))
+    L = np.broadcast_to(_corner_weights(ev["xi"]), ev["N"].shape[:2] + (4,))
+    return np.einsum("eql,elai->eqai", L, _corner_membrane_rows(patch, ev["eids"]))
 
 
 def _contract(B, C):
@@ -249,16 +258,9 @@ def _contract(B, C):
 def _stiffness_batch(patch, eids, mat, rule, kind):
     """Membrane and bending stiffness (ne, nd, nd) and integrals of N_A dA (ne, nfun)."""
     ev = _rule_eval(patch, eids, rule)
-    try:
-        fr = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])
-    except SingularGeometryError as exc:
-        raise SingularGeometryError(f"elements {list(eids)}: {exc}") from exc
-
-    C = constitutive_voigt(fr["a_inv"], ev["dA"], mat.nu)  # unit law times area
-    Bk = bending_rows(ev, fr)
-    Bm = _membrane_strain_rows(patch, eids, ev, rule.points, kind)
-    return (mat.membrane_stiffness * _contract(Bm, C),
-            mat.bending_stiffness * _contract(Bk, C),
+    C = constitutive_voigt(ev["a_inv"], ev["dA"], mat.nu)  # unit law times area
+    return (mat.membrane_stiffness * _contract(_membrane_strain_rows(patch, ev, kind), C),
+            mat.bending_stiffness * _contract(bending_rows(ev), C),
             np.einsum("eqA,eq->eA", ev["N"], ev["dA"]))
 
 

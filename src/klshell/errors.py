@@ -10,7 +10,7 @@ class SingularGeometryError(RuntimeError):
 
 
 class IndefiniteSystemError(RuntimeError):
-    """A factorization pivot was non-positive: system is not positive definite."""
+    """Inverse iteration found a negative eigenvalue: the system is indefinite."""
 
 
 class SingularSystemError(RuntimeError):

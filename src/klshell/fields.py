@@ -15,8 +15,7 @@ import numpy as np
 from .elements import (Patch, QuadratureRule, _batch_eval, _chunks, _dofs,
                        _membrane_strain_rows, _rule_eval, _to_parent, tensor_rule)
 from .shell import (ShellMaterial, bending_rows, cartesian_components,
-                    constitutive_voigt, effective_membrane_forces, frame_arrays,
-                    resultant_law)
+                    constitutive_voigt, effective_membrane_forces, resultant_law)
 
 
 @dataclass(eq=False)
@@ -33,9 +32,6 @@ class SolutionField:
         if U.shape != (self.patch.n_cp, 3):
             raise ValueError(f"coefficient shape {U.shape} != {(self.patch.n_cp, 3)}")
         self.U = U
-
-    def local_dofs(self, eids) -> np.ndarray:
-        return self.U.reshape(-1)[_dofs(self.patch.conn[eids])]
 
 
 @dataclass(frozen=True)
@@ -68,32 +64,31 @@ def displacement_at(sol: SolutionField, theta) -> tuple[np.ndarray, np.ndarray]:
     return ev["r"][:, 0], _displacements(sol, ev)[:, 0]
 
 
-def _strain_fields(sol, eids, ev, xi):
-    """Strains and frames at the points of ev, parent coordinates xi.
+def _strain_fields(sol, ev):
+    """Strains at the points of the record ev (order 2, with "xi").
 
     Membrane strains follow the element kind; curvatures are compatible.
-    Returns (fr, eps, kappa) with eps/kappa of shape (ne, nq, 3) in Voigt
-    form (11, 22, 2*12).
+    Returns (eps, kappa), each of shape (ne, nq, 3) in Voigt form
+    (11, 22, 2*12).
     """
-    fr = frame_arrays(ev["r1"], ev["r2"], ev["r11"], ev["r22"], ev["r12"])
-    Uloc = sol.local_dofs(eids)
-    kappa = np.einsum("eqaj,ej->eqa", bending_rows(ev, fr), Uloc)
-    mrows = _membrane_strain_rows(sol.patch, eids, ev, xi, sol.kind)
-    return fr, np.einsum("eqaj,ej->eqa", mrows, Uloc), kappa
+    Uloc = sol.U.reshape(-1)[_dofs(ev["conn"])]
+    kappa = np.einsum("eqaj,ej->eqa", bending_rows(ev), Uloc)
+    mrows = _membrane_strain_rows(sol.patch, ev, sol.kind)
+    return np.einsum("eqaj,ej->eqa", mrows, Uloc), kappa
 
 
-def _resultant_fields(sol, eids, ev, xi):
-    """Local-Cartesian resultant components at the points of ev.
+def _resultant_fields(sol, ev):
+    """Local-Cartesian resultant components at the points of the record ev.
 
     Returns a dict mapping 'n', 'm', 'neff' to arrays of shape (ne, nq, 3)
     holding the (11, 22, 12) physical components.
     """
     mat = sol.mat
-    fr, eps, kappa = _strain_fields(sol, eids, ev, xi)
-    n = resultant_law(eps, fr["a_inv"], mat.membrane_stiffness, mat.nu)
-    m = resultant_law(kappa, fr["a_inv"], mat.bending_stiffness, mat.nu)
-    neff = effective_membrane_forces(n, m, fr["b_mixed"])
-    return {key: cartesian_components(c, fr["e1"], fr["e2"], fr["a1"], fr["a2"])
+    eps, kappa = _strain_fields(sol, ev)
+    n = resultant_law(eps, ev["a_inv"], mat.membrane_stiffness, mat.nu)
+    m = resultant_law(kappa, ev["a_inv"], mat.bending_stiffness, mat.nu)
+    neff = effective_membrane_forces(n, m, ev["b_mixed"])
+    return {key: cartesian_components(c, ev["e1"], ev["e2"], ev["a1"], ev["a2"])
             for key, c in (("n", n), ("m", m), ("neff", neff))}
 
 
@@ -110,9 +105,8 @@ def sample(sol: SolutionField, theta, eids=None) -> dict:
     theta = np.asarray(theta, dtype=float)
     eids = sol.patch.locate(theta) if eids is None else eids
     ev = _batch_eval(sol.patch, eids, theta[:, None, :], order=2)
-    xi = _to_parent(sol.patch, eids, theta)[:, None, :]
-    fields = {"r": ev["r"], "u": _displacements(sol, ev),
-              **_resultant_fields(sol, eids, ev, xi)}
+    ev["xi"] = _to_parent(sol.patch, eids, theta)[:, None, :]
+    fields = {"r": ev["r"], "u": _displacements(sol, ev), **_resultant_fields(sol, ev)}
     return {key: v[:, 0] for key, v in fields.items()}
 
 
@@ -125,9 +119,9 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
     Em = Eb = 0.0
     for eids in _chunks(sol.patch.n_elements):
         ev = _rule_eval(sol.patch, eids, rule)
-        fr, eps, kappa = _strain_fields(sol, eids, ev, rule.points)
-        Dm = constitutive_voigt(fr["a_inv"], sol.mat.membrane_stiffness, sol.mat.nu)
-        Db = constitutive_voigt(fr["a_inv"], sol.mat.bending_stiffness, sol.mat.nu)
+        eps, kappa = _strain_fields(sol, ev)
+        Dm = constitutive_voigt(ev["a_inv"], sol.mat.membrane_stiffness, sol.mat.nu)
+        Db = constitutive_voigt(ev["a_inv"], sol.mat.bending_stiffness, sol.mat.nu)
         Em += 0.5 * np.einsum("eqa,eqab,eqb,eq->", eps, Dm, eps, ev["dA"])
         Eb += 0.5 * np.einsum("eqa,eqab,eqb,eq->", kappa, Db, kappa, ev["dA"])
     return EnergyReport(Em=float(Em), Eb=float(Eb), Et=float(Em + Eb))
@@ -151,7 +145,7 @@ def l2_resultant_error(sol: SolutionField, analytic, which) -> tuple[float, ...]
     diffs, exacts, dAs = [[] for _ in names], [[] for _ in names], []
     for eids in _chunks(sol.patch.n_elements):
         ev = _rule_eval(sol.patch, eids, rule)
-        res = _resultant_fields(sol, eids, ev, rule.points)
+        res = _resultant_fields(sol, ev)
         dAs.append(ev["dA"])
         for i, (w, exact_at) in enumerate(zip(names, fields, strict=True)):
             name, comp = key[w]

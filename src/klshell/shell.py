@@ -123,7 +123,7 @@ def membrane_rows(N1, N2, a1, a2):
     return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * 3,))
 
 
-def bending_rows(basis_arrays, frame_arrays_):
+def bending_rows(ev):
     """Bending pseudo-strain rows, batched.
 
     Implements the linearized change of curvature in Christoffel form,
@@ -132,17 +132,17 @@ def bending_rows(basis_arrays, frame_arrays_):
 
     with a^g = a_inv[g, d] a_d the contravariant tangents.
 
-    basis_arrays: dict with N1, N2, N11, N22, N12 of shape (..., nfun).
+    ev: dict with the basis partials N1, N2, N11, N22, N12 (..., nfun) and
+    the ``frame_arrays`` entries a1, a2, a3, a_inv and d2 at the same points.
     Returns (..., 3, 3*nfun) rows of (kappa_11, kappa_22, 2*kappa_12).
     """
-    f, N = frame_arrays_, basis_arrays
-    a_con = f["a_inv"] @ np.stack([f["a1"], f["a2"]], axis=-2)   # rows a^1, a^2
-    G = f["d2"] @ np.swapaxes(a_con, -1, -2)                     # (..., 3, 2)
-    second = np.stack([N["N11"], N["N22"], N["N12"]], axis=-2)
-    coef = (G[..., 0:1] * N["N1"][..., None, :] + G[..., 1:2] * N["N2"][..., None, :]
+    a_con = ev["a_inv"] @ np.stack([ev["a1"], ev["a2"]], axis=-2)  # rows a^1, a^2
+    G = ev["d2"] @ np.swapaxes(a_con, -1, -2)                      # (..., 3, 2)
+    second = np.stack([ev["N11"], ev["N22"], ev["N12"]], axis=-2)
+    coef = (G[..., 0:1] * ev["N1"][..., None, :] + G[..., 1:2] * ev["N2"][..., None, :]
             - second)
     coef[..., 2, :] *= 2.0  # Voigt shear row
-    rows = coef[..., None] * f["a3"][..., None, None, :]
+    rows = coef[..., None] * ev["a3"][..., None, None, :]
     return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * 3,))
 
 

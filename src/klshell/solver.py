@@ -227,8 +227,10 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
     """Solve K U = F for symmetric positive definite K; return a SolveTrace.
 
     ``K`` is a symmetric CSR matrix, as ``elements.apply_constraints``
-    returns it, or anything ``scipy.sparse.csr_matrix`` accepts.  Raises
-    :class:`IndefiniteSystemError` on a non-positive pivot,
+    returns it, or anything ``scipy.sparse.csr_matrix`` accepts.  A
+    non-positive pivot only sends the system down the fallback ladder (see
+    :func:`_factor_checked`).  Raises :class:`IndefiniteSystemError` when
+    inverse iteration on the shifted factor finds a negative eigenvalue,
     :class:`SingularSystemError` on factorization breakdown, and
     :class:`NumericalError` if iterative refinement cannot reach
     ``||KU - F|| <= max(RESIDUAL_RTOL, floor) ||F||``, where ``floor`` is

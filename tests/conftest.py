@@ -32,17 +32,18 @@ ALL_SURFACES = {
 
 
 def basis_at(surface, t1, t2):
-    """Rational basis and geometry arrays at one parametric point.
+    """Rational basis, geometry and frame arrays at one parametric point.
 
     Evaluates in the element that contains the point (``Patch.locate``).
     Returns a dict with N, N1, N2, N11, N22, N12 of shape (nfun,), r, r1,
-    r2, r11, r22, r12 of shape (3,), and conn (nfun,), the control point
-    indices of the basis functions.
+    r2, r11, r22, r12 of shape (3,), the ``frame_arrays`` entries of the
+    point, and conn (nfun,), the control point indices of the basis
+    functions.
     """
     patch = Patch(surface)
     theta = np.array([[t1, t2]], dtype=float)
     ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :])
-    return {k: v[0] if k == "conn" else v[0, 0] for k, v in ev.items()}
+    return {k: v[0] if k == "conn" else v[0, 0] for k, v in ev.items() if k != "eids"}
 
 
 class BenchCache:

@@ -138,6 +138,20 @@ class TestElementStiffnessCAS:
         assumed_at_corners = np.einsum("ql,elai->eqai", L, Bc)
         assert np.abs(assumed_at_corners - Bc).max() < 1e-14 * np.abs(Bc).max()
 
+    @pytest.mark.parametrize("quad", [2, 3])
+    @pytest.mark.parametrize("case_id, mesh", [("hypar", (4, 2)), ("strip", (8, 1))])
+    def test_rows_interpolate_at_the_rule_points_bitwise(self, case_id, mesh, quad):
+        """The record keeps the rule's own parent points: points rebuilt from
+        the parametric ones move the rows by roundoff, and the pinned cas
+        strip outputs have no margin for that."""
+        patch = Patch(make_uniform(ALL_SURFACES[case_id](), *mesh))
+        rule = gauss_rule(quad)
+        eids = np.arange(patch.n_elements)
+        rows = _membrane_strain_rows(patch, _rule_eval(patch, eids, rule), "cas")
+        expected = np.einsum("ql,elai->eqai", _corner_weights(rule.points),
+                             _corner_membrane_rows(patch, eids))
+        assert np.array_equal(rows, expected)
+
     def test_symmetric_and_rigid_annihilation(self):
         patch = Patch(ALL_SURFACES["scordelis"]())
         k = element_stiffness(patch, 0, MAT, gauss_rule(3), "cas")
@@ -277,7 +291,7 @@ class TestMembranePatch:
         rule = gauss_rule(3)
         eids = np.arange(patch.n_elements)
         ev = _rule_eval(patch, eids, rule)
-        rows = _membrane_strain_rows(patch, eids, ev, rule.points, kind)
+        rows = _membrane_strain_rows(patch, ev, kind)
         eps = np.einsum("eqai,ei->eqa", rows, U[_dofs(ev["conn"])])
         a1, a2 = ev["r1"], ev["r2"]
 

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import ALL_SURFACES
 from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial,
-                     SolutionField, apply_constraints, assemble, displacement_at,
-                     energies, gauss_rule, l2_resultant_error, make_uniform,
-                     sample, solve_spd, surface_eval, write_field)
+                     SingularGeometryError, SolutionField, apply_constraints, assemble,
+                     displacement_at, energies, gauss_rule, l2_resultant_error,
+                     make_uniform, sample, solve_spd, surface_eval, write_field)
 import klshell.fields as fields
 from klshell.cases import build_loads, make_case
 
@@ -88,6 +88,37 @@ class TestResultants:
             nl, nr = sample(sol, [(edge_u, t2)] * 2, eids)["n"]
             scale = max(np.abs(nl).max(), 1e-30)
             assert np.abs(nl - nr).max() <= 1e-10 * scale
+
+
+class TestDegenerateGeometry:
+    """Every path through the point record names, as plain ints, only the
+    elements that have a degenerate point."""
+
+    @staticmethod
+    def collapsed():
+        """Flat 4x2 elements whose first three control-point rows meet in one
+        point: the first element row, elements 0 and 1, has no tangent plane."""
+        s = make_uniform(flat_patch().surface, 4, 2)
+        ctrl = s.ctrl.copy()
+        ctrl[:3] = ctrl[0, 0]
+        return Patch(NurbsSurface(s.kv_u, s.kv_v, ctrl, s.weights))
+
+    @pytest.mark.parametrize("path", ["assemble", "energies", "l2", "constraints"])
+    def test_chunk_paths_name_the_degenerate_elements(self, path):
+        patch = self.collapsed()
+        sol = SolutionField(patch, np.zeros((patch.n_cp, 3)), "cs", MAT)
+        run = {"assemble": lambda: assemble(patch, MAT, gauss_rule(3), "cs"),
+               "energies": lambda: energies(sol, gauss_rule(3)),
+               "l2": lambda: l2_resultant_error(sol, (lambda x: x[..., 0] + 1.0,), ("n11",)),
+               "constraints": lambda: make_case("hypar").constraints(patch)}[path]
+        with pytest.raises(SingularGeometryError, match=r"^elements \[0, 1\]: "):
+            run()
+
+    def test_sample_names_the_element_of_its_point(self):
+        patch = self.collapsed()
+        sol = SolutionField(patch, np.zeros((patch.n_cp, 3)), "cas", MAT)
+        with pytest.raises(SingularGeometryError, match=r"^elements \[0\]: "):
+            sample(sol, [[0.1, 0.2]])
 
 
 class TestEnergies:

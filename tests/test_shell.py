@@ -148,13 +148,13 @@ class TestBendingOperator:
         U = np.zeros((9, 3))
         U[:, 2] = np.outer([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]).ravel()
         for t1, t2 in ((0.2, 0.3), (0.7, 0.9)):
-            kap = rows_apply(bending_rows(basis_at(s, t1, t2), frame(s, t1, t2)), U)
+            kap = rows_apply(bending_rows({**basis_at(s, t1, t2), **frame(s, t1, t2)}), U)
             assert np.allclose(kap, [-2.0, 0.0, 0.0], atol=1e-13)
 
     def test_rigid_translation_annihilated(self):
         s = sphere_patch()
         U = np.tile([0.1, 0.2, -0.3], (9, 1))
-        kap = rows_apply(bending_rows(basis_at(s, 0.6, 0.2), frame(s, 0.6, 0.2)), U)
+        kap = rows_apply(bending_rows({**basis_at(s, 0.6, 0.2), **frame(s, 0.6, 0.2)}), U)
         assert np.allclose(kap, 0.0, atol=1e-14)
 
     def test_rigid_rotation_annihilated_on_cylinder(self):
@@ -165,7 +165,7 @@ class TestBendingOperator:
         rng = np.random.default_rng(9)
         for t1, t2 in rng.random((20, 2)):
             be = basis_at(s, t1, t2)
-            kap = rows_apply(bending_rows(be, frame(s, t1, t2)), U[be["conn"]])
+            kap = rows_apply(bending_rows({**be, **frame(s, t1, t2)}), U[be["conn"]])
             assert np.all(np.abs(kap) < 1e-9 * scale)
 
 
@@ -190,7 +190,7 @@ def test_strain_rows_match_finite_differences(name):
         Uloc = U.reshape(-1, 3)[be["conn"]]
         checks = ((rows_apply(membrane_rows(be["N1"], be["N2"], f["a1"], f["a2"]), Uloc),
                    0.5 * voigt * (a_p - a_m) / (2 * eps)),
-                  (rows_apply(bending_rows(be, f), Uloc), -voigt * (b_p - b_m) / (2 * eps)))
+                  (rows_apply(bending_rows({**be, **f}), Uloc), -voigt * (b_p - b_m) / (2 * eps)))
         for got, fd in checks:
             assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
 
