@@ -15,7 +15,8 @@ import numpy as np
 from .elements import (Patch, QuadratureRule, _batch_eval, _chunks, _dofs,
                        _membrane_strain_rows, _rule_eval, _to_parent, tensor_rule)
 from .shell import (ShellMaterial, bending_rows, cartesian_components,
-                    constitutive_voigt, effective_membrane_forces, resultant_law)
+                    constitutive_voigt, effective_membrane_forces, resultant_frame,
+                    resultant_law)
 
 
 @dataclass(eq=False)
@@ -83,12 +84,12 @@ def _resultant_fields(sol, ev):
     Returns a dict mapping 'n', 'm', 'neff' to arrays of shape (ne, nq, 3)
     holding the (11, 22, 12) physical components.
     """
-    mat = sol.mat
+    mat, fr = sol.mat, resultant_frame(ev)
     eps, kappa = _strain_fields(sol, ev)
     n = resultant_law(eps, ev["a_inv"], mat.membrane_stiffness, mat.nu)
     m = resultant_law(kappa, ev["a_inv"], mat.bending_stiffness, mat.nu)
-    neff = effective_membrane_forces(n, m, ev["b_mixed"])
-    return {key: cartesian_components(c, ev["e1"], ev["e2"], ev["a1"], ev["a2"])
+    neff = effective_membrane_forces(n, m, fr["b_mixed"])
+    return {key: cartesian_components(c, fr["e1"], fr["e2"], ev["a1"], ev["a2"])
             for key, c in (("n", n), ("m", m), ("neff", neff))}
 
 

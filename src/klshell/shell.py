@@ -76,10 +76,10 @@ def frame_arrays(r1, r2, r11, r22, r12):
     """Frame quantities from parametric derivatives; broadcasts over leading dims.
 
     Returns a dict with the covariant tangents a1, a2, the unit normal a3,
-    the metric a_ab and its inverse a_inv, the curvature b_ab and its mixed
-    form b_mixed = a_inv @ b_ab, the orthonormal local basis e1, e2 with e1
-    parallel to a1, the area density jac = ||a1 x a2|| and the second
-    derivatives d2, stacked as (..., 3, 3) in component order 11, 22, 12.
+    the metric a_ab and its inverse a_inv, the area density
+    jac = ||a1 x a2|| and the second derivatives d2, stacked as (..., 3, 3)
+    in component order 11, 22, 12: what the stiffness reads.
+    ``resultant_frame`` adds what the resultants read.
     """
     cross = np.cross(r1, r2)
     jac = np.linalg.norm(cross, axis=-1)
@@ -91,14 +91,21 @@ def frame_arrays(r1, r2, r11, r22, r12):
     det = g[..., 0] * g[..., 1] - g[..., 2] ** 2
     a_inv = _sym(g[..., [1, 0, 2]] * [1.0, 1.0, -1.0] / det[..., None])
     d2 = np.stack([r11, r22, r12], axis=-2)
-    b_ab = _sym(_dot(d2, a3[..., None, :]))
+    return dict(a1=r1, a2=r2, a3=a3, a_ab=_sym(g), a_inv=a_inv, jac=jac, d2=d2)
 
-    e1 = r1 / np.linalg.norm(r1, axis=-1, keepdims=True)
-    t = r2 - _dot(r2, e1)[..., None] * e1
+
+def resultant_frame(fr):
+    """Curvature and local basis of the ``frame_arrays`` entries ``fr``.
+
+    Returns a dict with the curvature b_ab, its mixed form
+    b_mixed = a_inv @ b_ab and the orthonormal local basis e1, e2 with e1
+    parallel to a1.
+    """
+    b_ab = _sym(_dot(fr["d2"], fr["a3"][..., None, :]))
+    e1 = fr["a1"] / np.linalg.norm(fr["a1"], axis=-1, keepdims=True)
+    t = fr["a2"] - _dot(fr["a2"], e1)[..., None] * e1
     e2 = t / np.linalg.norm(t, axis=-1, keepdims=True)
-
-    return dict(a1=r1, a2=r2, a3=a3, a_ab=_sym(g), a_inv=a_inv, b_ab=b_ab,
-                b_mixed=a_inv @ b_ab, e1=e1, e2=e2, jac=jac, d2=d2)
+    return dict(b_ab=b_ab, b_mixed=fr["a_inv"] @ b_ab, e1=e1, e2=e2)
 
 
 # ---------------------------------------------------------------------------

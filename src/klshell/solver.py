@@ -133,7 +133,7 @@ def _upper_band(A: sp.csr_matrix) -> np.ndarray | None:
     """LAPACK upper band storage of the upper triangle of a canonical CSR
     matrix, or None if its band work fails the guard (see ``_BAND_MIN_WORK``)."""
     n = A.shape[0]
-    offset = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
+    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
     bw = int(offset.max(initial=0))
     if not _BAND_MIN_WORK <= n * bw * bw <= _BAND_MAX_WORK * n ** 1.5:
         return None
@@ -250,7 +250,9 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
     norm_f = np.linalg.norm(F)
 
     factor, path = _factor_checked(A)
-    Al, absA = A.astype(np.longdouble), abs(A)
+    # on A's own index arrays, which astype and abs would copy
+    Al = sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr), shape=A.shape)
+    absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
     rel, floor, U, steps = _refine(factor, Al, absA, F, norm_f)
     if rel > max(RESIDUAL_RTOL, floor) and path != "shifted":
         # primary factors can be polluted by a roundoff pivot of a

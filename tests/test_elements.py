@@ -1,10 +1,14 @@
 """Quadrature, element stiffness (cs/cas), loads, constraints, assembly."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import ALL_SURFACES
+import klshell.elements as elements
 import klshell.solver as solver
 from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial,
                      SingularGeometryError, apply_constraints, assemble,
@@ -257,6 +261,73 @@ class TestAssembly:
 
         assert K.has_canonical_format
         assert (K != K.T).nnz == 0
+
+
+class TestThreadedAssembly:
+    """Parts of a chunk on the thread pool give bitwise the unsplit result."""
+
+    @staticmethod
+    def assembled(monkeypatch, case_id, mesh, kind, quad, workers, part_min):
+        """K, area and the batch sizes of _stiffness_batch with the pool's
+        worker count and part floor set as given."""
+        monkeypatch.setattr(elements, "_WORKERS", workers)
+        monkeypatch.setattr(elements, "_PART_MIN", part_min)
+        monkeypatch.setattr(elements, "_POOL", None)  # one sized by workers
+        sizes, batch = [], elements._stiffness_batch
+
+        def counted(patch, eids, *args):
+            sizes.append(len(eids))
+            return batch(patch, eids, *args)
+
+        monkeypatch.setattr(elements, "_stiffness_batch", counted)
+        case = make_case(case_id)
+        patch = Patch(make_uniform(case.surface, *mesh))
+        K, area = assemble(patch, case.material, gauss_rule(quad), kind)
+        return (K, area), sizes
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("quad", [2, 3])
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    @pytest.mark.parametrize("case_id,mesh", [
+        ("hypar", (8, 4)), ("hypar", (16, 8)), ("strip", (8, 1)), ("strip", (256, 1)),
+        ("scordelis", (4, 4)), ("hemisphere", (4, 4)),
+    ])
+    def test_split_is_bitwise(self, monkeypatch, case_id, mesh, kind, quad, parts):
+        """1 part by the floor, 2 and 3 by the worker count, against one CPU."""
+        (K0, area0), _ = self.assembled(monkeypatch, case_id, mesh, kind, quad, 1, 1)
+        ne = mesh[0] * mesh[1]
+        workers, part_min = (3, ne) if parts == 1 else (parts, 1)
+        (K, area), sizes = self.assembled(monkeypatch, case_id, mesh, kind, quad,
+                                          workers, part_min)
+        assert len(sizes) == parts and sum(sizes) == ne
+        for a, b in ((K.data, K0.data), (K.indices, K0.indices),
+                     (K.indptr, K0.indptr), (area, area0)):
+            assert np.array_equal(a, b)
+
+    def test_more_parts_than_cpus_under_fast_switching(self, monkeypatch):
+        """Eight parts on a pool of seven threads, switched every microsecond,
+        write disjoint rows of one buffer: the result stays bitwise."""
+        (K0, area0), _ = self.assembled(monkeypatch, "hypar", (16, 8), "cas", 3, 1, 1)
+        result, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(self.assembled(
+                monkeypatch, "hypar", (16, 8), "cas", 3, 8, 1)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(result) == 1
+        (K, area), sizes = result[0]
+        assert sizes == [16] * 8
+        assert np.array_equal(K.data, K0.data) and np.array_equal(area, area0)
+
+    def test_chunk_below_the_floor_never_creates_the_pool(self, monkeypatch):
+        _, sizes = self.assembled(monkeypatch, "strip", (256, 1), "cas", 3,
+                                  16, elements._PART_MIN)
+        assert sizes == [256] and elements._POOL is None
+        _, sizes = self.assembled(monkeypatch, "strip", (256, 1), "cas", 3, 2, 128)
+        assert sizes == [128, 128] and elements._POOL is not None
 
 
 def distorted_flat_net():

@@ -8,6 +8,7 @@ from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial
                      SingularGeometryError, SolutionField, apply_constraints, assemble,
                      displacement_at, energies, gauss_rule, l2_resultant_error,
                      make_uniform, sample, solve_spd, surface_eval, write_field)
+import klshell.elements as elements
 import klshell.fields as fields
 from klshell.cases import build_loads, make_case
 
@@ -113,6 +114,16 @@ class TestDegenerateGeometry:
                "constraints": lambda: make_case("hypar").constraints(patch)}[path]
         with pytest.raises(SingularGeometryError, match=r"^elements \[0, 1\]: "):
             run()
+
+    def test_assemble_names_the_elements_of_every_part(self, monkeypatch):
+        """One element per part: element 0 fails on the caller, element 1 on
+        the pool, and one error names both."""
+        monkeypatch.setattr(elements, "_WORKERS", 8)
+        monkeypatch.setattr(elements, "_PART_MIN", 1)
+        monkeypatch.setattr(elements, "_POOL", None)
+        patch = self.collapsed()
+        with pytest.raises(SingularGeometryError, match=r"^elements \[0, 1\]: "):
+            assemble(patch, MAT, gauss_rule(3), "cs")
 
     def test_sample_names_the_element_of_its_point(self):
         patch = self.collapsed()

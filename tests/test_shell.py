@@ -9,7 +9,7 @@ from conftest import ALL_SURFACES, basis_at
 from klshell import KnotVector, NurbsSurface, ShellMaterial, make_uniform, surface_eval
 from klshell.shell import (bending_rows, cartesian_components,
                            effective_membrane_forces, frame_arrays, membrane_rows,
-                           resultant_law)
+                           resultant_frame, resultant_law)
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 
@@ -31,7 +31,8 @@ def sphere_patch(R=10.0):
 
 
 def frame(s, t1, t2):
-    return frame_arrays(*surface_eval(s, t1, t2)[1:])
+    f = frame_arrays(*surface_eval(s, t1, t2)[1:])
+    return {**f, **resultant_frame(f)}
 
 
 def rows_apply(rows, U):
