@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (_EDGES, Patch, _batch_eval, _dofs, apply_constraints, assemble,
-                       edge_lines, fix_cps, gauss_rule, load_area, load_edge_line,
-                       load_point)
+from .elements import (Patch, apply_constraints, assemble, edge_lines, fix_cps, gauss_rule,
+                       load_area, load_edge_line, load_point, rotation_rows)
 from .fields import SolutionField, displacement_at, energies, l2_resultant_error
 from .nurbs import KnotVector, NurbsSurface, make_uniform
 from .shell import ShellMaterial
@@ -64,7 +63,7 @@ class BenchmarkCase:
         normal to the plane for a mirror-symmetry edge), or only on its point
         int(at * len(row)) for ``at`` a fraction.  ``tie`` removes the
         rotation about the edge by tying the surface-normal displacement of
-        the adjacent row to the edge row (``_rotation_rows``), not by fixing
+        the adjacent row to the edge row (``rotation_rows``), not by fixing
         that row.  At a clamp, fixing it would also force the membrane
         strains to vanish there, which the exact solution does not satisfy:
         an O(1) boundary layer in the membrane forces that caps their L2
@@ -79,7 +78,7 @@ class BenchmarkCase:
                 line = line[[int(at * len(line))]]
             fixed.append(fix_cps(line, components))
             if tie:
-                rows += _rotation_rows(patch, edge)
+                rows += rotation_rows(patch, edge)
         return np.concatenate(fixed), rows
 
     def mesh_at_level(self, level: int) -> tuple[int, int]:
@@ -212,27 +211,6 @@ STRIP_REFERENCES = {1e1: -9.4561e-1, 1e2: -9.4250e-1, 1e3: -9.4247e-1}
 HEMISPHERE_REFERENCES = {2.5e2: -9.3521e-2, 2.5e3: -9.1594e-2, 2.5e4: -9.0817e-2}
 SCORDELIS_REFERENCES = {1e2: -3.0059e-1, 1e3: -3.2010e1}
 HYPAR_REFERENCES = {1e2: -9.3128e-5, 1e3: -6.3957e-3, 1e4: -5.3059e-1}
-
-
-def _rotation_rows(patch: Patch, edge: str):
-    """Zero-rotation-about-the-edge rows (dofs, coeffs), a3 . (U_row0 - U_row1)
-    = 0 collocated at the Greville stations of the edge.
-
-    The edge row is listed first, so that on a tie in coefficient size its
-    dof becomes the slave (see ``_mpc_transform``) and the reduced matrix
-    keeps the band of K."""
-    g0, g1 = edge_lines(edge, patch.surface.shape, 2).reshape(2, -1)
-    d, end = _EDGES[edge]
-    kvs = (patch.surface.kv_u, patch.surface.kv_v)
-    kv = kvs[1 - d]
-    j = np.arange(kv.n_basis)[:, None] + 1 + np.arange(kv.degree)
-    g = np.mean(kv.knots[j], axis=1)
-    at = np.full_like(g, kvs[d].end if end else kvs[d].start)
-    theta = np.stack((at, g) if d == 0 else (g, at), axis=-1)
-    a3 = _batch_eval(patch, patch.locate(theta), theta[:, None, :])["a3"][:, 0]
-    dofs = _dofs(np.stack([g0, g1], axis=1))
-    coeffs = np.concatenate([a3, -a3], axis=1)
-    return tuple(zip(dofs, coeffs))
 
 
 def _radial_xy(pos):

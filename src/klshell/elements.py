@@ -8,13 +8,12 @@ Two quadratic element types share one code path:
   membrane strains C0-continuous across element boundaries.  The bending
   part is identical to ``cs``.
 
-Element kernels are vectorized over batches of elements;
-``element_stiffness`` runs the same kernel on a batch of one, and assembly
-runs it on parts of a batch at once, one per CPU.  Assembly adds
-element blocks in a fixed order straight into a control-point stencil, the
-fixed neighbour pattern of a tensor-product patch, and reads the one full
-CSR stiffness matrix off it (see ``assemble``); constraint elimination and
-the solver take that matrix as it is.
+Element kernels run vectorized over batches of elements, the knot spans of
+a patch: on a batch of one in ``element_stiffness``, in assembly on parts
+of a batch at once, one per CPU, on a cached thread pool.  Assembly adds
+element blocks in a fixed order into a control-point stencil and reads the
+CSR stiffness matrix off it (see ``assemble``); constraint elimination
+(with the ``rotation_rows`` ties) and the solver take it as it is.
 """
 
 from __future__ import annotations
@@ -85,22 +84,26 @@ class Patch:
 
     Control point (iu, iv) has grid index iu * n_v + iv and dof indices
     3 * g + {0, 1, 2} for the global Cartesian displacement components.
+    Element (i, j) of the grid ``n_el``, id i * n_el[1] + j, is the knot
+    span pair (i + p_u, j + p_v): ``KnotVector`` leaves no span empty.
     """
 
     surface: NurbsSurface
-    spans_u: np.ndarray = field(init=False)
-    spans_v: np.ndarray = field(init=False)
     conn: np.ndarray = field(init=False)
 
     def __post_init__(self):
         s = self.surface
-        self.spans_u = s.kv_u.spans()
-        self.spans_v = s.kv_v.spans()
         pu, pv = s.kv_u.degree, s.kv_v.degree
-        iu = self.spans_u[:, None] + np.arange(-pu, 1)
-        iv = self.spans_v[:, None] + np.arange(-pv, 1)
+        iu = np.arange(self.n_el[0])[:, None] + np.arange(pu + 1)
+        iv = np.arange(self.n_el[1])[:, None] + np.arange(pv + 1)
         grid = iu[:, None, :, None] * s.kv_v.n_basis + iv[None, :, None, :]
         self.conn = grid.reshape(-1, (pu + 1) * (pv + 1)).astype(np.int64)
+
+    @property
+    def n_el(self) -> tuple[int, int]:
+        """The element grid (n_u - p_u, n_v - p_v)."""
+        kv_u, kv_v = self.surface.kv_u, self.surface.kv_v
+        return kv_u.n_basis - kv_u.degree, kv_v.n_basis - kv_v.degree
 
     @property
     def n_elements(self) -> int:
@@ -116,8 +119,8 @@ class Patch:
 
     def element_spans(self, eid):
         """Spans (su, sv) of an element, or arrays of them for an array of ids."""
-        nb = len(self.spans_v)
-        return self.spans_u[eid // nb], self.spans_v[eid % nb]
+        eu, ev = np.divmod(eid, self.n_el[1])
+        return eu + self.surface.kv_u.degree, ev + self.surface.kv_v.degree
 
     def element_dofs(self, eid: int) -> np.ndarray:
         return _dofs(self.conn[[eid]])[0]
@@ -129,9 +132,9 @@ class Patch:
         the right end of the range to the last element, as in find_spans.
         """
         theta = np.asarray(theta, dtype=float)
-        a = np.searchsorted(self.spans_u, find_spans(self.surface.kv_u, theta[..., 0]))
-        b = np.searchsorted(self.spans_v, find_spans(self.surface.kv_v, theta[..., 1]))
-        return a * len(self.spans_v) + b
+        kv_u, kv_v = self.surface.kv_u, self.surface.kv_v
+        return ((find_spans(kv_u, theta[..., 0]) - kv_u.degree) * self.n_el[1]
+                + find_spans(kv_v, theta[..., 1]) - kv_v.degree)
 
     def cp_index(self, iu: int, iv: int) -> int:
         return iu * self.surface.kv_v.n_basis + iv
@@ -305,6 +308,27 @@ def edge_lines(edge: str, shape, n_lines: int = 1) -> np.ndarray:
     return (iu * shape[1] + iv).ravel()
 
 
+def rotation_rows(patch: Patch, edge: str):
+    """Zero-rotation-about-the-edge rows (dofs, coeffs), a3 . (U_row0 - U_row1)
+    = 0 collocated at the Greville stations of the edge.
+
+    The edge row is listed first, so that on a tie in coefficient size its
+    dof becomes the slave (see ``_mpc_transform``) and the reduced matrix
+    keeps the band of K."""
+    g0, g1 = edge_lines(edge, patch.surface.shape, 2).reshape(2, -1)
+    d, end = _EDGES[edge]
+    kvs = (patch.surface.kv_u, patch.surface.kv_v)
+    kv = kvs[1 - d]
+    j = np.arange(kv.n_basis)[:, None] + 1 + np.arange(kv.degree)
+    g = np.mean(kv.knots[j], axis=1)
+    at = np.full_like(g, kvs[d].end if end else kvs[d].start)
+    theta = np.stack((at, g) if d == 0 else (g, at), axis=-1)
+    a3 = _batch_eval(patch, patch.locate(theta), theta[:, None, :])["a3"][:, 0]
+    dofs = _dofs(np.stack([g0, g1], axis=1))
+    coeffs = np.concatenate([a3, -a3], axis=1)
+    return tuple(zip(dofs, coeffs))
+
+
 @dataclass(eq=False)
 class ReducedSystem:
     """Constraint-eliminated system T' K T, T' F with U = T U_free.
@@ -430,32 +454,24 @@ def _stencil(patch: Patch):
 
 # A chunk of elements is computed in contiguous parts of at least _PART_MIN
 # elements, at most one per CPU of the affinity mask: the caller computes the
-# first and a thread pool the others, while numpy's kernels release the GIL.
-# Each element's block and area row are the same whichever batch computes
-# them, so K and the area vector are bitwise independent of the CPU count.  A
-# chunk too small for two parts (every strip level) runs on the caller alone:
-# parts of a few hundred elements lose more to contention for the GIL than
-# they gain.
+# first and the cached _pool, made on the first split, the others, while
+# numpy's kernels release the GIL.  Each element's block and area row are the
+# same whichever batch computes them, so K and the area vector are bitwise
+# independent of the CPU count.  A chunk too small for two parts (every strip
+# level) runs on the caller alone: parts of a few hundred elements lose more
+# to contention for the GIL than they gain.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _PART_MIN = 256
-_POOL = None
 
 
+@functools.cache
 def _pool() -> ThreadPoolExecutor:
     """The thread pool of ``_chunk_stiffness``, created on its first split."""
-    global _POOL
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="klshell")
-    return _POOL
+    return ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="klshell")
 
 
-def _forget_pool():
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
+os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has no pool threads
 
 
 def _chunk_stiffness(patch, eids, mat, rule, kind):
@@ -574,7 +590,7 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     force density 3-vector.  Each element on the edge is integrated with
     n_gauss points along it, and the point forces are added in order.
     """
-    eids = edge_lines(edge, (len(patch.spans_u), len(patch.spans_v)))
+    eids = edge_lines(edge, patch.n_el)
     d, end = _EDGES[edge]
     x1, w1 = _line_rule(n_gauss)
     xi = np.empty((n_gauss, 2))

@@ -62,10 +62,6 @@ class KnotVector:
     def end(self) -> float:
         return float(self.knots[-1])
 
-    def spans(self) -> np.ndarray:
-        """Indices i of the nonempty spans [knots[i], knots[i+1])."""
-        return np.arange(self.degree, self.n_basis)
-
 
 def find_spans(kv: KnotVector, theta) -> np.ndarray:
     """Span indices i with knots[i] <= theta < knots[i+1] of the points ``theta``.

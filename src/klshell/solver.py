@@ -229,18 +229,21 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
     ``K`` is a symmetric CSR matrix, as ``elements.apply_constraints``
     returns it, or anything ``scipy.sparse.csr_matrix`` accepts.  A
     non-positive pivot only sends the system down the fallback ladder (see
-    :func:`_factor_checked`).  Raises :class:`IndefiniteSystemError` when
-    inverse iteration on the shifted factor finds a negative eigenvalue,
-    :class:`SingularSystemError` on factorization breakdown, and
-    :class:`NumericalError` if iterative refinement cannot reach
-    ``||KU - F|| <= max(RESIDUAL_RTOL, floor) ||F||``, where ``floor`` is
-    the evaluation floor of the returned U (see :func:`_refine`).
+    :func:`_factor_checked`).  Raises ValueError if K or F is not finite,
+    :class:`IndefiniteSystemError` when inverse iteration on the shifted
+    factor finds a negative eigenvalue, :class:`SingularSystemError` on
+    factorization breakdown, and :class:`NumericalError` if iterative
+    refinement cannot reach ``||KU - F|| <= max(RESIDUAL_RTOL, floor) ||F||``,
+    where ``floor`` is the evaluation floor of the returned U (see :func:`_refine`).
     """
     A = sp.csr_matrix(K)
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
     F = np.asarray(F, dtype=float)
+    for name, v in (("K", A.data), ("F", F)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} holds a NaN or an infinity")
     if not np.any(F):
         return SolveTrace(np.zeros_like(F), 0.0, 0.0, "rtol", "none")
     # refine on F scaled by a power of two to max|F| in [0.5, 1): exact, and

@@ -7,8 +7,9 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from klshell import NumericalError, NurbsSurface, Patch, make_uniform, surface_eval
-from klshell.cases import (REPORT_COLUMNS, _rotation_rows, make_case,
-                           run_convergence, solve_case, write_report_csv)
+from klshell.cases import (REPORT_COLUMNS, make_case, run_convergence, solve_case,
+                           write_report_csv)
+from klshell.elements import rotation_rows
 from klshell.fields import sample
 from klshell.shell import frame_arrays
 
@@ -164,7 +165,7 @@ class TestConstraintRows:
         patch = Patch(s)
         nu, nv = s.shape
         along = s.kv_v if edge in ("u0", "u1") else s.kv_u
-        rows = _rotation_rows(patch, edge)
+        rows = rotation_rows(patch, edge)
         assert len(rows) == along.n_basis
         for j, (dofs, coeffs) in enumerate(rows):
             g = float(np.mean(along.knots[j + 1: j + 1 + along.degree]))
@@ -310,6 +311,12 @@ class TestReportCsv:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[4]) == results[0].deflection
+
+    def test_slenderness_without_a_reference_leaves_normalized_empty(self, tmp_path):
+        write_report_csv(run_convergence(make_case("strip", 5e2), "cas", 3, 1),
+                         tmp_path / "report.csv")
+        row = (tmp_path / "report.csv").read_text().split("\n")[1].split(",")
+        assert row[REPORT_COLUMNS.index("normalized")] == ""
 
     def test_csv_bitwise_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,10 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,3 +156,27 @@ class TestExitCodes:
                        "--outdir", str(tmp_path)])
         assert rc == 3
         assert "synthetic failure" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m klshell`` in a fresh interpreter, with PYTHONPATH=src."""
+
+    @staticmethod
+    def run(args, cwd):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "klshell", *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_sweep_exits_0_and_writes_the_report(self, tmp_path):
+        proc = self.run(["--benchmark", "strip", "--element", "cas", "--levels", "2"],
+                        tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        header = (tmp_path / "report.csv").read_text().split("\n")[0]
+        assert header == ",".join(REPORT_COLUMNS)
+
+    def test_usage_error_exits_2(self, tmp_path):
+        proc = self.run(["--benchmark", "strip", "--levels", "0"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: klshell")
+        assert not (tmp_path / "report.csv").exists()

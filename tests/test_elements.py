@@ -1,7 +1,9 @@
 """Quadrature, element stiffness (cs/cas), loads, constraints, assembly."""
 
+import functools
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from klshell.cases import build_loads, make_case
 from klshell.elements import (_corner_membrane_rows, _corner_weights, _dofs,
                               _membrane_strain_rows, _rule_eval, _stiffness_batch,
                               edge_lines, element_stiffness, fix_cps)
+from klshell.fields import SolutionField, sample
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 MAT = ShellMaterial(E=200.0, nu=0.3, t=0.05)
@@ -191,7 +194,26 @@ class TestElementStiffnessCAS:
             assert np.abs(rows[e_left] - rows[e_right]).max() <= 1e-12 * scale
 
 
+class TestPatch:
+    def test_elements_are_the_knot_spans(self):
+        """Element ids, span pairs, connectivity and locate agree, u-major."""
+        patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 5, 3))
+        kv_u, kv_v = patch.surface.kv_u, patch.surface.kv_v
+        assert patch.n_el == (5, 3) and patch.n_elements == 15
+        su, sv = patch.element_spans(np.arange(15))
+        assert list(zip(su, sv)) == [(i, j) for i in range(2, 7) for j in range(2, 5)]
+        assert list(patch.conn[7]) == [11, 12, 13, 16, 17, 18, 21, 22, 23]
+        centres = np.stack([kv_u.knots[su] + kv_u.knots[su + 1],
+                            kv_v.knots[sv] + kv_v.knots[sv + 1]], axis=-1) / 2.0
+        assert list(patch.locate(centres)) == list(range(15))
+        assert patch.locate([1.0, 1.0]) == 14
+
+
 class TestAssembly:
+    def test_unknown_element_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown element kind 'xx'"):
+            assemble(Patch(flat_patch()), MAT, gauss_rule(3), "xx")
+
     def test_single_element_padding(self):
         patch = Patch(flat_patch())
         rule = gauss_rule(3)
@@ -272,7 +294,8 @@ class TestThreadedAssembly:
         worker count and part floor set as given."""
         monkeypatch.setattr(elements, "_WORKERS", workers)
         monkeypatch.setattr(elements, "_PART_MIN", part_min)
-        monkeypatch.setattr(elements, "_POOL", None)  # one sized by workers
+        # a fresh pool, sized by workers
+        monkeypatch.setattr(elements, "_pool", functools.cache(elements._pool.__wrapped__))
         sizes, batch = [], elements._stiffness_batch
 
         def counted(patch, eids, *args):
@@ -325,9 +348,33 @@ class TestThreadedAssembly:
     def test_chunk_below_the_floor_never_creates_the_pool(self, monkeypatch):
         _, sizes = self.assembled(monkeypatch, "strip", (256, 1), "cas", 3,
                                   16, elements._PART_MIN)
-        assert sizes == [256] and elements._POOL is None
+        assert sizes == [256] and elements._pool.cache_info().currsize == 0
         _, sizes = self.assembled(monkeypatch, "strip", (256, 1), "cas", 3, 2, 128)
-        assert sizes == [128, 128] and elements._POOL is not None
+        assert sizes == [128, 128] and elements._pool.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_an_error_of_one_part_is_raised_after_every_part_is_joined(
+            self, monkeypatch, failing):
+        """Part 0 runs on the caller, parts 1 and 2 on the pool; the parts
+        that do not fail are still running when the failing one raises."""
+        batch, finished = elements._stiffness_batch, []
+
+        def failing_or_slow(patch, eids, *args):
+            if eids[0] == (0, 2, 5)[failing]:
+                raise RuntimeError("part failed")
+            time.sleep(0.05)
+            result = batch(patch, eids, *args)
+            finished.append(int(eids[0]))
+            return result
+
+        monkeypatch.setattr(elements, "_WORKERS", 3)
+        monkeypatch.setattr(elements, "_PART_MIN", 1)
+        monkeypatch.setattr(elements, "_pool", functools.cache(elements._pool.__wrapped__))
+        monkeypatch.setattr(elements, "_stiffness_batch", failing_or_slow)
+        patch = Patch(make_uniform(make_case("hypar").surface, 4, 2))
+        with pytest.raises(RuntimeError, match="^part failed$"):
+            assemble(patch, MAT, gauss_rule(3), "cs")
+        assert sorted(finished) == [e for e in (0, 2, 5) if e != (0, 2, 5)[failing]]
 
 
 def distorted_flat_net():
@@ -382,6 +429,49 @@ class TestMembranePatch:
         assert errors[0] > 1e-3
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine > 2.5
+
+
+class TestCurvedMembranePatch:
+    """Uniform axial stretch of the Scordelis-Lo cylinder without diaphragms.
+
+    U* = eps (0, y_A, 0) at every control point is exact, since the rational
+    basis is a partition of unity.  Its only strain is e22, so n22 = Et eps
+    (nu = 0) is the only resultant and the interior needs no load: edge
+    loads +-(0, Et eps, 0) on v1 and v0, with u_y fixed on the v0 row and
+    u_x, u_z at its two ends, which leave no rigid motion.  cs reproduces
+    the state at every slenderness, to the solver's roundoff.  The largest
+    errors measured over 2-32 elements per side and R/t 1e2-1e6 (U relative
+    to max|U*|, n to Et eps, m to Et eps t) are, at quad 2, 3.9e-9, 6.9e-11
+    and 2.9e-13, and at quad 3, 2.1e-10, 1.6e-12 and 5.3e-14; they grow
+    with the mesh.  The bounds are ten times those values.
+    """
+
+    EPS = 1e-3
+    BOUNDS = {2: (4e-8, 7e-10, 3e-12), 3: (2e-9, 2e-11, 6e-13)}
+
+    @pytest.mark.parametrize("quad", [2, 3])
+    @pytest.mark.parametrize("slenderness", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_cs_reproduces_the_stretch(self, n, slenderness, quad):
+        case = make_case("scordelis", slenderness)
+        mat = case.material
+        patch = Patch(make_uniform(case.surface, n, n))
+        K, _ = assemble(patch, mat, gauss_rule(quad), "cs")
+        n22 = mat.membrane_stiffness * self.EPS
+        F = (load_edge_line(patch, "v1", quad, [0.0, n22, 0.0])
+             + load_edge_line(patch, "v0", quad, [0.0, -n22, 0.0]))
+        row = edge_lines("v0", patch.surface.shape)
+        reduced = apply_constraints(K, F, np.concatenate(
+            [fix_cps(row, (1,)), fix_cps(row[[0, -1]], (0, 2))]))
+        U = reduced.expand(np.asarray(solve_spd(reduced.K, reduced.F).U, dtype=float))
+        U_star = self.EPS * patch.surface.ctrl.reshape(-1, 3) * [0.0, 1.0, 0.0]
+        bound_u, bound_n, bound_m = self.BOUNDS[quad]
+        assert np.abs(U.reshape(-1, 3) - U_star).max() <= bound_u * np.abs(U_star).max()
+
+        sol = SolutionField(patch, U.reshape(-1, 3), "cs", mat)
+        at = sample(sol, np.random.default_rng(7).random((200, 2)))
+        assert np.abs(at["n"] - [0.0, n22, 0.0]).max() <= bound_n * n22
+        assert np.abs(at["m"]).max() <= bound_m * n22 * mat.t
 
 
 def area_load_by_elements(patch, rule, f):

@@ -1,5 +1,7 @@
 """Displacements, resultants, energies, L2 errors and the field sampler."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,11 @@ def solved_case(case_id, slenderness, mesh, kind):
 
 
 class TestDisplacement:
+    def test_coefficients_of_the_wrong_shape_raise(self):
+        patch = flat_patch()
+        with pytest.raises(ValueError, match="coefficient shape"):
+            SolutionField(patch, np.zeros((patch.n_cp, 2)), "cs", MAT)
+
     def test_constant_coefficients(self):
         patch = flat_patch()
         c = np.array([0.1, -0.2, 0.3])
@@ -120,7 +127,7 @@ class TestDegenerateGeometry:
         the pool, and one error names both."""
         monkeypatch.setattr(elements, "_WORKERS", 8)
         monkeypatch.setattr(elements, "_PART_MIN", 1)
-        monkeypatch.setattr(elements, "_POOL", None)
+        monkeypatch.setattr(elements, "_pool", functools.cache(elements._pool.__wrapped__))
         patch = self.collapsed()
         with pytest.raises(SingularGeometryError, match=r"^elements \[0, 1\]: "):
             assemble(patch, MAT, gauss_rule(3), "cs")

@@ -18,7 +18,8 @@ class TestKnotVector:
     def test_basic_properties(self):
         assert KV2.n_basis == 3
         assert KV2_MID.n_basis == 4
-        assert list(KV2_MID.spans()) == [2, 3]
+        k = KV2_MID.knots  # the nonempty spans, one element each, are range(p, n_basis)
+        assert [i for i in range(len(k) - 1) if k[i] < k[i + 1]] == [2, 3]
 
     @pytest.mark.parametrize("knots,degree", [
         ([0, 0, 1, 1], 2),              # not clamped for p=2
@@ -31,6 +32,10 @@ class TestKnotVector:
     def test_invalid_raises(self, knots, degree):
         with pytest.raises(ValueError):
             KnotVector(knots, degree)
+
+    def test_start_repeated_too_few_times_is_not_open(self):
+        with pytest.raises(ValueError, match="must be open"):
+            KnotVector([0, 0, 0.5, 1, 1, 1], 2)
 
 
 class TestFindSpan:
@@ -127,6 +132,15 @@ class TestNurbsSurface:
         with pytest.raises(ValueError, match="finite"):
             NurbsSurface(s.kv_u, s.kv_v, net["ctrl"], net["weights"])
 
+    @pytest.mark.parametrize("ctrl,weights,message", [
+        (np.zeros((3, 2, 3)), np.ones((3, 3)), "control grid shape"),
+        (np.zeros((3, 3, 3)), np.ones((3, 2)), "weight grid shape"),
+        (np.zeros((3, 3, 3)), 1.0 - np.eye(3), "strictly positive"),
+    ], ids=["ctrl-shape", "weight-shape", "zero-weight"])
+    def test_malformed_net_raises(self, ctrl, weights, message):
+        with pytest.raises(ValueError, match=message):
+            NurbsSurface(KV2, KV2, ctrl, weights)
+
 
 class TestSurfaceEval:
     def test_quarter_circle_midpoint(self):
@@ -210,6 +224,12 @@ class TestRefinement:
         with pytest.raises(ValueError, match="at least one element"):
             make_uniform(quarter_arc_strip(), *mesh)
 
+    def test_knots_outside_the_unit_range_raise(self):
+        s = quarter_arc_strip()
+        kv = KnotVector([0, 0, 0, 2, 2, 2], 2)
+        with pytest.raises(ValueError, match=r"expects knot ranges \[0, 1\]"):
+            make_uniform(NurbsSurface(KV2, kv, s.ctrl, s.weights), 2, 2)
+
     def test_single_bisection_counts(self):
         s = quarter_arc_strip()
         s2 = make_uniform(s, 2, 1)
@@ -240,7 +260,7 @@ class TestRefinement:
         b = s
         for _ in range(3):
             k = b.kv_u.knots
-            b = insert_knots(b, "u", [(k[i] + k[i + 1]) / 2.0 for i in b.kv_u.spans()])
+            b = insert_knots(b, "u", [(k[i] + k[i + 1]) / 2.0 for i in range(b.kv_u.degree, b.kv_u.n_basis)])
         assert np.allclose(a.kv_u.knots, b.kv_u.knots, atol=0)
         assert np.allclose(a.ctrl, b.ctrl, atol=1e-15)
 

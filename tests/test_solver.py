@@ -106,8 +106,42 @@ class TestResidualContract:
         F = np.array([2.0, 3.0])
         assert relative_residual(K, np.array([1.0, 1.0]), F) < 1e-15
 
+    def test_relative_residual_of_a_zero_load_is_absolute(self):
+        K = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
+        assert relative_residual(K, np.array([2.0, 1.0]), np.zeros(2)) == 5.0
+
 
 class TestErrorClassification:
+    @pytest.mark.parametrize("where,bad", [("F", np.nan), ("F", np.inf), ("K", np.nan),
+                                           ("K", -np.inf)])
+    def test_non_finite_input_raises_before_factoring(self, monkeypatch, where, bad):
+        def unreachable(path, M):
+            raise AssertionError("factored a non-finite system")
+
+        monkeypatch.setattr(solver, "_factorize", unreachable)
+        K, F = spd_system()
+        if where == "K":
+            K.data[7] = bad
+        else:
+            F[3] = bad
+        with pytest.raises(ValueError, match=f"^{where} holds a NaN or an infinity"):
+            solve_spd(K, F)
+
+    def test_non_finite_pivot_is_not_clean(self):
+        class Factor:
+            U = sp.diags([1.0, np.nan, 2.0])
+
+        assert not solver._pivots_clean(Factor())
+
+    def test_vanishing_inverse_iterate_is_rank_deficient(self, monkeypatch):
+        class Factor:
+            def solve(self, b):
+                return np.zeros_like(b)
+
+        monkeypatch.setattr(solver, "_factorize", lambda path, M: Factor())
+        with pytest.raises(SingularSystemError, match="^rank deficient: why$"):
+            _shifted_factor(spd_system()[0], "why")
+
     def test_indefinite_raises(self):
         K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(IndefiniteSystemError):
