@@ -45,11 +45,16 @@ class EnergyReport:
 
     @property
     def membrane_fraction(self) -> float:
-        return self.Em / self.Et
+        return self.Em / self._total()
 
     @property
     def bending_fraction(self) -> float:
-        return self.Eb / self.Et
+        return self.Eb / self._total()
+
+    def _total(self) -> float:
+        if self.Et == 0.0:
+            raise ValueError("zero total strain energy: the fractions are undefined")
+        return self.Et
 
 
 def _displacements(sol, ev):
@@ -78,19 +83,20 @@ def _strain_fields(sol, ev):
     return np.einsum("eqaj,ej->eqa", mrows, Uloc), kappa
 
 
-def _resultant_fields(sol, ev):
+def _resultant_fields(sol, ev, keys=("n", "m", "neff")):
     """Local-Cartesian resultant components at the points of the record ev.
 
-    Returns a dict mapping 'n', 'm', 'neff' to arrays of shape (ne, nq, 3)
-    holding the (11, 22, 12) physical components.
+    Returns a dict mapping each of ``keys`` ('n', 'm', 'neff') to an array
+    of shape (ne, nq, 3) holding the (11, 22, 12) physical components.
+    The curvature and 'neff' are built only when 'neff' is asked.
     """
-    mat, fr = sol.mat, resultant_frame(ev)
+    mat, fr = sol.mat, resultant_frame(ev, curvature="neff" in keys)
     eps, kappa = _strain_fields(sol, ev)
-    n = resultant_law(eps, ev["a_inv"], mat.membrane_stiffness, mat.nu)
-    m = resultant_law(kappa, ev["a_inv"], mat.bending_stiffness, mat.nu)
-    neff = effective_membrane_forces(n, m, fr["b_mixed"])
-    return {key: cartesian_components(c, fr["e1"], fr["e2"], ev["a1"], ev["a2"])
-            for key, c in (("n", n), ("m", m), ("neff", neff))}
+    res = {"n": resultant_law(eps, ev["a_inv"], mat.membrane_stiffness, mat.nu),
+           "m": resultant_law(kappa, ev["a_inv"], mat.bending_stiffness, mat.nu)}
+    if "neff" in keys:
+        res["neff"] = effective_membrane_forces(res["n"], res["m"], fr["b_mixed"])
+    return {key: cartesian_components(res[key], fr["T"]) for key in keys}
 
 
 def sample(sol: SolutionField, theta, eids=None) -> dict:
@@ -146,7 +152,7 @@ def l2_resultant_error(sol: SolutionField, analytic, which) -> tuple[float, ...]
     diffs, exacts, dAs = [[] for _ in names], [[] for _ in names], []
     for eids in _chunks(sol.patch.n_elements):
         ev = _rule_eval(sol.patch, eids, rule)
-        res = _resultant_fields(sol, ev)
+        res = _resultant_fields(sol, ev, {key[w][0] for w in names})
         dAs.append(ev["dA"])
         for i, (w, exact_at) in enumerate(zip(names, fields, strict=True)):
             name, comp = key[w]

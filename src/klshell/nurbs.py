@@ -82,7 +82,7 @@ def _basis_ders_at_span(knots, p, span, theta, order):
     """B-spline values and derivatives on arrays of (span, theta).
 
     ``span`` and ``theta`` broadcast to a common shape (...); returns
-    (..., order+1, p+1).  The recurrence (The NURBS Book, A2.3) runs
+    (order+1, p+1, ...).  The recurrence (The NURBS Book, A2.3) runs
     elementwise over the points and loops over the degree only.
     """
     span, theta = np.broadcast_arrays(np.asarray(span), np.asarray(theta, dtype=float))
@@ -98,9 +98,9 @@ def _basis_ders_at_span(knots, p, span, theta, order):
             saved = left[j - r] * temp
         ndu[j][j] = saved
 
-    ders = np.zeros(theta.shape + (order + 1, p + 1))
+    ders = np.zeros((order + 1, p + 1) + theta.shape)
     for r in range(p + 1):
-        ders[..., 0, r] = ndu[r][p]
+        ders[0, r] = ndu[r][p]
         a = [[1.0] * (p + 1), [1.0] * (p + 1)]
         s1, s2 = 0, 1
         for k in range(1, min(order, p) + 1):
@@ -117,12 +117,12 @@ def _basis_ders_at_span(knots, p, span, theta, order):
             if r <= pk:
                 a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
                 d += a[s2][k] * ndu[r][pk]
-            ders[..., k, r] = d
+            ders[k, r] = d
             s1, s2 = s2, s1
 
     fac = float(p)
     for k in range(1, min(order, p) + 1):
-        ders[..., k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
     return ders
 
@@ -177,56 +177,51 @@ class NurbsSurface:
 # Rows of the batched rational evaluator: the value and the parametric
 # derivatives 1, 2, 11, 22, 12, as (d1, d2) derivative orders per direction.
 _DERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
-_N_ROWS = (1, 3, 6)
-
-
-def quotient_rule(S: np.ndarray) -> np.ndarray:
-    """Values and derivatives of R = S / W, where W = S[..., -1].
-
-    ``S`` stacks homogeneous sums on axis 0 in the row order of ``_DERS``
-    (1, 3 or 6 rows); the result has the same layout.
-    """
-    W = S[..., -1:]
-    R = np.empty_like(S)
-    R[0] = S[0] / W[0]
-    for a in range(1, min(len(S), 3)):
-        R[a] = (S[a] - R[0] * W[a]) / W[0]
-    if len(S) > 3:
-        for aa, a in ((3, 1), (4, 2)):
-            R[aa] = (S[aa] - 2.0 * R[a] * W[a] - R[0] * W[aa]) / W[0]
-        R[5] = (S[5] - R[1] * W[2] - R[2] * W[1] - R[0] * W[5]) / W[0]
-    return R
 
 
 def rational_eval(surface: NurbsSurface, su, sv, t1, t2, order: int = 2) -> np.ndarray:
     """Rational basis functions and surface derivatives at arrays of points.
 
     The points (t1, t2) lie in the spans (su, sv); the four arrays broadcast
-    to a common shape (...).  Returns R of shape (k, ..., nfun + 4), k = 1, 3
-    or 6 rows for order 0, 1 or 2 in the row order (value, 1, 2, 11, 22, 12).
-    Columns [:nfun] hold the rational basis functions supported on the span
-    pair (u-major), [nfun:nfun+3] the position and [-1] the constant 1: one
-    quotient rule on the stacked numerators [w_A B_A | sum_A B_A (w_A P_A, w_A)]
-    gives both.
+    to a common shape (...).  Returns R, C-contiguous (k, ..., nfun + 4), with
+    k = 1, 3 or 6 rows for order 0, 1 or 2 in the row order (value, 1, 2, 11,
+    22, 12).  Columns [:nfun] hold the rational basis functions supported on
+    the span pair (u-major), [nfun:nfun+3] the position and [-1] the constant
+    1: one quotient rule on the numerators [w_A B_A | sum_A B_A (w_A P_A, w_A)]
+    gives both.  They are built in contiguous column planes, each sum from
+    zero in the order of A.
     """
     if order > 2:
         raise ValueError(f"derivative order {order} unsupported (max 2)")
     pu, pv = surface.kv_u.degree, surface.kv_v.degree
+    pad = np.broadcast(su, sv, t1, t2).ndim - np.broadcast(su, sv).ndim
+    su, sv = (s[(None,) * pad] for s in np.broadcast_arrays(su, sv))  # ndim of the points
     Du = _basis_ders_at_span(surface.kv_u.knots, pu, su, t1, order)
     Dv = _basis_ders_at_span(surface.kv_v.knots, pv, sv, t2, order)
-    iu = np.asarray(su)[..., None] - pu + np.arange(pu + 1)
-    iv = np.asarray(sv)[..., None] - pv + np.arange(pv + 1)
-    idx = iu[..., :, None] * surface.kv_v.n_basis + iv[..., None, :]
-    H = surface.homogeneous().reshape(-1, 4)[idx.reshape(idx.shape[:-2] + (-1,))]
-    B = np.empty((_N_ROWS[order],) + np.broadcast_shapes(Du.shape[:-2], Dv.shape[:-2])
-                 + (pu + 1, pv + 1))
-    for k, (d1, d2) in enumerate(_DERS[:len(B)]):
-        np.multiply(Du[..., d1, :, None], Dv[..., d2, None, :], out=B[k])
-    B = B.reshape(B.shape[:-2] + (-1,))
-    S = np.empty(B.shape[:-1] + (B.shape[-1] + 4,))  # [w_A B_A | sum_A B_A H_A]
-    np.multiply(B, H[..., 3], out=S[..., :-4])
-    np.einsum("k...A,...Ac->k...c", B, H, out=S[..., -4:])
-    return quotient_rule(S)
+    shape = np.broadcast_shapes(Du.shape[2:], Dv.shape[2:])
+    iu = su - pu + np.arange(pu + 1).reshape((-1, 1) + su.ndim * (1,))
+    iv = sv - pv + np.arange(pv + 1).reshape((-1,) + sv.ndim * (1,))
+    H = surface.homogeneous().reshape(-1, 4).T[:, iu * surface.kv_v.n_basis + iv]
+    H = np.ascontiguousarray(np.broadcast_to(H, H.shape[:3] + shape)).reshape((4, -1) + shape)
+    d1, d2 = np.array(_DERS[:(1, 3, 6)[order]]).T
+    B = np.empty((pu + 1, pv + 1, len(d1)) + shape)  # B[a, b, k] = Du[d1k, a] Dv[d2k, b]
+    np.multiply(np.swapaxes(Du[d1], 0, 1)[:, None], np.swapaxes(Dv[d2], 0, 1)[None], out=B)
+    B = B.reshape((-1,) + B.shape[2:])
+    S = np.empty((len(B) + 4,) + B.shape[1:])  # planes [w_A B_A | sum_A B_A H_A]
+    np.multiply(B, H[3, :, None], out=S[:-4])
+    sums, term = S[-4:], np.empty(S[-4:].shape)
+    sums[...] = 0.0
+    for A in range(len(B)):
+        np.add(sums, np.multiply(B[A], H[:, A, None], out=term), out=sums)
+    W, R = S[-1].copy(), S  # the quotient rule R = S / W, row by row, in place
+    np.divide(S[:, 0], W[0], out=R[:, 0])
+    for a in range(1, min(len(d1), 3)):
+        np.divide(S[:, a] - R[:, 0] * W[a], W[0], out=R[:, a])
+    if len(d1) > 3:
+        for aa, a in ((3, 1), (4, 2)):
+            np.divide(S[:, aa] - 2.0 * R[:, a] * W[a] - R[:, 0] * W[aa], W[0], out=R[:, aa])
+        np.divide(S[:, 5] - R[:, 1] * W[2] - R[:, 2] * W[1] - R[:, 0] * W[5], W[0], out=R[:, 5])
+    return np.ascontiguousarray(np.moveaxis(R, 0, -1))
 
 
 def surface_eval(surface: NurbsSurface, t1: float, t2: float, order: int = 2):

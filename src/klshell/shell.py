@@ -76,7 +76,7 @@ def frame_arrays(r1, r2, r11, r22, r12):
     """Frame quantities from parametric derivatives; broadcasts over leading dims.
 
     Returns a dict with the covariant tangents a1, a2, the unit normal a3,
-    the metric a_ab and its inverse a_inv, the area density
+    the inverse a_inv of the metric a_ab, the area density
     jac = ||a1 x a2|| and the second derivatives d2, stacked as (..., 3, 3)
     in component order 11, 22, 12: what the stiffness reads.
     ``resultant_frame`` adds what the resultants read.
@@ -91,21 +91,27 @@ def frame_arrays(r1, r2, r11, r22, r12):
     det = g[..., 0] * g[..., 1] - g[..., 2] ** 2
     a_inv = _sym(g[..., [1, 0, 2]] * [1.0, 1.0, -1.0] / det[..., None])
     d2 = np.stack([r11, r22, r12], axis=-2)
-    return dict(a1=r1, a2=r2, a3=a3, a_ab=_sym(g), a_inv=a_inv, jac=jac, d2=d2)
+    return dict(a1=r1, a2=r2, a3=a3, a_inv=a_inv, jac=jac, d2=d2)
 
 
-def resultant_frame(fr):
-    """Curvature and local basis of the ``frame_arrays`` entries ``fr``.
+def resultant_frame(fr, curvature: bool = True):
+    """Local basis and curvature of the ``frame_arrays`` entries ``fr``.
 
-    Returns a dict with the curvature b_ab, its mixed form
-    b_mixed = a_inv @ b_ab and the orthonormal local basis e1, e2 with e1
-    parallel to a1.
+    Returns a dict with the orthonormal local basis e1, e2, e1 parallel to
+    a1, the transform T = [e1; e2] [a1 a2] (..., 2, 2) that
+    ``cartesian_components`` takes and, if ``curvature``, the curvature
+    b_ab and its mixed form b_mixed = a_inv @ b_ab.
     """
-    b_ab = _sym(_dot(fr["d2"], fr["a3"][..., None, :]))
     e1 = fr["a1"] / np.linalg.norm(fr["a1"], axis=-1, keepdims=True)
     t = fr["a2"] - _dot(fr["a2"], e1)[..., None] * e1
     e2 = t / np.linalg.norm(t, axis=-1, keepdims=True)
-    return dict(b_ab=b_ab, b_mixed=fr["a_inv"] @ b_ab, e1=e1, e2=e2)
+    T = np.stack([e1, e2], axis=-2) @ np.swapaxes(np.stack([fr["a1"], fr["a2"]], axis=-2),
+                                                  -1, -2)
+    out = dict(e1=e1, e2=e2, T=T)
+    if curvature:
+        b_ab = _sym(_dot(fr["d2"], fr["a3"][..., None, :]))
+        out.update(b_ab=b_ab, b_mixed=fr["a_inv"] @ b_ab)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,9 @@ def bending_rows(ev):
     coef = (G[..., 0:1] * ev["N1"][..., None, :] + G[..., 1:2] * ev["N2"][..., None, :]
             - second)
     coef[..., 2, :] *= 2.0  # Voigt shear row
-    rows = coef[..., None] * ev["a3"][..., None, None, :]
+    rows = np.empty(coef.shape + (3,))
+    for i in range(3):  # one product per direction: long inner loops
+        np.multiply(coef, ev["a3"][..., i, None, None], out=rows[..., i])
     return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * 3,))
 
 
@@ -194,11 +202,11 @@ def effective_membrane_forces(n, m, b_mixed):
     return n - _vec(_sym(m) @ np.swapaxes(b_mixed, -1, -2))
 
 
-def cartesian_components(c, e1, e2, a1, a2):
-    """Local Cartesian components hat{c}^ab = c^gm (e_a . a_g)(a_m . e_b).
+def cartesian_components(c, T):
+    """Local Cartesian components hat{c}^ab = c^gm (e_a . a_g)(a_m . e_b)
+    = (T c T')^ab, with T from ``resultant_frame``.
 
     The output carries physical units (force/length for membrane forces,
     force for moments).
     """
-    T = np.stack([e1, e2], axis=-2) @ np.swapaxes(np.stack([a1, a2], axis=-2), -1, -2)
     return _vec(T @ _sym(c) @ np.swapaxes(T, -1, -2))

@@ -98,6 +98,41 @@ class TestResultants:
             assert np.abs(nl - nr).max() <= 1e-10 * scale
 
 
+class TestResultantSubsets:
+    """Resultants built for a subset of keys, as ``l2_resultant_error`` asks
+    for them, are the full set's bits; ``sample`` reads the full set."""
+
+    @pytest.fixture(scope="class", params=["cs", "cas"])
+    def sol(self, request):
+        patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 4, 3))
+        U = np.random.default_rng(5).standard_normal((patch.n_cp, 3)) * 1e-3
+        return SolutionField(patch, U, request.param, MAT)
+
+    @pytest.mark.parametrize("keys", [("n",), ("m",), ("neff",), ("n", "m"), ("m", "neff")])
+    def test_subset_equals_full_set(self, sol, keys):
+        ev = elements._rule_eval(sol.patch, np.arange(sol.patch.n_elements),
+                                 elements.tensor_rule(5))
+        full = fields._resultant_fields(sol, ev)
+        part = fields._resultant_fields(sol, ev, keys)
+        assert sorted(part) == sorted(keys)
+        for key in keys:
+            assert np.array_equal(part[key].view(np.int64), full[key].view(np.int64))
+
+    def test_sample_reads_the_full_set_and_the_displacements(self, sol):
+        theta = np.random.default_rng(6).random((30, 2))
+        theta[:2] = [[0.0, 0.0], [1.0, 1.0]]
+        got = sample(sol, theta)
+        eids = sol.patch.locate(theta)
+        ev = elements._batch_eval(sol.patch, eids, theta[:, None, :])
+        ev["xi"] = elements._to_parent(sol.patch, eids, theta)[:, None, :]
+        r, u = displacement_at(sol, theta)
+        expect = {"r": r, "u": u, **{k: v[:, 0] for k, v in
+                                     fields._resultant_fields(sol, ev).items()}}
+        assert sorted(got) == sorted(expect)
+        for key, v in expect.items():
+            assert np.array_equal(got[key].view(np.int64), v.view(np.int64)), key
+
+
 class TestDegenerateGeometry:
     """Every path through the point record names, as plain ints, only the
     elements that have a degenerate point."""
@@ -162,6 +197,11 @@ class TestEnergies:
         rep = energies(sol, gauss_rule(3))
         assert 0.0 <= rep.membrane_fraction <= 1.0
         assert abs(rep.membrane_fraction + rep.bending_fraction - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("fraction", ["membrane_fraction", "bending_fraction"])
+    def test_ratios_of_zero_energy_raise(self, fraction):
+        with pytest.raises(ValueError, match="zero total strain energy"):
+            getattr(fields.EnergyReport(0.0, 0.0, 0.0), fraction)
 
 
 class TestL2Error:

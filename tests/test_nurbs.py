@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import ALL_SURFACES, basis_at, hemisphere_surface, strip_surface
 from klshell import (DomainError, KnotVector, NurbsSurface, insert_knots,
                      make_uniform, surface_eval)
+from klshell.elements import Patch, tensor_rule
 from klshell.nurbs import _basis_ders_at_span, find_spans, rational_eval
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -58,8 +59,9 @@ class TestFindSpan:
 
 
 def _ders(kv, t, order=0):
-    """Nonzero basis values and derivatives (order+1, degree+1) at the points t."""
-    return _basis_ders_at_span(kv.knots, kv.degree, find_spans(kv, t), t, order)
+    """Nonzero basis values and derivatives (..., order+1, degree+1) at the points t."""
+    ders = _basis_ders_at_span(kv.knots, kv.degree, find_spans(kv, t), t, order)
+    return np.moveaxis(ders, (0, 1), (-2, -1))
 
 
 class TestBasisDers:
@@ -210,6 +212,92 @@ class TestRationalBasis:
             assert abs(be["N11"].sum()) < 1e-9
             assert abs(be["N22"].sum()) < 1e-9
             assert abs(be["N12"].sum()) < 1e-9
+
+
+def _einsum_rational_eval(surface, su, sv, t1, t2, order):
+    """The earlier formulation of ``rational_eval``: stacked basis products,
+    one einsum for the homogeneous sums and the quotient rule on the
+    C-contiguous (k, ..., nfun + 4) numerators.  Its bits are the reference."""
+    pu, pv = surface.kv_u.degree, surface.kv_v.degree
+    Du, Dv = (np.moveaxis(_basis_ders_at_span(kv.knots, kv.degree, s, t, order),
+                          (0, 1), (-2, -1))
+              for kv, s, t in ((surface.kv_u, su, t1), (surface.kv_v, sv, t2)))
+    iu = np.asarray(su)[..., None] - pu + np.arange(pu + 1)
+    iv = np.asarray(sv)[..., None] - pv + np.arange(pv + 1)
+    idx = iu[..., :, None] * surface.kv_v.n_basis + iv[..., None, :]
+    H = surface.homogeneous().reshape(-1, 4)[idx.reshape(idx.shape[:-2] + (-1,))]
+    ders = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))[:(1, 3, 6)[order]]
+    B = np.empty((len(ders),) + np.broadcast_shapes(Du.shape[:-2], Dv.shape[:-2])
+                 + (pu + 1, pv + 1))
+    for k, (d1, d2) in enumerate(ders):
+        np.multiply(Du[..., d1, :, None], Dv[..., d2, None, :], out=B[k])
+    B = B.reshape(B.shape[:-2] + (-1,))
+    S = np.empty(B.shape[:-1] + (B.shape[-1] + 4,))
+    np.multiply(B, H[..., 3], out=S[..., :-4])
+    np.einsum("k...A,...Ac->k...c", B, H, out=S[..., -4:])
+    W, R = S[..., -1:], np.empty_like(S)
+    R[0] = S[0] / W[0]
+    for a in range(1, min(len(S), 3)):
+        R[a] = (S[a] - R[0] * W[a]) / W[0]
+    if len(S) > 3:
+        for aa, a in ((3, 1), (4, 2)):
+            R[aa] = (S[aa] - 2.0 * R[a] * W[a] - R[0] * W[aa]) / W[0]
+        R[5] = (S[5] - R[1] * W[2] - R[2] * W[1] - R[0] * W[5]) / W[0]
+    return R
+
+
+class TestRationalEvalBitwise:
+    """``rational_eval`` gives the einsum formulation's bits, signed zeros
+    included, as one C-contiguous array, for every batch shape it takes."""
+
+    @staticmethod
+    def assert_same_bits(surface, su, sv, t1, t2, order):
+        got = rational_eval(surface, su, sv, t1, t2, order)
+        ref = _einsum_rational_eval(surface, su, sv, t1, t2, order)
+        assert got.flags.c_contiguous
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.fixture(scope="class")
+    def patches(self):
+        """Each net refined to a 64 x 32 mesh: 2048 elements."""
+        return {name: Patch(make_uniform(f(), 64, 32)) for name, f in ALL_SURFACES.items()}
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(ALL_SURFACES))
+    @pytest.mark.parametrize("n_el", [1, 2, 256, 2048])
+    def test_element_batches(self, patches, name, n_el, order):
+        """(ne, 1) spans with (ne, nq) points: rule points and the corners,
+        and with (ne, 1) points."""
+        patch = patches[name]
+        rng = np.random.default_rng(n_el + order)
+        eids = rng.permutation(patch.n_elements)[:n_el]
+        su, sv = patch.element_spans(eids)
+        ku, kv = patch.surface.kv_u.knots, patch.surface.kv_v.knots
+        xi = np.concatenate([tensor_rule(3).points, [[-1, -1], [-1, 1], [1, -1], [1, 1]]])
+        lo = np.stack([ku[su], kv[sv]], axis=-1)[:, None, :]
+        hi = np.stack([ku[su + 1], kv[sv + 1]], axis=-1)[:, None, :]
+        theta = lo + 0.5 * (xi + 1.0) * (hi - lo)
+        self.assert_same_bits(patch.surface, su[:, None], sv[:, None],
+                              theta[..., 0], theta[..., 1], order)
+        self.assert_same_bits(patch.surface, su[:, None], sv[:, None],
+                              theta[:, :1, 0], theta[:, :1, 1], order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(ALL_SURFACES))
+    def test_points_and_a_scalar(self, patches, name, order):
+        """(n,) points with their own spans or all in one span pair, and a
+        single scalar point."""
+        s = patches[name].surface
+        t = np.random.default_rng(order).random((50, 2))
+        t[:4] = [[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.0, 1.0]]
+        su, sv = find_spans(s.kv_u, t[:, 0]), find_spans(s.kv_v, t[:, 1])
+        self.assert_same_bits(s, su, sv, t[:, 0], t[:, 1], order)
+        self.assert_same_bits(s, int(su[2]), int(sv[2]), float(t[2, 0]), float(t[2, 1]), order)
+        ku, kv = s.kv_u.knots, s.kv_v.knots
+        t1 = ku[su[2]] + (ku[su[2] + 1] - ku[su[2]]) * t[:, 0]
+        t2 = kv[sv[2]] + (kv[sv[2] + 1] - kv[sv[2]]) * t[:, 1]
+        self.assert_same_bits(s, int(su[2]), int(sv[2]), t1, t2, order)
 
 
 class TestRefinement:
