@@ -354,12 +354,12 @@ def _mpc_transform(n, fixed_mask, rows):
     substitution: each row is rewritten in the current masters through the
     slave expressions, its largest-coefficient dof (the first listed on
     ties) becomes a slave, and that slave is at once substituted out of the
-    earlier expressions, so every expression holds masters only.  Rows that
-    reduce to nothing (all dofs fixed or already implied) are dropped.
-    Returns the free dofs and T (n, n_free); without rows T selects the dofs
-    that are not fixed.
+    earlier expressions that hold it (``users`` maps each master to them),
+    so every expression holds masters only.  Rows that reduce to nothing
+    (all dofs fixed or already implied) are dropped.  Returns the free dofs
+    and T (n, n_free); without rows T selects the dofs that are not fixed.
     """
-    slave_of = {}
+    slave_of, users = {}, {}
     for dofs, coeffs in rows:
         out = {}
         for d, c in zip(dofs, coeffs):
@@ -375,27 +375,27 @@ def _mpc_transform(n, fixed_mask, rows):
         slave = next(d for d, c in out.items() if abs(c) == scale)
         cs = out.pop(slave)
         expr = {d: -c / cs for d, c in sorted(out.items())}
-        for entry in slave_of.values():
-            w = entry.pop(slave, None)
-            if w is not None:
-                for d, ws in expr.items():
-                    entry[d] = entry.get(d, 0.0) + w * ws
+        for user in users.pop(slave, ()):
+            entry = slave_of[user]
+            w = entry.pop(slave)
+            for d, ws in expr.items():
+                entry[d] = entry.get(d, 0.0) + w * ws
+                users.setdefault(d, {})[user] = None
+        for d in expr:
+            users.setdefault(d, {})[slave] = None
         slave_of[slave] = expr
 
     is_slave = np.zeros(n, dtype=bool)
-    is_slave[list(slave_of.keys())] = True
+    is_slave[np.fromiter(slave_of, dtype=np.int64, count=len(slave_of))] = True
     free = np.nonzero(~fixed_mask & ~is_slave)[0]
     col_of = -np.ones(n, dtype=np.int64)
     col_of[free] = np.arange(len(free))
-
-    ti, tj, tv = list(free), list(range(len(free))), [1.0] * len(free)
-    for slave, entry in slave_of.items():
-        for d, w in sorted(entry.items()):
-            if w != 0.0:
-                ti.append(slave)
-                tj.append(int(col_of[d]))
-                tv.append(w)
-    T = sp.csr_matrix((tv, (ti, tj)), shape=(n, len(free)))
+    e = np.array([(s, d, w) for s, entry in slave_of.items() for d, w in sorted(entry.items())
+                  if w != 0.0], dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
+    T = sp.csr_matrix((np.concatenate([np.ones(len(free)), e["w"]]),
+                       (np.concatenate([free, e["i"]]),
+                        np.concatenate([np.arange(len(free)), col_of[e["j"]]]))),
+                      shape=(n, len(free)))
     return free, T
 
 
@@ -407,7 +407,8 @@ def apply_constraints(K: sp.csr_matrix, F: np.ndarray, fixed,
     sum_i coeffs[i] * U[dofs[i]] = 0 with finite coefficients.  Both go
     through one master/slave basis T: K -> T' K T keeps symmetry and
     definiteness, and without multipoint rows T selects the free dofs.
-    The reduced matrix is its upper triangle mirrored, so it is exactly
+    ``K`` must be exactly symmetric and canonical, as ``assemble`` returns
+    it.  The reduced matrix is its upper triangle mirrored, so it is exactly
     symmetric, canonical and stores no zeros.
     """
     n = K.shape[0]
@@ -426,7 +427,9 @@ def apply_constraints(K: sp.csr_matrix, F: np.ndarray, fixed,
     free, T = _mpc_transform(n, fixed_mask, rows)
     if free.size == 0:
         raise ValueError("all dofs constrained: empty reduced system")
-    upper = sp.triu(T.T @ K @ T, format="csr")
+    # T' K T as (T' (K T))' in CSR products: for exactly symmetric, canonical
+    # K these are the arrays T.T @ K @ T would build from a CSC copy of K
+    upper = sp.triu((T.T.tocsr() @ (K @ T)).T, format="csr")
     upper.sort_indices()
     Kred = sp.csr_matrix(upper + sp.triu(upper, k=1).T)
     return ReducedSystem(Kred, T.T @ F, free, T)

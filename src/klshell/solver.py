@@ -97,7 +97,7 @@ _BAND_PIVOT_FLOOR = 1e-12
 
 
 class _BandCholesky:
-    """Banded Cholesky factor of LAPACK upper band storage ``ab``.
+    """Banded Cholesky factor of LAPACK lower band storage ``ab``.
 
     Raises LinAlgError unless every pivot is finite and above
     _BAND_PIVOT_FLOOR times its diagonal entry; a finite diagonal of the
@@ -106,20 +106,20 @@ class _BandCholesky:
     """
 
     def __init__(self, ab: np.ndarray):
-        floor = _BAND_PIVOT_FLOOR * ab[-1]
-        self.cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-        pivots = self.cb[-1] ** 2
+        floor = _BAND_PIVOT_FLOOR * ab[0]
+        self.cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+        pivots = self.cb[0] ** 2
         if not np.all(np.isfinite(pivots) & (pivots > floor)):
             raise LinAlgError("roundoff-scale or non-finite pivot in banded Cholesky")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self.cb, False), b, check_finite=False)
+        return cho_solve_banded((self.cb, True), b, check_finite=False)
 
 
 def _factorize(path: str, M):
     """Factor ``M`` along ``path``; every factorization of a solve is made here.
 
-    "band": banded Cholesky of upper band storage; "superlu": SuperLU in
+    "band": banded Cholesky of lower band storage; "superlu": SuperLU in
     symmetric mode (diagonal pivoting, MMD ordering of A^T + A).  The factor
     has a ``solve`` method.
     """
@@ -129,17 +129,20 @@ def _factorize(path: str, M):
                 diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _upper_band(A: sp.csr_matrix) -> np.ndarray | None:
-    """LAPACK upper band storage of the upper triangle of a canonical CSR
-    matrix, or None if its band work fails the guard (see ``_BAND_MIN_WORK``)."""
+def _lower_band(A: sp.csr_matrix) -> np.ndarray | None:
+    """LAPACK lower band storage of the symmetric matrix whose upper triangle
+    is that of a canonical CSR matrix, or None if its band work fails the
+    guard (see ``_BAND_MIN_WORK``).  Row i's upper part is column i of the
+    band (ab[j - i, i] = A[i, j]), written in order."""
     n = A.shape[0]
-    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    offset = A.indices - rows
     bw = int(offset.max(initial=0))
     if not _BAND_MIN_WORK <= n * bw * bw <= _BAND_MAX_WORK * n ** 1.5:
         return None
     upper = offset >= 0
     ab = np.zeros((bw + 1, n), order="F")  # LAPACK's layout: factored in place
-    ab[bw - offset[upper], A.indices[upper]] = A.data[upper]
+    ab[offset[upper], rows[upper]] = A.data[upper]
     return ab
 
 
@@ -197,7 +200,7 @@ def _shifted_factor(A: sp.csr_matrix, reason: str):
 def _factor_checked(A: sp.csr_matrix):
     """Factor a symmetric matrix, certifying positive (semi)definiteness.
 
-    Banded Cholesky of the upper triangle of ``A`` comes first:
+    Banded Cholesky of ``A`` in lower band storage comes first:
     if it completes, its positive pivots certify positive definiteness.
     Corner-interpolated assumed-strain patches can carry interior zero-energy
     membrane modes, whose roundoff pivots stop Cholesky; those systems, and
@@ -207,7 +210,7 @@ def _factor_checked(A: sp.csr_matrix):
     shifted fallback is used.  Returns (factor, path) with path "band",
     "superlu" or "shifted".
     """
-    ab = _upper_band(A)
+    ab = _lower_band(A)
     if ab is not None:
         try:
             return _factorize("band", ab), "band"
@@ -229,7 +232,9 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
     ``K`` is a symmetric CSR matrix, as ``elements.apply_constraints``
     returns it, or anything ``scipy.sparse.csr_matrix`` accepts.  A
     non-positive pivot only sends the system down the fallback ladder (see
-    :func:`_factor_checked`).  Raises ValueError if K or F is not finite,
+    :func:`_factor_checked`).  Raises ValueError, before any factorization,
+    if K is not square, F's shape is not (K's row count,), or K or F is not
+    finite,
     :class:`IndefiniteSystemError` when inverse iteration on the shifted
     factor finds a negative eigenvalue, :class:`SingularSystemError` on
     factorization breakdown, and :class:`NumericalError` if iterative
@@ -241,6 +246,9 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
         A = A.copy()
         A.sum_duplicates()
     F = np.asarray(F, dtype=float)
+    if A.shape[0] != A.shape[1] or F.shape != A.shape[:1]:
+        raise ValueError(f"K of shape {A.shape} and F of shape {F.shape} do not "
+                         "make a square system")
     for name, v in (("K", A.data), ("F", F)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} holds a NaN or an infinity")

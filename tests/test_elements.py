@@ -716,18 +716,20 @@ class TestConstraints:
     ])
     def test_reduced_matrix_is_canonical_and_symmetric(self, monkeypatch, case_id, mesh, kind):
         """The reduced K stores no zeros, is exactly symmetric, and the band
-        read off it by mask equals the band of its upper triangle."""
+        the solver reads off its upper triangle equals LAPACK's lower band
+        storage of its lower triangle, ab[i - j, j] = K[i, j] for i >= j,
+        built by mask."""
         _, _, red = constrained(case_id, mesh, kind)
         K, n = red.K, red.K.shape[0]
         assert K.has_canonical_format
         assert np.all(K.data != 0.0)
         assert (K != K.T).nnz == 0
-        upper = sp.triu(K).tocoo()
-        bw = int((upper.col - upper.row).max())
+        lower = sp.tril(K).tocoo()
+        bw = int((lower.row - lower.col).max())
         band = np.zeros((bw + 1, n))
-        band[bw + upper.row - upper.col, upper.col] = upper.data
+        band[lower.row - lower.col, lower.col] = lower.data
         monkeypatch.setattr(solver, "_BAND_MIN_WORK", 0)
-        assert np.array_equal(solver._upper_band(K), band)
+        assert np.array_equal(solver._lower_band(K), band)
 
     @pytest.mark.parametrize("kind", ["cs", "cas"])
     def test_fixed_dofs_alone_select_the_free_block(self, kind):
@@ -743,6 +745,87 @@ class TestConstraints:
         U = red.expand(u)
         assert np.array_equal(U[free], u)
         assert np.count_nonzero(U) == len(free)
+
+
+def _quadratic_mpc_transform(n, fixed_mask, rows):
+    """The master/slave basis as first written: each new slave is
+    substituted by a scan over every earlier expression, and T is built
+    from Python lists of every free dof.  ``_mpc_transform`` must match it
+    bit for bit."""
+    slave_of = {}
+    for dofs, coeffs in rows:
+        out = {}
+        for d, c in zip(dofs, coeffs):
+            if fixed_mask[d]:
+                continue
+            for dm, wm in slave_of.get(int(d), {int(d): 1.0}).items():
+                out[dm] = out.get(dm, 0.0) + float(c) * wm
+        out = {d: c for d, c in out.items() if c != 0.0}
+        if not out:
+            continue
+        scale = max(abs(c) for c in out.values())
+        out = {d: c for d, c in out.items() if abs(c) > 1e-14 * scale}
+        slave = next(d for d, c in out.items() if abs(c) == scale)
+        cs = out.pop(slave)
+        expr = {d: -c / cs for d, c in sorted(out.items())}
+        for entry in slave_of.values():
+            w = entry.pop(slave, None)
+            if w is not None:
+                for d, ws in expr.items():
+                    entry[d] = entry.get(d, 0.0) + w * ws
+        slave_of[slave] = expr
+    is_slave = np.zeros(n, dtype=bool)
+    is_slave[list(slave_of.keys())] = True
+    free = np.nonzero(~fixed_mask & ~is_slave)[0]
+    col_of = -np.ones(n, dtype=np.int64)
+    col_of[free] = np.arange(len(free))
+    ti, tj, tv = list(free), list(range(len(free))), [1.0] * len(free)
+    for slave, entry in slave_of.items():
+        for d, w in sorted(entry.items()):
+            if w != 0.0:
+                ti.append(slave)
+                tj.append(int(col_of[d]))
+                tv.append(w)
+    return free, sp.csr_matrix((tv, (ti, tj)), shape=(n, len(free)))
+
+
+class TestEliminationBits:
+    """``apply_constraints`` reproduces, bit for bit, the elimination as
+    first written: the quadratic basis above and ``T.T @ K @ T`` (with
+    scipy's CSC copy of K), triangle and mirror."""
+
+    @staticmethod
+    def _assert_same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        if a.dtype == np.float64:
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a.astype(np.int64), b.astype(np.int64))
+
+    @pytest.mark.parametrize("kind", ["cs", "cas"])
+    @pytest.mark.parametrize("case_id,mesh", [
+        ("strip", (2, 1)), ("strip", (256, 1)), ("scordelis", (16, 16)),
+        ("hemisphere", (32, 32)), ("hypar", (8, 4)), ("hypar", (128, 64)),
+    ])
+    def test_reduced_system_matches_the_first_formulation(self, case_id, mesh, kind):
+        case = make_case(case_id)
+        patch = Patch(make_uniform(case.surface, *mesh))
+        K, area = assemble(patch, case.material, gauss_rule(3), kind)
+        F = build_loads(case, patch, 3, area)
+        fixed, rows = case.constraints(patch)
+        red = apply_constraints(K, F, fixed, rows)
+        fixed_mask = np.zeros(K.shape[0], dtype=bool)
+        fixed_mask[fixed] = True
+        free, T = _quadratic_mpc_transform(K.shape[0], fixed_mask, [
+            (np.asarray(d, dtype=np.int64), np.asarray(c, dtype=float)) for d, c in rows])
+        upper = sp.triu(T.T @ K @ T, format="csr")
+        upper.sort_indices()
+        Kred = sp.csr_matrix(upper + sp.triu(upper, k=1).T)
+        for name in ("data", "indices", "indptr"):
+            self._assert_same_bits(getattr(red.K, name), getattr(Kred, name))
+            self._assert_same_bits(getattr(red.T, name), getattr(T, name))
+        self._assert_same_bits(red.free, free)
+        self._assert_same_bits(red.F, T.T @ F)
 
 
 def _zero_modes(K):

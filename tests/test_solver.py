@@ -127,6 +127,19 @@ class TestErrorClassification:
         with pytest.raises(ValueError, match=f"^{where} holds a NaN or an infinity"):
             solve_spd(K, F)
 
+    @pytest.mark.parametrize("k_shape,n_f", [((5, 5), 4), ((5, 5), 6), ((4, 5), 4)])
+    def test_shape_mismatch_raises_before_factoring(self, monkeypatch, k_shape, n_f):
+        """A load that does not fit K, or a K that is not square, is refused
+        by shape before anything is factored."""
+        def unreachable(path, M):
+            raise AssertionError("factored a system of mismatched shapes")
+
+        monkeypatch.setattr(solver, "_factorize", unreachable)
+        K = sp.csr_matrix(np.eye(*k_shape))
+        with pytest.raises(ValueError, match=rf"^K of shape \({k_shape[0]}, {k_shape[1]}\) "
+                                             rf"and F of shape \({n_f},\)"):
+            solve_spd(K, np.ones(n_f))
+
     def test_non_finite_pivot_is_not_clean(self):
         class Factor:
             U = sp.diags([1.0, np.nan, 2.0])
@@ -314,7 +327,7 @@ class TestBandCholesky:
         K, F = reduced_system("hypar", 1e2, (32, 16))
         band = solver.solve_spd(K, F)
         assert band.path == "band" and counted["paths"] == ["band"]
-        monkeypatch.setattr(solver, "_upper_band", lambda K: None)
+        monkeypatch.setattr(solver, "_lower_band", lambda K: None)
         lu = solver.solve_spd(K, F)
         assert lu.path == "superlu"
         Ub, Ul = (np.asarray(t.U, float) for t in (band, lu))
@@ -326,7 +339,7 @@ class TestBandCholesky:
         roundoff pivot of a zero-energy mode; SuperLU in symmetric mode
         solves it."""
         K, F = reduced_system("scordelis", 1e2, (16, 16))
-        ab = solver._upper_band(K)
+        ab = solver._lower_band(K)
         assert ab is not None
         with pytest.raises(LinAlgError):
             solver._BandCholesky(ab)
@@ -341,7 +354,7 @@ class TestBandCholesky:
         systems = [(A, A @ np.random.default_rng(7).standard_normal(30)),
                    reduced_system("strip", 1e3, (64, 1))]
         for K, F in systems:
-            assert solver._upper_band(K) is None
+            assert solver._lower_band(K) is None
             trace = solver.solve_spd(K, F)
             assert trace.path != "band"
             assert relative_residual(K, trace.U, F) <= max(1e-10, trace.floor)
@@ -352,9 +365,9 @@ class TestBandCholesky:
     def test_wide_band_goes_to_superlu_unbuilt(self, counted, monkeypatch):
         """A randomly permuted grid Laplacian couples far-apart indices: the
         guard sends it to SuperLU before any band storage is allocated."""
-        bands, real_upper_band = [], solver._upper_band
-        monkeypatch.setattr(solver, "_upper_band",
-                            lambda K: bands.append(real_upper_band(K)) or bands[-1])
+        bands, real_lower_band = [], solver._lower_band
+        monkeypatch.setattr(solver, "_lower_band",
+                            lambda K: bands.append(real_lower_band(K)) or bands[-1])
         m = 64
         L = grid_laplacian(m)
         perm = np.random.default_rng(11).permutation(m * m)
