@@ -380,9 +380,9 @@ def _mpc_transform(n, fixed_mask, rows):
             w = entry.pop(slave)
             for d, ws in expr.items():
                 entry[d] = entry.get(d, 0.0) + w * ws
-                users.setdefault(d, {})[user] = None
+                users.setdefault(d, set()).add(user)
         for d in expr:
-            users.setdefault(d, {})[slave] = None
+            users.setdefault(d, set()).add(slave)
         slave_of[slave] = expr
 
     is_slave = np.zeros(n, dtype=bool)
