@@ -390,11 +390,11 @@ def _mpc_transform(n, fixed_mask, rows):
     free = np.nonzero(~fixed_mask & ~is_slave)[0]
     col_of = -np.ones(n, dtype=np.int64)
     col_of[free] = np.arange(len(free))
-    e = np.array([(s, d, w) for s, entry in slave_of.items() for d, w in sorted(entry.items())
-                  if w != 0.0], dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
-    T = sp.csr_matrix((np.concatenate([np.ones(len(free)), e["w"]]),
-                       (np.concatenate([free, e["i"]]),
-                        np.concatenate([np.arange(len(free)), col_of[e["j"]]]))),
+    terms = np.array([(s, d, w) for s, entry in slave_of.items() for d, w in sorted(entry.items())
+                      if w != 0.0], dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
+    T = sp.csr_matrix((np.concatenate([np.ones(len(free)), terms["w"]]),
+                       (np.concatenate([free, terms["i"]]),
+                        np.concatenate([np.arange(len(free)), col_of[terms["j"]]]))),
                       shape=(n, len(free)))
     return free, T
 

@@ -7,7 +7,8 @@ The primary factorization is LAPACK banded Cholesky in the order the
 system arrives in: the natural control-point order of a tensor-product
 patch keeps the stiffness in a narrow band, and a Cholesky that completes
 with positive pivots certifies positive definiteness.  The system is one
-full CSR matrix; the band is read off its upper triangle.  Systems the band
+full, symmetric CSR matrix; the upper part of its row i is read into column
+i of LAPACK's lower band storage, in order.  Systems the band
 rejects, and those outside its work guard (see ``_BAND_MIN_WORK``), go to a
 sparse LU factorization in symmetric mode (diagonal pivoting, symmetric
 fill-reducing ordering), which tolerates the roundoff pivots of zero-energy
@@ -40,27 +41,29 @@ _MAX_REFINE = 400
 
 # Banded Cholesky is tried only while _BAND_MIN_WORK <= n bw^2 <=
 # _BAND_MAX_WORK n^1.5 (n the dof count, bw the half-bandwidth; n bw^2 is
-# the band factor's work).  Factor times, band against SuperLU in symmetric
-# mode, of cas meshes in natural control-point order (1 core):
-#   strip 256x1           n  2310  bw   26   1.4 ms vs   7.6 ms
-#   hypar 16x8            n   466  bw   64   0.7 ms vs   3.5 ms
-#   hypar 32x16           n  1698  bw  112   4.2 ms vs    24 ms
-#   hypar 128x64          n 25218  bw  400   0.25 s vs   1.08 s
-#   hemisphere 16x16      n   899  bw  116   2.2 ms vs   7.9 ms
-#   hemisphere 64x64      n 12803  bw  404   0.15 s vs   0.49 s
-#   hemisphere 128x128    n 50179  bw  788    1.5 s vs    3.5 s
+# the band factor's work).  Band extraction and factor (lower layout)
+# against SuperLU in symmetric mode; cas meshes, the strip cs (its cas band
+# stops at the zero-energy mode), in control-point order; 1 core, min of
+# 3-7 runs, one at 128x128, 160x160 measured in the upper layout only:
+#   strip 256x1           n  2310  bw   26   1.0 ms vs   3.8 ms
+#   hypar 16x8            n   466  bw   64   0.5 ms vs   2.0 ms
+#   hypar 32x16           n  1698  bw  112   2.1 ms vs    13 ms
+#   hypar 128x64          n 25218  bw  400   0.14 s vs   0.67 s
+#   hemisphere 16x16      n   899  bw  116   1.0 ms vs   5.0 ms
+#   hemisphere 64x64      n 12803  bw  404  0.068 s vs   0.31 s
+#   hemisphere 128x128    n 50179  bw  788   0.87 s vs    2.4 s
 #   hemisphere 160x160    n 78083  bw  980    3.8 s vs    7.5 s
 # Upper bound: square meshes have bw^2 ~ 12 n, so the band's work grows as
-# n^2 against SuperLU's ~n^1.5.  The time ratio is 0.44 at 128x128 and
-# 0.51 at 160x160 (n bw^2 = 2800 and 3400 n^1.5; two runs each).  The
-# bound lies below 8800 n^1.5, where the ratio reached 1 extrapolated from
-# 0.57 and 0.69 at 4900 and 6100 n^1.5 (these meshes with wider bands);
-# larger systems are not measured.  At 160x160 the band (613 MB) is below
-# SuperLU's L+U (52M nonzeros).  A matrix with long-range couplings
-# (bw ~ n) passes it only below ~350 dofs.  Lower bound: below it the band
-# saves at most a few milliseconds a solve, so small systems (strips up to
-# 512 elements, hypar 16x8) stay on SuperLU, whose factorizations
-# perfbench/tracer.py counts at ``splu``.
+# n^2 against SuperLU's ~n^1.5.  The time ratio is 0.37 at 128x128 (0.44
+# in the upper layout) and was 0.51 at 160x160 (n bw^2 = 2800 and 3400
+# n^1.5).  The bound lies below 8800 n^1.5, where the upper layout's ratio
+# reached 1 extrapolated from 0.57 and 0.69 at 4900 and 6100 n^1.5 (these
+# meshes with wider bands); larger systems are not measured.  At 160x160
+# the band (613 MB) is below SuperLU's L+U (52M nonzeros).  A matrix with
+# long-range couplings (bw ~ n) passes it only below ~350 dofs.  Lower
+# bound: below it the band saves at most a few milliseconds a solve, so
+# small systems (strips up to 512 elements, hypar 16x8) stay on SuperLU,
+# whose factorizations perfbench/tracer.py counts at ``splu``.
 _BAND_MIN_WORK = 4_000_000
 _BAND_MAX_WORK = 6500
 
@@ -234,8 +237,7 @@ def solve_spd(K, F: np.ndarray) -> SolveTrace:
     non-positive pivot only sends the system down the fallback ladder (see
     :func:`_factor_checked`).  Raises ValueError, before any factorization,
     if K is not square, F's shape is not (K's row count,), or K or F is not
-    finite,
-    :class:`IndefiniteSystemError` when inverse iteration on the shifted
+    finite, :class:`IndefiniteSystemError` when inverse iteration on the shifted
     factor finds a negative eigenvalue, :class:`SingularSystemError` on
     factorization breakdown, and :class:`NumericalError` if iterative
     refinement cannot reach ``||KU - F|| <= max(RESIDUAL_RTOL, floor) ||F||``,
