@@ -5,8 +5,8 @@ from .elements import (CAS, CS, Patch, QuadratureRule, apply_constraints,
                        load_point, tensor_rule)
 from .errors import (DomainError, IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
-from .fields import (EnergyReport, SolutionField, displacement_at, energies,
-                     l2_resultant_error, sample, write_field)
+from .fields import (SolutionField, displacement_at, energies, l2_resultant_error,
+                     sample, write_field)
 from .nurbs import KnotVector, NurbsSurface, insert_knots, make_uniform, surface_eval
 from .shell import ShellMaterial
 from .solver import solve_spd

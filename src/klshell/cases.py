@@ -369,8 +369,7 @@ def run_convergence(case: BenchmarkCase, kind: str, quad_n: int,
             res.e_n11, res.e_m11 = l2_resultant_error(
                 res.solution, (case.analytic["n11"], case.analytic["m11"]),
                 ("n11", "m11"))
-        rep = energies(res.solution, gauss_rule(quad_n))
-        res.Em, res.Eb, res.Et = rep.Em, rep.Eb, rep.Et
+        res.Em, res.Eb, res.Et = energies(res.solution, gauss_rule(quad_n))
         results.append(res)
     return results
 

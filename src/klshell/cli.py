@@ -2,8 +2,8 @@
 
 Writes ``report.csv`` (one row per refinement level) and optionally
 ``field.dat`` (sampled displacements and resultants), printing a one-line
-summary per level.  Exit codes: 0 success, 2 usage error, 3 numerical
-failure.
+summary per level.  Exit codes: 0 success, 2 usage error (a mesh or sample
+grid too large for memory among them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ def main(argv=None) -> int:
             SingularGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        return out_of_memory(exc)
 
     for level, res in enumerate(results):
         norm = "" if res.normalized is None else f"  norm {res.normalized:+.5f}"
@@ -88,9 +90,19 @@ def main(argv=None) -> int:
         header = {"benchmark": case.id, "element": args.element,
                   "mesh": f"{last.mesh[0]}x{last.mesh[1]}",
                   "slenderness": format(case.slenderness, ".17g")}
-        write_field(last.solution, os.path.join(args.outdir, "field.dat"),
-                    header, density=args.sample_density)
+        try:
+            write_field(last.solution, os.path.join(args.outdir, "field.dat"),
+                        header, density=args.sample_density)
+        except MemoryError as exc:
+            return out_of_memory(exc)
     return 0
+
+
+def out_of_memory(exc: MemoryError) -> int:
+    """Report a mesh or sample grid too large for memory: exit 2."""
+    print(f"out of memory: {str(exc) or 'an allocation failed'}; ask for fewer "
+          "elements or a smaller --sample-density", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

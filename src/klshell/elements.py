@@ -9,10 +9,10 @@ Two quadratic element types share one code path:
   part is identical to ``cs``.
 
 Element kernels run vectorized over batches of elements, the knot spans of
-a patch: on a batch of one in ``element_stiffness``, in assembly on parts
-of a batch at once, one per CPU, on a cached thread pool.  Assembly adds
-element blocks in a fixed order into a control-point stencil and reads the
-CSR stiffness matrix off it (see ``assemble``); constraint elimination
+a patch.  Assembly, the one stiffness path, computes the parts of a batch
+at once, one per CPU, on a cached thread pool, adds the element blocks in a
+fixed order into a control-point stencil and reads the CSR stiffness
+matrix off it (see ``assemble``); constraint elimination
 (with the ``rotation_rows`` ties) and the solver take it as it is.
 """
 
@@ -43,10 +43,6 @@ class QuadratureRule:
 
     points: np.ndarray   # (nq, 2)
     weights: np.ndarray  # (nq,)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
 
 
 @functools.cache
@@ -122,9 +118,6 @@ class Patch:
         eu, ev = np.divmod(eid, self.n_el[1])
         return eu + self.surface.kv_u.degree, ev + self.surface.kv_v.degree
 
-    def element_dofs(self, eid: int) -> np.ndarray:
-        return _dofs(self.conn[[eid]])[0]
-
     def locate(self, theta) -> np.ndarray:
         """Ids of the elements containing the parametric points theta (..., 2).
 
@@ -135,9 +128,6 @@ class Patch:
         kv_u, kv_v = self.surface.kv_u, self.surface.kv_v
         return ((find_spans(kv_u, theta[..., 0]) - kv_u.degree) * self.n_el[1]
                 + find_spans(kv_v, theta[..., 1]) - kv_v.degree)
-
-    def cp_index(self, iu: int, iv: int) -> int:
-        return iu * self.surface.kv_v.n_basis + iv
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +258,6 @@ def _stiffness_batch(patch, eids, mat, rule, kind):
     return (mat.membrane_stiffness * _contract(_membrane_strain_rows(patch, ev, kind), C),
             mat.bending_stiffness * _contract(bending_rows(ev), C),
             np.einsum("eqA,eq->eA", ev["N"], ev["dA"]))
-
-
-def element_stiffness(patch: Patch, eid: int, mat: ShellMaterial,
-                      rule: QuadratureRule, kind: str) -> np.ndarray:
-    """Element stiffness k = k_eps + k_kappa for one element."""
-    k_eps, k_kappa, _ = _stiffness_batch(patch, [eid], mat, rule, kind)
-    return k_eps[0] + k_kappa[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,28 +35,6 @@ class SolutionField:
         self.U = U
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Membrane, bending and total strain energies with their ratios."""
-
-    Em: float
-    Eb: float
-    Et: float
-
-    @property
-    def membrane_fraction(self) -> float:
-        return self.Em / self._total()
-
-    @property
-    def bending_fraction(self) -> float:
-        return self.Eb / self._total()
-
-    def _total(self) -> float:
-        if self.Et == 0.0:
-            raise ValueError("zero total strain energy: the fractions are undefined")
-        return self.Et
-
-
 def _displacements(sol, ev):
     """u = sum_A N_A U_A at the points of ev, (ne, nq, 3)."""
     return np.einsum("eqA,eAc->eqc", ev["N"], sol.U[ev["conn"]])
@@ -99,26 +77,26 @@ def _resultant_fields(sol, ev, keys=("n", "m", "neff")):
     return {key: cartesian_components(res[key], fr["T"]) for key in keys}
 
 
-def sample(sol: SolutionField, theta, eids=None) -> dict:
+def sample(sol: SolutionField, theta) -> dict:
     """Geometry, displacements and resultants at parametric points theta (n, 2).
 
     Each point is evaluated in the element that contains it
-    (``Patch.locate``) unless ``eids`` (n,) names the elements, which
-    matters on shared edges.  Returns a dict of (n, 3) arrays: the position
-    "r", the displacement "u", and the local-Cartesian (11, 22, 12)
-    components of the membrane forces "n", bending moments "m" and
-    effective membrane forces "neff".
+    (``Patch.locate``).  Returns a dict of (n, 3) arrays: the position "r",
+    the displacement "u", and the local-Cartesian (11, 22, 12) components
+    of the membrane forces "n", bending moments "m" and effective membrane
+    forces "neff".
     """
     theta = np.asarray(theta, dtype=float)
-    eids = sol.patch.locate(theta) if eids is None else eids
+    eids = sol.patch.locate(theta)
     ev = _batch_eval(sol.patch, eids, theta[:, None, :], order=2)
     ev["xi"] = _to_parent(sol.patch, eids, theta)[:, None, :]
     fields = {"r": ev["r"], "u": _displacements(sol, ev), **_resultant_fields(sol, ev)}
     return {key: v[:, 0] for key, v in fields.items()}
 
 
-def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
-    """Membrane/bending/total strain energies by element quadrature.
+def energies(sol: SolutionField, rule: QuadratureRule) -> tuple[float, float, float]:
+    """Membrane, bending and total strain energies (Em, Eb, Et) by element
+    quadrature.
 
     Using the same rule as assembly reproduces the discrete identity
     E_t = 0.5 * U K U for the matching element kind.
@@ -131,7 +109,7 @@ def energies(sol: SolutionField, rule: QuadratureRule) -> EnergyReport:
         Db = constitutive_voigt(ev["a_inv"], sol.mat.bending_stiffness, sol.mat.nu)
         Em += 0.5 * np.einsum("eqa,eqab,eqb,eq->", eps, Dm, eps, ev["dA"])
         Eb += 0.5 * np.einsum("eqa,eqab,eqb,eq->", kappa, Db, kappa, ev["dA"])
-    return EnergyReport(Em=float(Em), Eb=float(Eb), Et=float(Em + Eb))
+    return float(Em), float(Eb), float(Em + Eb)
 
 
 def l2_resultant_error(sol: SolutionField, analytic, which) -> tuple[float, ...]:

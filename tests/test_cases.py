@@ -155,6 +155,29 @@ class TestConvergenceDriver:
             assert abs(f8 - f256) <= 0.02 * f256
 
 
+class TestCsCompliance:
+    """Knot insertion nests the cs trial spaces, so the strain energy
+    Et = F'U / 2 of a cs solve rises from level to level.  The rotation ties
+    of the hypar and the hemisphere are collocated and the integrands are
+    rational, so this holds only approximately there: the sign is asserted
+    over the levels measured, at 3x3 points.  At 2x2 points it fails: the
+    strip at R/t 1e3 loses 2% of Et from 2 to 4 elements."""
+
+    @pytest.mark.parametrize("case_id,slenderness,levels", [
+        ("strip", 1e1, 8), ("strip", 1e2, 8), ("strip", 1e3, 8),
+        ("scordelis", 1e2, 5), ("scordelis", 1e3, 5),
+        ("hypar", 1e2, 6), ("hypar", 1e4, 6),
+        ("hemisphere", 2.5e2, 5), ("hemisphere", 2.5e4, 5)])
+    def test_energy_rises_at_every_level(self, bench, case_id, slenderness, levels):
+        if case_id == "strip":  # the sweep other strip tests share
+            results = bench.strip_sweep("cs", 3, slenderness).values()
+        else:
+            results = run_convergence(make_case(case_id, slenderness=slenderness),
+                                      "cs", 3, levels)
+        Et = np.array([res.Et for res in results])
+        assert len(Et) == levels and np.all(np.diff(Et) > 0.0), Et
+
+
 class TestConstraintRows:
     @pytest.mark.parametrize("case_id", ["hemisphere", "hypar"])
     @pytest.mark.parametrize("edge", ["u0", "u1", "v0", "v1"])
@@ -176,7 +199,7 @@ class TestConstraintRows:
                 "v1": ((g, 1.0), (j, nv - 1), (j, nv - 2)),
             }[edge]
             a3 = frame_arrays(*surface_eval(s, *theta)[1:])["a3"]
-            g0, g1 = patch.cp_index(*cp0), patch.cp_index(*cp1)
+            g0, g1 = cp0[0] * nv + cp0[1], cp1[0] * nv + cp1[1]
             assert list(dofs) == [3 * g0, 3 * g0 + 1, 3 * g0 + 2,
                                   3 * g1, 3 * g1 + 1, 3 * g1 + 2]
             assert np.max(np.abs(coeffs - np.concatenate([a3, -a3]))) <= 1e-14

@@ -158,6 +158,22 @@ class TestExitCodes:
         assert "synthetic failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("where", ["solve_case", "write_field"])
+    def test_out_of_memory_is_exit_2(self, tmp_path, monkeypatch, capsys, where):
+        """A mesh or sample grid too large for memory is a usage error: one
+        line on stderr, no traceback.  The MemoryError is synthetic."""
+        def too_large(*a, **k):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+        monkeypatch.setattr(cli, where, too_large)
+        rc = cli.main(["--benchmark", "strip", "--elements-per-side", "2",
+                       "--sample-density", "3", "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate 298. GiB")
+        assert err.count("\n") == 1
+        assert (tmp_path / "report.csv").exists() == (where == "write_field")
+        assert not (tmp_path / "field.dat").exists()
+
 class TestModuleEntryPoint:
     """``python -m klshell`` in a fresh interpreter, with PYTHONPATH=src."""
 

@@ -17,9 +17,9 @@ from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial
                      gauss_rule, load_area, load_edge_line, load_point,
                      make_uniform, solve_spd, tensor_rule)
 from klshell.cases import build_loads, make_case
-from klshell.elements import (_corner_membrane_rows, _corner_weights, _dofs,
-                              _membrane_strain_rows, _rule_eval, _stiffness_batch,
-                              edge_lines, element_stiffness, fix_cps)
+from klshell.elements import (_chunk_stiffness, _corner_membrane_rows, _corner_weights,
+                              _dofs, _membrane_strain_rows, _rule_eval, _stiffness_batch,
+                              edge_lines, fix_cps)
 from klshell.fields import SolutionField, sample
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -67,19 +67,19 @@ class TestQuadrature:
 
     def test_fine_rule_available(self):
         rule = tensor_rule(5)
-        assert rule.n == 25
+        assert len(rule.weights) == 25
         assert abs(rule.weights.sum() - 4.0) < 1e-13
 
 
 class TestElementStiffnessCS:
     def test_symmetric(self):
         patch = Patch(ALL_SURFACES["scordelis"]())
-        k = element_stiffness(patch, 0, MAT, gauss_rule(3), "cs")
+        k = _chunk_stiffness(patch, [0], MAT, gauss_rule(3), "cs")[0][0]
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
 
     def test_rigid_translation_annihilated(self):
         patch = Patch(ALL_SURFACES["hemisphere"]())
-        k = element_stiffness(patch, 0, MAT, gauss_rule(3), "cs")
+        k = _chunk_stiffness(patch, [0], MAT, gauss_rule(3), "cs")[0][0]
         T = np.tile([1.0, -2.0, 0.5], 9)
         assert np.abs(k @ T).max() <= 1e-10 * np.abs(k).max() * np.abs(T).max()
 
@@ -129,7 +129,7 @@ class TestElementStiffnessCS:
         ctrl = np.zeros((3, 3, 3))  # all control points coincide
         patch = Patch(make_uniform(NurbsSurface(KV2, KV2, ctrl, np.ones((3, 3))), 2, 2))
         with pytest.raises(SingularGeometryError) as exc:
-            element_stiffness(patch, 3, MAT, gauss_rule(3), "cs")
+            _chunk_stiffness(patch, [3], MAT, gauss_rule(3), "cs")
         message = str(exc.value)
         assert message.count("element") == 1 and "3" in message
 
@@ -161,7 +161,7 @@ class TestElementStiffnessCAS:
 
     def test_symmetric_and_rigid_annihilation(self):
         patch = Patch(ALL_SURFACES["scordelis"]())
-        k = element_stiffness(patch, 0, MAT, gauss_rule(3), "cas")
+        k = _chunk_stiffness(patch, [0], MAT, gauss_rule(3), "cas")[0][0]
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
         T = np.tile([0.2, 1.0, -0.7], 9)
         assert np.abs(k @ T).max() <= 1e-10 * np.abs(k).max()
@@ -173,7 +173,7 @@ class TestElementStiffnessCAS:
         ctrl[:, 1, 1] = 1.0
         patch = Patch(NurbsSurface(kv1, kv1, ctrl, np.ones((2, 2))))
         with pytest.raises(ValueError):
-            element_stiffness(patch, 0, MAT, gauss_rule(2), "cas")
+            _chunk_stiffness(patch, [0], MAT, gauss_rule(2), "cas")
 
     def test_assumed_strain_continuity_across_edges(self):
         """Assumed membrane strain rows agree across shared element edges."""
@@ -188,7 +188,7 @@ class TestElementStiffnessCAS:
                 L = _corner_weights(np.array([[xi, eta]]))
                 local = np.einsum("ql,lai->qai", L, Bc[k])[0]
                 full = np.zeros((3, n_dof))
-                full[:, patch.element_dofs(eid)] = local
+                full[:, _dofs(patch.conn)[eid]] = local
                 rows[eid] = full
             scale = max(np.abs(rows[e_left]).max(), 1e-30)
             assert np.abs(rows[e_left] - rows[e_right]).max() <= 1e-12 * scale
@@ -218,8 +218,8 @@ class TestAssembly:
         patch = Patch(flat_patch())
         rule = gauss_rule(3)
         K = assemble(patch, MAT, rule, "cs")[0].toarray()
-        k = element_stiffness(patch, 0, MAT, rule, "cs")
-        dofs = patch.element_dofs(0)
+        k = _chunk_stiffness(patch, [0], MAT, rule, "cs")[0][0]
+        dofs = _dofs(patch.conn)[0]
         assert np.allclose(K[np.ix_(dofs, dofs)], k, atol=1e-14 * np.abs(k).max())
 
     def test_sparsity_pattern_cs_equals_cas(self):
@@ -232,8 +232,7 @@ class TestAssembly:
         # element supports both control points
         n = patch.n_dof
         overlap = np.zeros((n, n), dtype=bool)
-        for e in range(patch.n_elements):
-            dofs = patch.element_dofs(e)
+        for dofs in _dofs(patch.conn):
             overlap[np.ix_(dofs, dofs)] = True
         pattern = np.zeros((n, n), dtype=bool)
         coo = Kcas.tocoo()
@@ -270,9 +269,10 @@ class TestAssembly:
         K, _ = assemble(patch, case.material, rule, kind)
         n = patch.n_dof
         dense, shared = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
-        for e in range(patch.n_elements):
-            block = np.ix_(patch.element_dofs(e), patch.element_dofs(e))
-            np.add.at(dense, block, element_stiffness(patch, e, case.material, rule, kind))
+        k, _ = _chunk_stiffness(patch, np.arange(patch.n_elements), case.material, rule, kind)
+        for dofs, k_e in zip(_dofs(patch.conn), k):
+            block = np.ix_(dofs, dofs)
+            np.add.at(dense, block, k_e)
             shared[block] = True
 
         assert np.abs(K.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
@@ -479,8 +479,8 @@ def area_load_by_elements(patch, rule, f):
     F = np.zeros(patch.n_dof)
     for e in range(patch.n_elements):
         ev = _rule_eval(patch, [e], rule)
-        F[patch.element_dofs(e)] += np.einsum("qA,c,q->Ac", ev["N"][0], f,
-                                              ev["dA"][0]).ravel()
+        F[_dofs(patch.conn)[e]] += np.einsum("qA,c,q->Ac", ev["N"][0], f,
+                                             ev["dA"][0]).ravel()
     return F
 
 
@@ -553,7 +553,7 @@ class TestLoads:
         patch = Patch(flat_patch())
         P = np.array([1.0, 2.0, 3.0])
         F = load_point(patch, (0.0, 0.0), P)
-        g = patch.cp_index(0, 0)
+        g = 0  # control point (iu, iv) = (0, 0): grid index iu * n_v + iv
         assert np.allclose(F[3 * g: 3 * g + 3], P, atol=1e-14)
         assert abs(F.sum() - P.sum()) < 1e-14
 

@@ -1,12 +1,14 @@
-"""Every name a module imports is used in that module, and every name the
-benchmark harness reaches into exists.
+"""Every name a module imports is used in that module, every function,
+class and method of the package is named by the package or the scripts,
+and every name the benchmark harness reaches into exists.
 
-No linter is a test dependency, so this is a small ``ast`` check over the
+No linter is a test dependency, so these are small ``ast`` checks over the
 package modules (``__init__`` re-exports by design), the scripts and the
 tests.
 """
 
 import ast
+import collections
 import glob
 import importlib
 import os
@@ -51,6 +53,54 @@ def test_check_catches_an_unused_import():
                                       "islice (line 2)", "solve_case (line 3)"]
 
 
+def names_in(tree) -> collections.Counter:
+    """How often each name is read in an ``ast`` subtree: as a name, as an
+    attribute, or imported from a module."""
+    names = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def definitions(tree):
+    """The top-level functions and classes of a module and the methods and
+    properties of its classes, dunders left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def unreached(sources: dict, defining, reached=()) -> list[str]:
+    """Definitions in the ``defining`` labels of ``sources`` (label -> text)
+    whose name no source names outside the definition itself, nor lists in
+    ``reached``."""
+    trees = {label: ast.parse(text) for label, text in sources.items()}
+    named = sum((names_in(tree) for tree in trees.values()), collections.Counter())
+    return [f"{label}: {node.name} (line {node.lineno})" for label in defining
+            for node in definitions(trees[label])
+            if node.name not in reached and named[node.name] == names_in(node)[node.name]]
+
+
+def test_check_catches_an_unreached_definition():
+    sources = {"m": ("def used():\n    return 1\n\n"
+                     "def alone(n):\n    return alone(n - 1)\n\n"
+                     "class C:\n    def __init__(self):\n        pass\n\n"
+                     "    @property\n    def p(self):\n        return used()\n\n"
+                     "    def q(self):\n        return self.p\n\n"
+                     "class D:\n    pass\n\nclass E:\n    pass\n"),
+               "init": "from .m import D\n"}
+    assert unreached(sources, ["m"], reached={"E"}) == [
+        "m: alone (line 4)", "m: C (line 7)", "m: q (line 15)"]
+
+
 def traced_names():
     """(module, attr) of every ``Target`` in perfbench/tracer.py, read from
     its source, and the ``klshell.cli`` names the harness self-test calls."""
@@ -70,3 +120,18 @@ def test_harness_targets_are_read():
 def test_traced_name_resolves(module, attr):
     """A missing name would only print "not traced" during a traced run."""
     assert hasattr(importlib.import_module(module), attr)
+
+
+def test_every_definition_is_reached():
+    """Nothing in the package lives only for the tests: each function, class
+    and method is named by the package (``__init__`` re-exports count) or a
+    script, or is a name the benchmark harness traces."""
+    paths = (glob.glob(os.path.join(ROOT, "src", "klshell", "*.py"))
+             + glob.glob(os.path.join(ROOT, "scripts", "*.py")))
+    sources = {}
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.relpath(path, ROOT)] = f.read()
+    defining = [label for label in sources if label.startswith("src")
+                and not label.endswith("__init__.py")]
+    assert unreached(sources, defining, {attr for _, attr in traced_names()}) == []
