@@ -3,7 +3,8 @@
 Writes ``report.csv`` (one row per refinement level) and optionally
 ``field.dat`` (sampled displacements and resultants), printing a one-line
 summary per level.  Exit codes: 0 success, 2 usage error (a mesh or sample
-grid too large for memory among them), 3 numerical failure.
+grid too large for memory, or an output file that cannot be written, among
+them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -83,18 +84,20 @@ def main(argv=None) -> int:
                   f"residual {res.trace.residual:.1e} > rtol {RESIDUAL_RTOL:.0e}",
                   file=sys.stderr)
 
-    write_report_csv(results, os.path.join(args.outdir, "report.csv"))
-
-    if args.sample_density is not None:
-        last = results[-1]
-        header = {"benchmark": case.id, "element": args.element,
-                  "mesh": f"{last.mesh[0]}x{last.mesh[1]}",
-                  "slenderness": format(case.slenderness, ".17g")}
-        try:
+    try:
+        write_report_csv(results, os.path.join(args.outdir, "report.csv"))
+        if args.sample_density is not None:
+            last = results[-1]
+            header = {"benchmark": case.id, "element": args.element,
+                      "mesh": f"{last.mesh[0]}x{last.mesh[1]}",
+                      "slenderness": format(case.slenderness, ".17g")}
             write_field(last.solution, os.path.join(args.outdir, "field.dat"),
                         header, density=args.sample_density)
-        except MemoryError as exc:
-            return out_of_memory(exc)
+    except MemoryError as exc:
+        return out_of_memory(exc)
+    except OSError as exc:
+        print(f"cannot write to {args.outdir}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -174,6 +174,20 @@ class TestExitCodes:
         assert (tmp_path / "report.csv").exists() == (where == "write_field")
         assert not (tmp_path / "field.dat").exists()
 
+    @pytest.mark.parametrize("name", ["report.csv", "field.dat"])
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, name):
+        """An output file that cannot be opened (a directory of its name is
+        in the way) is a usage error: one line on stderr naming the path."""
+        (tmp_path / name).mkdir()
+        rc = cli.main(["--benchmark", "strip", "--levels", "1",
+                       "--sample-density", "3", "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write to {tmp_path}: ")
+        assert str(tmp_path / name) in err
+        assert err.count("\n") == 1
+        assert (tmp_path / "report.csv").is_file() == (name == "field.dat")
+
 class TestModuleEntryPoint:
     """``python -m klshell`` in a fresh interpreter, with PYTHONPATH=src."""
 

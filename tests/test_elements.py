@@ -26,6 +26,19 @@ KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
 MAT = ShellMaterial(E=200.0, nu=0.3, t=0.05)
 
 
+def random_patch(degrees, mesh, seed=0):
+    """A surface of the given degrees on open uniform knots of the element
+    grid ``mesh``: a unit-square control net with random heights, and
+    random weights in [1, 1.2]."""
+    rng = np.random.default_rng(seed)
+    kvs = [KnotVector(np.r_[np.zeros(p), np.linspace(0.0, 1.0, n + 1), np.ones(p)], p)
+           for p, n in zip(degrees, mesh)]
+    nu, nv = kvs[0].n_basis, kvs[1].n_basis
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, nu), np.linspace(0.0, 1.0, nv), indexing="ij")
+    ctrl = np.stack([x, y, 0.3 * rng.random((nu, nv))], axis=-1)
+    return NurbsSurface(*kvs, ctrl, 1.0 + 0.2 * rng.random((nu, nv)))
+
+
 def flat_patch(a=1.0, b=1.0):
     ctrl = np.zeros((3, 3, 3))
     for i, x in enumerate((0.0, a / 2, a)):
@@ -258,18 +271,33 @@ class TestAssembly:
     @pytest.mark.parametrize("case_id,mesh", [
         ("strip", (4, 1)), ("strip", (8, 1)), ("hemisphere", (3, 3)),
         ("hypar", (4, 2)), ("scordelis", (3, 5)),
+        pytest.param((1, 1), (3, 2), id="degrees-1-1-3x2"),
+        pytest.param((3, 2), (4, 3), id="degrees-3-2-4x3"),
+        pytest.param((2, 3), (1, 5), id="degrees-2-3-1x5"),
+        pytest.param((2, 2), (1, 1), id="degrees-2-2-1x1"),
     ])
     def test_stencil_scatter_matches_dense_oracle(self, case_id, mesh, kind, quad):
         """The stencil scatter against element matrices summed densely.
 
-        One element row (the strips) clips the stencil in v."""
-        case = make_case(case_id)
-        patch = Patch(make_uniform(case.surface, *mesh))
+        One element row (the strips, the degree (2, 3) patch) clips the
+        stencil in v, and one element (the quadratic 1x1 patch) clips it at
+        every control point.  A ``case_id`` of degrees is a random patch
+        (see ``random_patch``); cas refuses those that are not quadratic."""
+        if isinstance(case_id, str):
+            case = make_case(case_id)
+            surface, mat = make_uniform(case.surface, *mesh), case.material
+        else:
+            surface, mat = random_patch(case_id, mesh), MAT
+        patch = Patch(surface)
         rule = gauss_rule(quad)
-        K, _ = assemble(patch, case.material, rule, kind)
+        if kind == "cas" and (surface.kv_u.degree, surface.kv_v.degree) != (2, 2):
+            with pytest.raises(ValueError, match="quadratic"):
+                assemble(patch, mat, rule, kind)
+            return
+        K, _ = assemble(patch, mat, rule, kind)
         n = patch.n_dof
         dense, shared = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
-        k, _ = _chunk_stiffness(patch, np.arange(patch.n_elements), case.material, rule, kind)
+        k, _ = _chunk_stiffness(patch, np.arange(patch.n_elements), mat, rule, kind)
         for dofs, k_e in zip(_dofs(patch.conn), k):
             block = np.ix_(dofs, dofs)
             np.add.at(dense, block, k_e)

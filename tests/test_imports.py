@@ -67,26 +67,39 @@ def names_in(tree) -> collections.Counter:
     return names
 
 
+def attribute_reads(tree) -> collections.Counter:
+    """How often each name is read as an attribute, ``x.name``, in an
+    ``ast`` subtree."""
+    return collections.Counter(node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)
+                               and isinstance(node.ctx, ast.Load))
+
+
 def definitions(tree):
-    """The top-level functions and classes of a module and the methods and
-    properties of its classes, dunders left out."""
+    """The top-level functions and classes of a module, with ``names_in``,
+    and the methods and properties of its classes, dunders left out, with
+    ``attribute_reads``: the count that reaches them."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, names_in
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+            yield from ((item, attribute_reads) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__") and item.name.endswith("__")))
 
 
 def unreached(sources: dict, defining, reached=()) -> list[str]:
     """Definitions in the ``defining`` labels of ``sources`` (label -> text)
-    whose name no source names outside the definition itself, nor lists in
-    ``reached``."""
+    that no source reaches outside the definition itself, nor ``reached``
+    lists.  A function or class is reached by any use of its name; a method
+    or property only by an attribute read, so that a local variable of the
+    same name does not reach it."""
     trees = {label: ast.parse(text) for label, text in sources.items()}
-    named = sum((names_in(tree) for tree in trees.values()), collections.Counter())
+    total = {count: sum(map(count, trees.values()), collections.Counter())
+             for count in (names_in, attribute_reads)}
     return [f"{label}: {node.name} (line {node.lineno})" for label in defining
-            for node in definitions(trees[label])
-            if node.name not in reached and named[node.name] == names_in(node)[node.name]]
+            for node, count in definitions(trees[label])
+            if node.name not in reached and total[count][node.name] == count(node)[node.name]]
 
 
 def test_check_catches_an_unreached_definition():
@@ -95,10 +108,11 @@ def test_check_catches_an_unreached_definition():
                      "class C:\n    def __init__(self):\n        pass\n\n"
                      "    @property\n    def p(self):\n        return used()\n\n"
                      "    def q(self):\n        return self.p\n\n"
+                     "    def n(self):\n        return 0\n\n"
                      "class D:\n    pass\n\nclass E:\n    pass\n"),
                "init": "from .m import D\n"}
     assert unreached(sources, ["m"], reached={"E"}) == [
-        "m: alone (line 4)", "m: C (line 7)", "m: q (line 15)"]
+        "m: alone (line 4)", "m: C (line 7)", "m: q (line 15)", "m: n (line 18)"]
 
 
 def traced_names():
