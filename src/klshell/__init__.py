@@ -1,8 +1,8 @@
 """Quadratic NURBS Kirchhoff-Love shell kernel and benchmark suite."""
 
-from .elements import (CAS, CS, Patch, QuadratureRule, apply_constraints,
-                       assemble, gauss_rule, load_area, load_edge_line,
-                       load_point, tensor_rule)
+from .elements import (CAS, CS, QuadratureRule, apply_constraints, assemble,
+                       gauss_rule, load_area, load_edge_line, load_point,
+                       tensor_rule)
 from .errors import (DomainError, IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import (SolutionField, displacement_at, energies, l2_resultant_error,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (Patch, apply_constraints, assemble, edge_lines, fix_cps, gauss_rule,
+from .elements import (apply_constraints, assemble, edge_lines, fix_cps, gauss_rule,
                        load_area, load_edge_line, load_point, rotation_rows)
 from .fields import SolutionField, displacement_at, energies, l2_resultant_error
 from .nurbs import KnotVector, NurbsSurface, make_uniform
@@ -44,7 +44,7 @@ class BenchmarkCase:
     id: str
     surface: NurbsSurface
     material: ShellMaterial
-    loads: object                     # callable(Patch, quad_n, area) -> load vector F
+    loads: object                     # callable(NurbsSurface, quad_n, area) -> load vector F
     supports: tuple                   # (edge, components, tie, at); see constraints
     monitor_theta: tuple[float, float]
     monitor_dir: object               # callable(position) -> unit 3-vector
@@ -55,7 +55,7 @@ class BenchmarkCase:
     analytic: dict | None = None      # component -> callable(positions)
     implicit_residual: object = None  # callable(positions) -> normalized residual
 
-    def constraints(self, patch: Patch):
+    def constraints(self, patch: NurbsSurface):
         """The supports on a patch as (fixed dofs, multipoint rows), in order.
 
         A support (edge, components, tie, at) fixes displacement components
@@ -73,7 +73,7 @@ class BenchmarkCase:
         """
         fixed, rows = [], ()
         for edge, components, tie, at in self.supports:
-            line = edge_lines(edge, patch.surface.shape)
+            line = edge_lines(edge, patch.shape)
             if at is not None:
                 line = line[[int(at * len(line))]]
             fixed.append(fix_cps(line, components))
@@ -203,6 +203,12 @@ def hypar_surface(L: float = 1.0) -> NurbsSurface:
     return NurbsSurface(_KV1, _KV1, ctrl, np.ones((3, 3)))
 
 
+# Each benchmark's coarse geometry at its factory's dimensions, built once at
+# import and shared by its cases: a surface is immutable.
+_GEOMETRY = {"strip": strip_surface(), "hemisphere": hemisphere_surface(),
+             "scordelis": scordelis_surface(), "hypar": hypar_surface()}
+
+
 # ---------------------------------------------------------------------------
 # Case factories
 # ---------------------------------------------------------------------------
@@ -228,7 +234,7 @@ def _vertical(pos):
 
 def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
     """Cylindrical shell strip: clamped quarter circle with a radial tip load."""
-    R, b, E, nu = 10.0, 1.0, 1.0e3, 0.0
+    R, E, nu = 10.0, 1.0e3, 0.0
     mat = ShellMaterial(E, nu, R / slenderness)  # refuses t^3 out of range
     qx = -0.1 * mat.t ** 3
 
@@ -241,7 +247,7 @@ def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
         "neff11": lambda pos: qx * np.cos(phi(pos)),
     }
     return BenchmarkCase(
-        id="strip", surface=strip_surface(R, b), material=mat,
+        id="strip", surface=_GEOMETRY["strip"], material=mat,
         loads=lambda patch, quad_n, area: load_edge_line(patch, "u1", quad_n,
                                                          np.array([qx, 0.0, 0.0])),
         supports=(("u0", (0, 1, 2), True, None),), monitor_theta=(1.0, 0.5),
@@ -263,7 +269,7 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
     mat = ShellMaterial(E, nu, R / slenderness)  # refuses t^3 out of range
     P_half = 0.5 * 31250.0 * mat.t ** 3
     return BenchmarkCase(
-        id="hemisphere", surface=hemisphere_surface(R), material=mat,
+        id="hemisphere", surface=_GEOMETRY["hemisphere"], material=mat,
         loads=lambda patch, quad_n, area: load_point(
             patch, [(0.0, 0.0), (1.0, 0.0)], [(-P_half, 0.0, 0.0), (0.0, P_half, 0.0)]),
         supports=(("u0", (1,), True, None), ("u1", (0,), True, None),
@@ -276,9 +282,9 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
 
 def make_scordelis(slenderness: float = 1e2) -> BenchmarkCase:
     """Scordelis-Lo roof, whole geometry, rigid diaphragms at both ends."""
-    R, L, E, nu, qz = 25.0, 50.0, 4.32e8, 0.0, 90.0
+    R, E, nu, qz = 25.0, 4.32e8, 0.0, 90.0
     return BenchmarkCase(
-        id="scordelis", surface=scordelis_surface(R, L),
+        id="scordelis", surface=_GEOMETRY["scordelis"],
         material=ShellMaterial(E, nu, R / slenderness),
         loads=lambda patch, quad_n, area: load_area(area, [0.0, 0.0, -qz]),
         # the pin of u_y gauges the free axial translation, leaving u_x, u_z
@@ -297,7 +303,7 @@ def make_hypar(slenderness: float = 1e3) -> BenchmarkCase:
     thickness = L / slenderness
     qz = 8000.0 * thickness
     return BenchmarkCase(
-        id="hypar", surface=hypar_surface(L), material=ShellMaterial(E, nu, thickness),
+        id="hypar", surface=_GEOMETRY["hypar"], material=ShellMaterial(E, nu, thickness),
         loads=lambda patch, quad_n, area: load_area(area, [0.0, 0.0, -qz]),
         supports=(("u0", (0, 1, 2), True, None), ("v0", (1,), True, None)),
         monitor_theta=(1.0, 0.0), monitor_dir=_vertical, slenderness=slenderness,
@@ -326,7 +332,7 @@ def make_case(case_id: str, slenderness: float | None = None) -> BenchmarkCase:
 # Solving and convergence sweeps
 # ---------------------------------------------------------------------------
 
-def build_loads(case: BenchmarkCase, patch: Patch, quad_n: int,
+def build_loads(case: BenchmarkCase, patch: NurbsSurface, quad_n: int,
                 area: np.ndarray) -> np.ndarray:
     """The case's load vector on a patch (quad_n Gauss points per direction,
     ``area`` the area vector of ``assemble``)."""
@@ -337,7 +343,7 @@ def solve_case(case: BenchmarkCase, mesh: tuple[int, int], kind: str,
                quad_n: int = 3) -> CaseResult:
     """Mesh, assemble, constrain and solve one benchmark configuration."""
     t0 = time.perf_counter()
-    patch = Patch(make_uniform(case.surface, *mesh))
+    patch = make_uniform(case.surface, *mesh)
     K, area = assemble(patch, case.material, gauss_rule(quad_n), kind)
     F = build_loads(case, patch, quad_n, area)
     reduced = apply_constraints(K, F, *case.constraints(patch))

@@ -2,9 +2,10 @@
 
 Writes ``report.csv`` (one row per refinement level) and optionally
 ``field.dat`` (sampled displacements and resultants), printing a one-line
-summary per level.  Exit codes: 0 success, 2 usage error (a mesh or sample
-grid too large for memory, or an output file that cannot be written, among
-them), 3 numerical failure.
+summary per level.  Exit codes: 0 success, 2 usage error (a request whose
+estimated memory exceeds ``MEMORY_CEILING``, refused before any mesh is
+built, a mesh or sample grid too large for memory, or an output file that
+cannot be written, among them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,22 @@ from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import write_field
 from .solver import RESIDUAL_RTOL
+
+
+# Four times criterion 2's largest measured peak RSS, 948 MB for the 256x128
+# hypar at L/t 1e4, which ``request_bytes`` estimates at 635 MB.
+MEMORY_CEILING = 4 * 948_000_000
+
+
+def request_bytes(case, mesh: tuple[int, int], density: int | None) -> int:
+    """Estimated bytes of ``case`` on ``mesh`` with a density^2 sample grid:
+    the factor's band, 8 n (bw + 1) for n = 3 n_cp dofs and bw = 3 (p_u n_v
+    + p_v) + 2 on the control grid (n_u, n_v) = mesh + (p_u, p_v), plus 19
+    floats per sample point, its row of 15 and 4 of parameter grids.  Sides
+    past 2**62 elements, far above any ceiling, count as 2**62."""
+    pu, pv = case.surface.kv_u.degree, case.surface.kv_v.degree
+    nu, nv = min(mesh[0], 2 ** 62) + pu, min(mesh[1], 2 ** 62) + pv
+    return 8 * 3 * nu * nv * (3 * (pu * nv + pv) + 3) + 8 * 19 * (density or 0) ** 2
 
 
 def count(text: str) -> int:
@@ -56,16 +73,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         case = make_case(args.benchmark, slenderness=args.slenderness)
+    except ValueError as exc:
+        parser.error(str(exc))
+    levels = args.levels if args.levels is not None else 5
+    # the finest mesh; past 64 levels every case is far above the ceiling
+    finest = (case.mesh_at_level(min(levels, 64) - 1) if args.elements_per_side is None
+              else case.mesh_per_side(args.elements_per_side))
+    need = request_bytes(case, finest, args.sample_density)
+    if need > MEMORY_CEILING:
+        print(f"request too large: about {need / 1e9:.3g} GB estimated, above the "
+              f"{MEMORY_CEILING / 1e9:.3g} GB ceiling; ask for fewer elements or "
+              "a smaller --sample-density", file=sys.stderr)
+        return 2
+    try:
         os.makedirs(args.outdir, exist_ok=True)
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         parser.error(str(exc))
 
     try:
         if args.elements_per_side is not None:
-            results = [solve_case(case, case.mesh_per_side(args.elements_per_side),
-                                  args.element, args.quad)]
+            results = [solve_case(case, finest, args.element, args.quad)]
         else:
-            levels = args.levels if args.levels is not None else 5
             results = run_convergence(case, args.element, args.quad, levels)
     except (NumericalError, SingularSystemError, IndefiniteSystemError,
             SingularGeometryError) as exc:

@@ -23,13 +23,13 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import SingularGeometryError
-from .nurbs import NurbsSurface, find_spans, rational_eval
+from .nurbs import NurbsSurface, rational_eval
 from .shell import ShellMaterial, bending_rows, constitutive_voigt, frame_arrays, membrane_rows
 
 CS = "cs"
@@ -72,64 +72,9 @@ def gauss_rule(n_per_dir: int) -> QuadratureRule:
     return tensor_rule(n_per_dir)
 
 
-# ---------------------------------------------------------------------------
-# Patch: elements, connectivity, dof map
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class Patch:
-    """A NURBS surface with element connectivity and a dof map.
-
-    Control point (iu, iv) has grid index iu * n_v + iv and dof indices
-    3 * g + {0, 1, 2} for the global Cartesian displacement components.
-    Element (i, j) of the grid ``n_el``, id i * n_el[1] + j, is the knot
-    span pair (i + p_u, j + p_v): ``KnotVector`` leaves no span empty.
-    """
-
-    surface: NurbsSurface
-    conn: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        s = self.surface
-        pu, pv = s.kv_u.degree, s.kv_v.degree
-        iu = np.arange(self.n_el[0])[:, None] + np.arange(pu + 1)
-        iv = np.arange(self.n_el[1])[:, None] + np.arange(pv + 1)
-        grid = iu[:, None, :, None] * s.kv_v.n_basis + iv[None, :, None, :]
-        self.conn = grid.reshape(-1, (pu + 1) * (pv + 1)).astype(np.int64)
-
-    @property
-    def n_el(self) -> tuple[int, int]:
-        """The element grid (n_u - p_u, n_v - p_v)."""
-        kv_u, kv_v = self.surface.kv_u, self.surface.kv_v
-        return kv_u.n_basis - kv_u.degree, kv_v.n_basis - kv_v.degree
-
-    @property
-    def n_elements(self) -> int:
-        return self.conn.shape[0]
-
-    @property
-    def n_cp(self) -> int:
-        return self.surface.n_cp
-
-    @property
-    def n_dof(self) -> int:
-        return 3 * self.surface.n_cp
-
-    def element_spans(self, eid):
-        """Spans (su, sv) of an element, or arrays of them for an array of ids."""
-        eu, ev = np.divmod(eid, self.n_el[1])
-        return eu + self.surface.kv_u.degree, ev + self.surface.kv_v.degree
-
-    def locate(self, theta) -> np.ndarray:
-        """Ids of the elements containing the parametric points theta (..., 2).
-
-        A point on an interior knot line belongs to the element above it and
-        the right end of the range to the last element, as in find_spans.
-        """
-        theta = np.asarray(theta, dtype=float)
-        kv_u, kv_v = self.surface.kv_u, self.surface.kv_v
-        return ((find_spans(kv_u, theta[..., 0]) - kv_u.degree) * self.n_el[1]
-                + find_spans(kv_v, theta[..., 1]) - kv_v.degree)
+# The surface is the mesh.  The benchmark harness traces mesh construction
+# under this name until it traces ``NurbsSurface`` itself (ROADMAP item 2).
+Patch = NurbsSurface
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +95,7 @@ def _chunks(n: int):
         yield np.arange(start, min(start + _CHUNK, n))
 
 
-def _batch_eval(patch: Patch, eids, theta, order: int = 2):
+def _batch_eval(patch: NurbsSurface, eids, theta, order: int = 2):
     """The record of a batch of points: basis, geometry and surface frame.
 
     ``theta`` (ne, nq, 2) holds points of the elements ``eids``.  Returns a
@@ -162,7 +107,7 @@ def _batch_eval(patch: Patch, eids, theta, order: int = 2):
     """
     eids = np.asarray(eids, dtype=int)
     su, sv = patch.element_spans(eids)
-    R = rational_eval(patch.surface, su[:, None], sv[:, None],
+    R = rational_eval(patch, su[:, None], sv[:, None],
                       theta[..., 0], theta[..., 1], order)
     ev = {"eids": eids, "conn": patch.conn[eids]}
     for d, row in zip(("", "1", "2", "11", "22", "12"), R):
@@ -180,15 +125,9 @@ def _batch_eval(patch: Patch, eids, theta, order: int = 2):
 def _boxes(patch, eids):
     """Lower and upper corners (ne, 2) of the elements' parametric boxes."""
     su, sv = patch.element_spans(np.asarray(eids, dtype=int))
-    ku, kv = patch.surface.kv_u.knots, patch.surface.kv_v.knots
+    ku, kv = patch.kv_u.knots, patch.kv_v.knots
     return (np.stack([ku[su], kv[sv]], axis=-1),
             np.stack([ku[su + 1], kv[sv + 1]], axis=-1))
-
-
-def _to_parent(patch, eids, theta):
-    """Parent coordinates (ne, 2) of parametric points theta (ne, 2) of elements."""
-    lo, hi = _boxes(patch, eids)
-    return 2.0 * (theta - lo) / (hi - lo) - 1.0
 
 
 def _parent_eval(patch, eids, xi, order: int = 2):
@@ -239,7 +178,7 @@ def _membrane_strain_rows(patch, ev, kind):
         return membrane_rows(ev["N1"], ev["N2"], ev["r1"], ev["r2"])
     if kind != CAS:
         raise ValueError(f"unknown element kind {kind!r}")
-    if patch.surface.kv_u.degree != 2 or patch.surface.kv_v.degree != 2:
+    if patch.kv_u.degree != 2 or patch.kv_v.degree != 2:
         raise ValueError("cas elements are defined for quadratic patches only")
     L = np.broadcast_to(_corner_weights(ev["xi"]), ev["N"].shape[:2] + (4,))
     return np.einsum("eql,elai->eqai", L, _corner_membrane_rows(patch, ev["eids"]))
@@ -275,8 +214,8 @@ def fix_cps(cp_indices, components=(0, 1, 2)) -> np.ndarray:
     return (3 * cp[:, None] + comps[None, :]).ravel()
 
 
-# Patch edges: the parametric direction held fixed on the edge (0 = u,
-# 1 = v) and the end of it the edge lies at (0 = start, 1 = end).
+# The edges of a patch: the parametric direction held fixed on the edge
+# (0 = u, 1 = v) and the end of it the edge lies at (0 = start, 1 = end).
 _EDGES = {"u0": (0, 0), "u1": (0, 1), "v0": (1, 0), "v1": (1, 1)}
 
 
@@ -293,20 +232,20 @@ def edge_lines(edge: str, shape, n_lines: int = 1) -> np.ndarray:
     return (iu * shape[1] + iv).ravel()
 
 
-def rotation_rows(patch: Patch, edge: str):
+def rotation_rows(patch: NurbsSurface, edge: str):
     """Zero-rotation-about-the-edge rows (dofs, coeffs), a3 . (U_row0 - U_row1)
     = 0 collocated at the Greville stations of the edge.
 
     The edge row is listed first, so that on a tie in coefficient size its
     dof becomes the slave (see ``_mpc_transform``) and the reduced matrix
     keeps the band of K."""
-    g0, g1 = edge_lines(edge, patch.surface.shape, 2).reshape(2, -1)
+    g0, g1 = edge_lines(edge, patch.shape, 2).reshape(2, -1)
     d, end = _EDGES[edge]
-    kvs = (patch.surface.kv_u, patch.surface.kv_v)
+    kvs = (patch.kv_u, patch.kv_v)
     kv = kvs[1 - d]
     j = np.arange(kv.n_basis)[:, None] + 1 + np.arange(kv.degree)
     g = np.mean(kv.knots[j], axis=1)
-    at = np.full_like(g, kvs[d].end if end else kvs[d].start)
+    at = np.full_like(g, kvs[d].knots[-1 if end else 0])
     theta = np.stack((at, g) if d == 0 else (g, at), axis=-1)
     a3 = _batch_eval(patch, patch.locate(theta), theta[:, None, :])["a3"][:, 0]
     dofs = _dofs(np.stack([g0, g1], axis=1))
@@ -424,7 +363,7 @@ def apply_constraints(K: sp.csr_matrix, F: np.ndarray, fixed,
 # Assembly and loads
 # ---------------------------------------------------------------------------
 
-def _stencil(patch: Patch):
+def _stencil(patch: NurbsSurface):
     """The control-point stencil of a tensor-product patch.
 
     Slot s holds the offset (du[s], dv[s]), |du| <= pu and |dv| <= pv, in
@@ -433,7 +372,7 @@ def _stencil(patch: Patch):
     index.  Returns the slot (nfun, nfun) of the offset from element-local
     function a to b, and du, dv (n_slot,).
     """
-    pu, pv = patch.surface.kv_u.degree, patch.surface.kv_v.degree
+    pu, pv = patch.kv_u.degree, patch.kv_v.degree
     iu, iv = np.divmod(np.arange(patch.conn.shape[1]), pv + 1)
     pair_slot = (iu - iu[:, None] + pu) * (2 * pv + 1) + iv - iv[:, None] + pv
     du, dv = np.divmod(np.arange((2 * pu + 1) * (2 * pv + 1)), 2 * pv + 1)
@@ -499,7 +438,7 @@ def _chunk_stiffness(patch, eids, mat, rule, kind):
     return k, area_e
 
 
-def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
+def assemble(patch: NurbsSurface, mat: ShellMaterial, rule: QuadratureRule,
              kind: str) -> tuple[sp.csr_matrix, np.ndarray]:
     """Scatter-add all element stiffness matrices into the global matrix.
 
@@ -523,7 +462,7 @@ def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
     a BSR matrix of 3x3 blocks in slot order, which is column order; it is
     exactly symmetric in pattern and values, and canonical.
     """
-    nu, nv = patch.surface.shape
+    nu, nv = patch.shape
     pair_slot, du, dv = _stencil(patch)
     n_slot, nfun = len(du), len(pair_slot)
     centre = n_slot // 2
@@ -550,7 +489,7 @@ def assemble(patch: Patch, mat: ShellMaterial, rule: QuadratureRule,
         S[:, s] = S[nbr[:, s], n_slot - 1 - s].swapaxes(-1, -2)
     indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
     return sp.bsr_matrix((S[inside], nbr[inside], indptr),
-                         shape=(patch.n_dof, patch.n_dof)).tocsr(), area
+                         shape=(3 * nu * nv,) * 2).tocsr(), area
 
 
 def _add_forces(F, conn, Fe):
@@ -564,7 +503,7 @@ def load_area(area: np.ndarray, f) -> np.ndarray:
     return np.outer(area, np.asarray(f, dtype=float)).ravel()
 
 
-def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
+def load_edge_line(patch: NurbsSurface, edge: str, n_gauss: int, q) -> np.ndarray:
     """Consistent load vector for a per-arc-length line load on a patch edge.
 
     ``edge`` is one of 'u0', 'u1', 'v0', 'v1' (the boundary where that
@@ -583,13 +522,13 @@ def load_edge_line(patch: Patch, edge: str, n_gauss: int, q) -> np.ndarray:
     w = w1 * ev["half"][:, 1 - d, None]
     Fe = ev["N"][..., None] * np.asarray(q, dtype=float) * (w * ds)[..., None, None]
     conn = np.repeat(ev["conn"], n_gauss, axis=0)
-    return _add_forces(np.zeros(patch.n_dof), conn, Fe.reshape(len(conn), -1, 3))
+    return _add_forces(np.zeros(3 * patch.n_cp), conn, Fe.reshape(len(conn), -1, 3))
 
 
-def load_point(patch: Patch, theta, P) -> np.ndarray:
+def load_point(patch: NurbsSurface, theta, P) -> np.ndarray:
     """Load vector for concentrated forces P (n, 3) at parametric points
     theta (n, 2), added point by point in order."""
     theta = np.asarray(theta, dtype=float).reshape(-1, 2)
     ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :], order=0)
     Fe = ev["N"][:, 0, :, None] * np.asarray(P, dtype=float).reshape(-1, 1, 3)
-    return _add_forces(np.zeros(patch.n_dof), ev["conn"], Fe)
+    return _add_forces(np.zeros(3 * patch.n_cp), ev["conn"], Fe)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (Patch, QuadratureRule, _batch_eval, _chunks, _dofs,
-                       _membrane_strain_rows, _rule_eval, _to_parent, tensor_rule)
+from .elements import (QuadratureRule, _batch_eval, _boxes, _chunks, _dofs,
+                       _membrane_strain_rows, _rule_eval, tensor_rule)
+from .nurbs import NurbsSurface
 from .shell import (ShellMaterial, bending_rows, cartesian_components,
                     constitutive_voigt, effective_membrane_forces, resultant_frame,
                     resultant_law)
@@ -23,7 +24,7 @@ from .shell import (ShellMaterial, bending_rows, cartesian_components,
 class SolutionField:
     """Control-point displacement coefficients for one solved case."""
 
-    patch: Patch
+    patch: NurbsSurface
     U: np.ndarray            # (n_cp, 3)
     kind: str                # "cs" | "cas"
     mat: ShellMaterial
@@ -81,7 +82,7 @@ def sample(sol: SolutionField, theta) -> dict:
     """Geometry, displacements and resultants at parametric points theta (n, 2).
 
     Each point is evaluated in the element that contains it
-    (``Patch.locate``).  Returns a dict of (n, 3) arrays: the position "r",
+    (``NurbsSurface.locate``).  Returns a dict of (n, 3) arrays: the position "r",
     the displacement "u", and the local-Cartesian (11, 22, 12) components
     of the membrane forces "n", bending moments "m" and effective membrane
     forces "neff".
@@ -89,7 +90,8 @@ def sample(sol: SolutionField, theta) -> dict:
     theta = np.asarray(theta, dtype=float)
     eids = sol.patch.locate(theta)
     ev = _batch_eval(sol.patch, eids, theta[:, None, :], order=2)
-    ev["xi"] = _to_parent(sol.patch, eids, theta)[:, None, :]
+    lo, hi = _boxes(sol.patch, eids)
+    ev["xi"] = (2.0 * (theta - lo) / (hi - lo) - 1.0)[:, None, :]
     fields = {"r": ev["r"], "u": _displacements(sol, ev), **_resultant_fields(sol, ev)}
     return {key: v[:, 0] for key, v in fields.items()}
 
@@ -156,9 +158,8 @@ def write_field(sol: SolutionField, path, header: dict, density: int = 20) -> No
     "t1 t2 x y z ux uy uz n11 n22 n12 m11 m22 m12 neff11", t1-major, each
     one ``sample`` row.
     """
-    s = sol.patch.surface
-    tu = np.linspace(s.kv_u.start, s.kv_u.end, density)
-    tv = np.linspace(s.kv_v.start, s.kv_v.end, density)
+    tu, tv = (np.linspace(kv.knots[0], kv.knots[-1], density)
+              for kv in (sol.patch.kv_u, sol.patch.kv_v))
     theta = np.stack(np.meshgrid(tu, tv, indexing="ij"), axis=-1).reshape(-1, 2)
     row_format = " ".join(["%.17g"] * 15) + "\n"  # format(v, ".17g") per value
     with open(path, "w", encoding="ascii") as f:

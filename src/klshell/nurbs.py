@@ -8,7 +8,7 @@ homogeneous coordinates, and geometry-preserving refinement by knot insertion.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,14 +53,6 @@ class KnotVector:
     @property
     def n_basis(self) -> int:
         return len(self.knots) - self.degree - 1
-
-    @property
-    def start(self) -> float:
-        return float(self.knots[0])
-
-    @property
-    def end(self) -> float:
-        return float(self.knots[-1])
 
 
 def find_spans(kv: KnotVector, theta) -> np.ndarray:
@@ -129,16 +121,21 @@ def _basis_ders_at_span(knots, p, span, theta, order):
 
 @dataclass(frozen=True, eq=False)
 class NurbsSurface:
-    """Rational tensor-product surface with a weighted control net.
+    """Rational tensor-product surface with a weighted control net, and its mesh.
 
     ``ctrl`` has shape (n_u, n_v, 3) in length units and ``weights``
-    (n_u, n_v), all strictly positive.
+    (n_u, n_v), all strictly positive.  Control point (iu, iv) has grid
+    index g = iu * n_v + iv and dofs 3 * g + {0, 1, 2}.  Element (i, j) of
+    the grid ``n_el``, id i * n_el[1] + j, is the knot span pair (i + p_u,
+    j + p_v): ``KnotVector`` leaves no span empty.  ``conn`` holds the grid
+    indices of each element's functions, u-major.
     """
 
     kv_u: KnotVector
     kv_v: KnotVector
     ctrl: np.ndarray
     weights: np.ndarray
+    conn: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ctrl = np.asarray(self.ctrl, dtype=float)
@@ -156,6 +153,10 @@ class NurbsSurface:
         w.flags.writeable = False
         object.__setattr__(self, "ctrl", ctrl)
         object.__setattr__(self, "weights", w)
+        iu, iv = (np.arange(n)[:, None] + np.arange(kv.degree + 1)
+                  for n, kv in zip(self.n_el, (self.kv_u, self.kv_v)))
+        grid = iu[:, None, :, None] * nv + iv[None, :, None, :]
+        object.__setattr__(self, "conn", grid.reshape(len(iu) * len(iv), -1).astype(np.int64))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,8 +164,31 @@ class NurbsSurface:
 
     @property
     def n_cp(self) -> int:
-        nu, nv = self.shape
-        return nu * nv
+        return self.kv_u.n_basis * self.kv_v.n_basis
+
+    @property
+    def n_el(self) -> tuple[int, int]:
+        """The element grid (n_u - p_u, n_v - p_v)."""
+        return self.kv_u.n_basis - self.kv_u.degree, self.kv_v.n_basis - self.kv_v.degree
+
+    @property
+    def n_elements(self) -> int:
+        return self.conn.shape[0]
+
+    def element_spans(self, eid):
+        """Spans (su, sv) of an element, or arrays of them for an array of ids."""
+        eu, ev = np.divmod(eid, self.n_el[1])
+        return eu + self.kv_u.degree, ev + self.kv_v.degree
+
+    def locate(self, theta) -> np.ndarray:
+        """Ids of the elements containing the parametric points theta (..., 2).
+
+        A point on an interior knot line belongs to the element above it and
+        the right end of the range to the last element, as in find_spans.
+        """
+        theta = np.asarray(theta, dtype=float)
+        return ((find_spans(self.kv_u, theta[..., 0]) - self.kv_u.degree) * self.n_el[1]
+                + find_spans(self.kv_v, theta[..., 1]) - self.kv_v.degree)
 
     def homogeneous(self) -> np.ndarray:
         """Control net in projective form (wx, wy, wz, w), shape (n_u, n_v, 4)."""
@@ -283,7 +307,7 @@ def make_uniform(surface: NurbsSurface, n_u: int, n_v: int) -> NurbsSurface:
     s = surface
     for direction, n in (("u", n_u), ("v", n_v)):
         kv = s.kv_u if direction == "u" else s.kv_v
-        if not (kv.start == 0.0 and kv.end == 1.0):
+        if not (kv.knots[0] == 0.0 and kv.knots[-1] == 1.0):
             raise ValueError("make_uniform expects knot ranges [0, 1]")
         s = insert_knots(s, direction, [i / n for i in range(1, n)])
     return s

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from klshell.cases import make_case, run_convergence, solve_case
-from klshell.elements import Patch, _batch_eval
+from klshell.elements import _batch_eval
 
 
 def strip_surface():
@@ -34,15 +34,14 @@ ALL_SURFACES = {
 def basis_at(surface, t1, t2):
     """Rational basis, geometry and frame arrays at one parametric point.
 
-    Evaluates in the element that contains the point (``Patch.locate``).
+    Evaluates in the element that contains the point (``NurbsSurface.locate``).
     Returns a dict with N, N1, N2, N11, N22, N12 of shape (nfun,), r, r1,
     r2, r11, r22, r12 of shape (3,), the ``frame_arrays`` entries of the
     point, and conn (nfun,), the control point indices of the basis
     functions.
     """
-    patch = Patch(surface)
     theta = np.array([[t1, t2]], dtype=float)
-    ev = _batch_eval(patch, patch.locate(theta), theta[:, None, :])
+    ev = _batch_eval(surface, surface.locate(theta), theta[:, None, :])
     return {k: v[0] if k == "conn" else v[0, 0] for k, v in ev.items() if k != "eids"}
 
 

@@ -7,7 +7,7 @@ complete.  Tolerances are fixed here and not tuned per machine.
 import numpy as np
 
 from conftest import ALL_SURFACES, basis_at, slope_last3
-from klshell import (Patch, ShellMaterial, assemble, gauss_rule, make_uniform,
+from klshell import (ShellMaterial, assemble, gauss_rule, make_uniform,
                      surface_eval)
 from klshell.cases import make_case
 from klshell.elements import _chunk_stiffness, _dofs
@@ -223,7 +223,7 @@ def test_criterion_8b_geometry_exactness():
 def test_criterion_8c_stiffness_symmetry():
     worst = 0.0
     for name in ("strip", "hemisphere", "scordelis", "hypar"):
-        patch = Patch(make_uniform(ALL_SURFACES[name](), 3, 3))
+        patch = make_uniform(ALL_SURFACES[name](), 3, 3)
         mat = ShellMaterial(E=1e3, nu=0.3, t=0.05)
         for kind in ("cs", "cas"):
             K, _ = assemble(patch, mat, gauss_rule(3), kind)
@@ -237,14 +237,13 @@ def test_criterion_8d_rigid_body_annihilation():
     worst_r = 0.0
     mat = ShellMaterial(E=1e3, nu=0.3, t=0.05)
     for name in ("strip", "hemisphere"):
-        s = make_uniform(ALL_SURFACES[name](), 3, 3)
-        patch = Patch(s)
+        patch = make_uniform(ALL_SURFACES[name](), 3, 3)
         for kind in ("cs", "cas"):
             k = _chunk_stiffness(patch, [0], mat, gauss_rule(3), kind)[0][0]
             T = np.tile([1.0, -0.5, 0.25], 9)
             worst_t = max(worst_t, np.abs(k @ T).max() / (np.abs(k).max()))
             omega = np.array([0.4, -0.2, 0.9])
-            W = np.cross(omega, s.ctrl.reshape(-1, 3)[patch.conn[0]]).ravel()
+            W = np.cross(omega, patch.ctrl.reshape(-1, 3)[patch.conn[0]]).ravel()
             worst_r = max(worst_r, np.abs(k @ W).max()
                           / (np.abs(k).max() * np.abs(W).max()))
     report("criterion 8 [rigid-body annihilation]",
@@ -254,7 +253,7 @@ def test_criterion_8d_rigid_body_annihilation():
 
 def test_criterion_8e_cas_corner_interpolation_identity():
     from klshell.elements import _corner_membrane_rows, _corner_weights
-    patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 3, 3))
+    patch = make_uniform(ALL_SURFACES["scordelis"](), 3, 3)
     eids = list(range(patch.n_elements))
     Bc = _corner_membrane_rows(patch, eids)
     corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
@@ -267,7 +266,7 @@ def test_criterion_8e_cas_corner_interpolation_identity():
 
 def test_criterion_8f_assumed_strain_edge_continuity():
     from klshell.elements import _corner_membrane_rows, _corner_weights
-    patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 4, 4))
+    patch = make_uniform(ALL_SURFACES["hemisphere"](), 4, 4)
     worst = 0.0
     nb = 4
     for a in range(3):       # elements (a, b) and (a+1, b) share a u-edge
@@ -279,7 +278,7 @@ def test_criterion_8f_assumed_strain_edge_continuity():
                 for k, xi in ((0, 1.0), (1, -1.0)):
                     L = _corner_weights(np.array([[xi, eta]]))
                     local = np.einsum("ql,lai->qai", L, Bc[k])[0]
-                    full = np.zeros((3, patch.n_dof))
+                    full = np.zeros((3, 3 * patch.n_cp))
                     full[:, _dofs(patch.conn)[(el, er)[k]]] = local
                     rows.append(full)
                 scale = max(np.abs(rows[0]).max(), 1e-30)
@@ -310,7 +309,7 @@ def test_criterion_8g_cs_cas_agree_on_flat_affine_patch():
             ctrl[i, j] = [x, y, 0.0]
     from klshell import KnotVector, NurbsSurface
     kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
-    patch = Patch(NurbsSurface(kv, kv, ctrl, np.ones((3, 3))))
+    patch = NurbsSurface(kv, kv, ctrl, np.ones((3, 3)))
     mat = ShellMaterial(E=200.0, nu=0.3, t=0.05)
     kcs = _chunk_stiffness(patch, [0], mat, gauss_rule(3), "cs")[0][0]
     kcas = _chunk_stiffness(patch, [0], mat, gauss_rule(3), "cas")[0][0]
@@ -350,7 +349,7 @@ def test_criterion_8h_energy_identity(bench):
 
 
 def test_criterion_8i_sparsity_equality():
-    patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 4, 4))
+    patch = make_uniform(ALL_SURFACES["scordelis"](), 4, 4)
     mat = ShellMaterial(E=1e3, nu=0.0, t=0.1)
     Kcs, _ = assemble(patch, mat, gauss_rule(3), "cs")
     Kcas, _ = assemble(patch, mat, gauss_rule(3), "cas")

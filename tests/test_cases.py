@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from klshell import NumericalError, NurbsSurface, Patch, make_uniform, surface_eval
+from klshell import NumericalError, NurbsSurface, make_uniform, surface_eval
 from klshell.cases import (REPORT_COLUMNS, make_case, run_convergence, solve_case,
                            write_report_csv)
 from klshell.elements import rotation_rows
@@ -185,10 +185,9 @@ class TestConstraintRows:
         """Each batched row is a3 . (U_row0 - U_row1), edge row first, with
         a3 from the frame at its Greville station."""
         s = make_uniform(make_case(case_id).surface, 7, 5)
-        patch = Patch(s)
         nu, nv = s.shape
         along = s.kv_v if edge in ("u0", "u1") else s.kv_u
-        rows = rotation_rows(patch, edge)
+        rows = rotation_rows(s, edge)
         assert len(rows) == along.n_basis
         for j, (dofs, coeffs) in enumerate(rows):
             g = float(np.mean(along.knots[j + 1: j + 1 + along.degree]))
@@ -213,9 +212,9 @@ def transposed(case):
         return NurbsSurface(s.kv_v, s.kv_u, s.ctrl.transpose(1, 0, 2), s.weights.T)
 
     def loads(patch, quad_n, area):
-        area = area.reshape(patch.surface.shape).T.ravel()
-        F = case.loads(Patch(swap(patch.surface)), quad_n, area)
-        return F.reshape(*patch.surface.shape[::-1], 3).transpose(1, 0, 2).ravel()
+        area = area.reshape(patch.shape).T.ravel()
+        F = case.loads(swap(patch), quad_n, area)
+        return F.reshape(*patch.shape[::-1], 3).transpose(1, 0, 2).ravel()
 
     edge = {"u0": "v0", "u1": "v1", "v0": "u0", "v1": "u1"}
     return replace(case, surface=swap(case.surface), loads=loads,
@@ -273,7 +272,7 @@ def rotated(case, Q):
         return NurbsSurface(s.kv_u, s.kv_v, s.ctrl @ Q.T, s.weights)
 
     def loads(patch, quad_n, area):
-        F = case.loads(Patch(turn(patch.surface, Q.T)), quad_n, area)
+        F = case.loads(turn(patch, Q.T), quad_n, area)
         return (F.reshape(-1, 3) @ Q.T).ravel()
 
     return replace(case, surface=turn(case.surface, Q), loads=loads,
@@ -362,7 +361,7 @@ class TestConvergedResultantFields:
         qx, R = -0.1 * case.material.t ** 3, 10.0
         p = sample(res.solution, [(t1, 0.5) for t1 in (0.2, 0.5, 0.8)])
         for i, t1 in enumerate((0.2, 0.5, 0.8)):
-            r, = surface_eval(res.solution.patch.surface, t1, 0.5, order=0)
+            r, = surface_eval(res.solution.patch, t1, 0.5, order=0)
             phi = np.arctan2(r[0], r[1])
             assert abs(p["neff"][i, 0] - qx * np.cos(phi)) < 0.02 * abs(qx)
             assert abs(p["m"][i, 0] - (-qx * R * np.cos(phi))) < 0.02 * abs(qx * R)

@@ -174,6 +174,62 @@ class TestExitCodes:
         assert (tmp_path / "report.csv").exists() == (where == "write_field")
         assert not (tmp_path / "field.dat").exists()
 
+    def test_request_estimate_counts_the_band_and_the_sample(self):
+        """The 128x64 hypar has 130 x 66 control points, 25 740 dofs and the
+        half-bandwidth 3 (2 * 66 + 2) + 2 = 404; a 20 x 20 sample adds 400
+        rows of 15 floats and 4 grid floats each."""
+        hypar = cases.make_case("hypar")
+        assert cli.request_bytes(hypar, (128, 64), None) == 8 * 25740 * 405
+        assert (cli.request_bytes(hypar, (128, 64), 20)
+                == 8 * 25740 * 405 + 8 * 19 * 400)
+
+    @pytest.mark.parametrize("argv", [
+        ["--benchmark", "hypar", "--levels", "4"],
+        ["--benchmark", "hypar", "--elements-per-side", "16"],
+        ["--benchmark", "strip", "--elements-per-side", "2", "--sample-density", "1000"],
+    ], ids=["levels", "elements-per-side", "sample-density"])
+    def test_request_above_the_ceiling_is_exit_2_before_meshing(
+            self, argv, tmp_path, monkeypatch, capsys):
+        """With the ceiling at the 8x4 hypar's estimate, a finer finest mesh
+        or a large sample grid is refused in one line before any mesh is
+        built or any directory made."""
+        def unreachable(*a, **k):
+            raise AssertionError("meshed despite a refused request")
+        ceiling = cli.request_bytes(cases.make_case("hypar"), (8, 4), None)
+        monkeypatch.setattr(cli, "MEMORY_CEILING", ceiling)
+        monkeypatch.setattr(cases, "make_uniform", unreachable)
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("request too large: about ")
+        assert f"above the {ceiling / 1e9:.3g} GB ceiling" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_request_at_the_ceiling_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MEMORY_CEILING",
+                            cli.request_bytes(cases.make_case("hypar"), (8, 4), None))
+        assert cli.main(["--benchmark", "hypar", "--levels", "3",
+                         "--outdir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--benchmark", "hypar", "--levels", "12"],
+        ["--benchmark", "hemisphere", "--elements-per-side", "100000"],
+        ["--benchmark", "strip", "--levels", "2", "--sample-density", "200000"],
+        ["--benchmark", "strip", "--levels", str(10 ** 18)],
+        ["--benchmark", "hypar", "--elements-per-side", str(10 ** 400)],
+    ], ids=["hypar-4096x2048", "hemisphere-1e5", "density-2e5", "levels-1e18",
+            "elements-1e400"])
+    def test_oversized_request_is_exit_2_at_the_real_ceiling(self, argv, tmp_path,
+                                                             monkeypatch, capsys):
+        """Requests far beyond memory stop at the estimate, which stays
+        cheap for any level count or element count."""
+        def unreachable(*a, **k):
+            raise AssertionError("meshed despite a refused request")
+        monkeypatch.setattr(cases, "make_uniform", unreachable)
+        assert cli.main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("request too large: about ")
+
     @pytest.mark.parametrize("name", ["report.csv", "field.dat"])
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys, name):
         """An output file that cannot be opened (a directory of its name is

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from conftest import ALL_SURFACES
 import klshell.elements as elements
 import klshell.solver as solver
-from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial,
+from klshell import (DomainError, KnotVector, NurbsSurface, ShellMaterial,
                      SingularGeometryError, apply_constraints, assemble,
                      gauss_rule, load_area, load_edge_line, load_point,
                      make_uniform, solve_spd, tensor_rule)
@@ -86,18 +86,18 @@ class TestQuadrature:
 
 class TestElementStiffnessCS:
     def test_symmetric(self):
-        patch = Patch(ALL_SURFACES["scordelis"]())
+        patch = ALL_SURFACES["scordelis"]()
         k = _chunk_stiffness(patch, [0], MAT, gauss_rule(3), "cs")[0][0]
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
 
     def test_rigid_translation_annihilated(self):
-        patch = Patch(ALL_SURFACES["hemisphere"]())
+        patch = ALL_SURFACES["hemisphere"]()
         k = _chunk_stiffness(patch, [0], MAT, gauss_rule(3), "cs")[0][0]
         T = np.tile([1.0, -2.0, 0.5], 9)
         assert np.abs(k @ T).max() <= 1e-10 * np.abs(k).max() * np.abs(T).max()
 
     def test_thickness_scaling(self):
-        patch = Patch(ALL_SURFACES["strip"]())
+        patch = ALL_SURFACES["strip"]()
         rule = gauss_rule(3)
         m1 = ShellMaterial(E=100.0, nu=0.2, t=0.04)
         m2 = ShellMaterial(E=100.0, nu=0.2, t=0.08)
@@ -108,7 +108,7 @@ class TestElementStiffnessCS:
 
     def test_flat_membrane_matches_plane_stress_oracle(self):
         """Independent plane-stress stiffness on the same quadratic basis."""
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         rule = gauss_rule(3)
         k_eps, _, _ = _stiffness_batch(patch, [0], MAT, rule, "cs")
         k_eps = k_eps[0]
@@ -140,7 +140,7 @@ class TestElementStiffnessCS:
 
     def test_degenerate_element_named_once(self):
         ctrl = np.zeros((3, 3, 3))  # all control points coincide
-        patch = Patch(make_uniform(NurbsSurface(KV2, KV2, ctrl, np.ones((3, 3))), 2, 2))
+        patch = make_uniform(NurbsSurface(KV2, KV2, ctrl, np.ones((3, 3))), 2, 2)
         with pytest.raises(SingularGeometryError) as exc:
             _chunk_stiffness(patch, [3], MAT, gauss_rule(3), "cs")
         message = str(exc.value)
@@ -150,7 +150,7 @@ class TestElementStiffnessCS:
 class TestElementStiffnessCAS:
     def test_corner_reproduction_identity(self):
         """Assumed rows at the element corners equal the compatible rows."""
-        patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 2, 2))
+        patch = make_uniform(ALL_SURFACES["hemisphere"](), 2, 2)
         eids = [0, 3]
         Bc = _corner_membrane_rows(patch, eids)
         corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
@@ -164,7 +164,7 @@ class TestElementStiffnessCAS:
         """The record keeps the rule's own parent points: points rebuilt from
         the parametric ones move the rows by roundoff, and the pinned cas
         strip outputs have no margin for that."""
-        patch = Patch(make_uniform(ALL_SURFACES[case_id](), *mesh))
+        patch = make_uniform(ALL_SURFACES[case_id](), *mesh)
         rule = gauss_rule(quad)
         eids = np.arange(patch.n_elements)
         rows = _membrane_strain_rows(patch, _rule_eval(patch, eids, rule), "cas")
@@ -173,7 +173,7 @@ class TestElementStiffnessCAS:
         assert np.array_equal(rows, expected)
 
     def test_symmetric_and_rigid_annihilation(self):
-        patch = Patch(ALL_SURFACES["scordelis"]())
+        patch = ALL_SURFACES["scordelis"]()
         k = _chunk_stiffness(patch, [0], MAT, gauss_rule(3), "cas")[0][0]
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
         T = np.tile([0.2, 1.0, -0.7], 9)
@@ -184,14 +184,14 @@ class TestElementStiffnessCAS:
         ctrl = np.zeros((2, 2, 3))
         ctrl[1, :, 0] = 1.0
         ctrl[:, 1, 1] = 1.0
-        patch = Patch(NurbsSurface(kv1, kv1, ctrl, np.ones((2, 2))))
+        patch = NurbsSurface(kv1, kv1, ctrl, np.ones((2, 2)))
         with pytest.raises(ValueError):
             _chunk_stiffness(patch, [0], MAT, gauss_rule(2), "cas")
 
     def test_assumed_strain_continuity_across_edges(self):
         """Assumed membrane strain rows agree across shared element edges."""
-        patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 4, 4))
-        n_dof = patch.n_dof
+        patch = make_uniform(ALL_SURFACES["hemisphere"](), 4, 4)
+        n_dof = 3 * patch.n_cp
         # elements 0 and 4 share the edge u = 1/4 (v in [0, 1/4])
         e_left, e_right = 0, 4
         Bc = _corner_membrane_rows(patch, [e_left, e_right])
@@ -210,8 +210,8 @@ class TestElementStiffnessCAS:
 class TestPatch:
     def test_elements_are_the_knot_spans(self):
         """Element ids, span pairs, connectivity and locate agree, u-major."""
-        patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 5, 3))
-        kv_u, kv_v = patch.surface.kv_u, patch.surface.kv_v
+        patch = make_uniform(ALL_SURFACES["hemisphere"](), 5, 3)
+        kv_u, kv_v = patch.kv_u, patch.kv_v
         assert patch.n_el == (5, 3) and patch.n_elements == 15
         su, sv = patch.element_spans(np.arange(15))
         assert list(zip(su, sv)) == [(i, j) for i in range(2, 7) for j in range(2, 5)]
@@ -225,10 +225,10 @@ class TestPatch:
 class TestAssembly:
     def test_unknown_element_kind_raises(self):
         with pytest.raises(ValueError, match="unknown element kind 'xx'"):
-            assemble(Patch(flat_patch()), MAT, gauss_rule(3), "xx")
+            assemble(flat_patch(), MAT, gauss_rule(3), "xx")
 
     def test_single_element_padding(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         rule = gauss_rule(3)
         K = assemble(patch, MAT, rule, "cs")[0].toarray()
         k = _chunk_stiffness(patch, [0], MAT, rule, "cs")[0][0]
@@ -236,14 +236,14 @@ class TestAssembly:
         assert np.allclose(K[np.ix_(dofs, dofs)], k, atol=1e-14 * np.abs(k).max())
 
     def test_sparsity_pattern_cs_equals_cas(self):
-        patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 3, 3))
+        patch = make_uniform(ALL_SURFACES["scordelis"](), 3, 3)
         Kcs, _ = assemble(patch, MAT, gauss_rule(3), "cs")
         Kcas, _ = assemble(patch, MAT, gauss_rule(3), "cas")
         assert np.array_equal(Kcs.indptr, Kcas.indptr)
         assert np.array_equal(Kcs.indices, Kcas.indices)
         # both equal the support-overlap pattern: dofs couple iff some
         # element supports both control points
-        n = patch.n_dof
+        n = 3 * patch.n_cp
         overlap = np.zeros((n, n), dtype=bool)
         for dofs in _dofs(patch.conn):
             overlap[np.ix_(dofs, dofs)] = True
@@ -253,13 +253,13 @@ class TestAssembly:
         assert np.array_equal(pattern, overlap)
 
     def test_global_symmetry(self):
-        patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 3, 3))
+        patch = make_uniform(ALL_SURFACES["hemisphere"](), 3, 3)
         K, _ = assemble(patch, MAT, gauss_rule(3), "cas")
         diff = abs(K - K.T)
         assert diff.max() <= 1e-10 * abs(K).max()
 
     def test_bitwise_deterministic(self):
-        patch = Patch(make_uniform(ALL_SURFACES["strip"](), 4, 2))
+        patch = make_uniform(ALL_SURFACES["strip"](), 4, 2)
         K1, _ = assemble(patch, MAT, gauss_rule(2), "cas")
         K2, _ = assemble(patch, MAT, gauss_rule(2), "cas")
         assert np.array_equal(K1.data, K2.data)
@@ -285,17 +285,16 @@ class TestAssembly:
         (see ``random_patch``); cas refuses those that are not quadratic."""
         if isinstance(case_id, str):
             case = make_case(case_id)
-            surface, mat = make_uniform(case.surface, *mesh), case.material
+            patch, mat = make_uniform(case.surface, *mesh), case.material
         else:
-            surface, mat = random_patch(case_id, mesh), MAT
-        patch = Patch(surface)
+            patch, mat = random_patch(case_id, mesh), MAT
         rule = gauss_rule(quad)
-        if kind == "cas" and (surface.kv_u.degree, surface.kv_v.degree) != (2, 2):
+        if kind == "cas" and (patch.kv_u.degree, patch.kv_v.degree) != (2, 2):
             with pytest.raises(ValueError, match="quadratic"):
                 assemble(patch, mat, rule, kind)
             return
         K, _ = assemble(patch, mat, rule, kind)
-        n = patch.n_dof
+        n = 3 * patch.n_cp
         dense, shared = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
         k, _ = _chunk_stiffness(patch, np.arange(patch.n_elements), mat, rule, kind)
         for dofs, k_e in zip(_dofs(patch.conn), k):
@@ -332,7 +331,7 @@ class TestThreadedAssembly:
 
         monkeypatch.setattr(elements, "_stiffness_batch", counted)
         case = make_case(case_id)
-        patch = Patch(make_uniform(case.surface, *mesh))
+        patch = make_uniform(case.surface, *mesh)
         K, area = assemble(patch, case.material, gauss_rule(quad), kind)
         return (K, area), sizes
 
@@ -399,7 +398,7 @@ class TestThreadedAssembly:
         monkeypatch.setattr(elements, "_PART_MIN", 1)
         monkeypatch.setattr(elements, "_pool", functools.cache(elements._pool.__wrapped__))
         monkeypatch.setattr(elements, "_stiffness_batch", failing_or_slow)
-        patch = Patch(make_uniform(make_case("hypar").surface, 4, 2))
+        patch = make_uniform(make_case("hypar").surface, 4, 2)
         with pytest.raises(RuntimeError, match="^part failed$"):
             assemble(patch, MAT, gauss_rule(3), "cs")
         assert sorted(finished) == [e for e in (0, 2, 5) if e != (0, 2, 5)[failing]]
@@ -432,8 +431,8 @@ class TestMembranePatch:
 
     def strain_error(self, n, kind):
         """Largest strain error at the 3x3 points over the largest strain."""
-        patch = Patch(make_uniform(distorted_flat_net(), n, n))
-        U = (patch.surface.ctrl.reshape(-1, 3) @ self.G.T).ravel()
+        patch = make_uniform(distorted_flat_net(), n, n)
+        U = (patch.ctrl.reshape(-1, 3) @ self.G.T).ravel()
         rule = gauss_rule(3)
         eids = np.arange(patch.n_elements)
         ev = _rule_eval(patch, eids, rule)
@@ -483,16 +482,16 @@ class TestCurvedMembranePatch:
     def test_cs_reproduces_the_stretch(self, n, slenderness, quad):
         case = make_case("scordelis", slenderness)
         mat = case.material
-        patch = Patch(make_uniform(case.surface, n, n))
+        patch = make_uniform(case.surface, n, n)
         K, _ = assemble(patch, mat, gauss_rule(quad), "cs")
         n22 = mat.membrane_stiffness * self.EPS
         F = (load_edge_line(patch, "v1", quad, [0.0, n22, 0.0])
              + load_edge_line(patch, "v0", quad, [0.0, -n22, 0.0]))
-        row = edge_lines("v0", patch.surface.shape)
+        row = edge_lines("v0", patch.shape)
         reduced = apply_constraints(K, F, np.concatenate(
             [fix_cps(row, (1,)), fix_cps(row[[0, -1]], (0, 2))]))
         U = reduced.expand(np.asarray(solve_spd(reduced.K, reduced.F).U, dtype=float))
-        U_star = self.EPS * patch.surface.ctrl.reshape(-1, 3) * [0.0, 1.0, 0.0]
+        U_star = self.EPS * patch.ctrl.reshape(-1, 3) * [0.0, 1.0, 0.0]
         bound_u, bound_n, bound_m = self.BOUNDS[quad]
         assert np.abs(U.reshape(-1, 3) - U_star).max() <= bound_u * np.abs(U_star).max()
 
@@ -504,7 +503,7 @@ class TestCurvedMembranePatch:
 
 def area_load_by_elements(patch, rule, f):
     """The consistent area load summed element by element, sum_q N f dA."""
-    F = np.zeros(patch.n_dof)
+    F = np.zeros(3 * patch.n_cp)
     for e in range(patch.n_elements):
         ev = _rule_eval(patch, [e], rule)
         F[_dofs(patch.conn)[e]] += np.einsum("qA,c,q->Ac", ev["N"][0], f,
@@ -514,22 +513,21 @@ def area_load_by_elements(patch, rule, f):
 
 class TestLoads:
     def test_zero_area_load(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         _, area = assemble(patch, MAT, gauss_rule(3), "cs")
         F = load_area(area, np.zeros(3))
-        assert F.shape == (patch.n_dof,)
+        assert F.shape == (3 * patch.n_cp,)
         assert np.all(F == 0.0)
 
     def test_unit_square_total_load(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         _, area = assemble(patch, MAT, gauss_rule(3), "cs")
         assert abs(area.sum() - 1.0) < 1e-12
         F = load_area(area, np.array([0.0, 0.0, 1.0]))
         assert abs(F[2::3].sum() - 1.0) < 1e-12
 
     def test_roof_total_vertical_load(self):
-        case_surface = make_uniform(ALL_SURFACES["scordelis"](), 4, 4)
-        patch = Patch(case_surface)
+        patch = make_uniform(ALL_SURFACES["scordelis"](), 4, 4)
         _, area_vec = assemble(patch, MAT, gauss_rule(3), "cas")
         F = load_area(area_vec, np.array([0.0, 0.0, -90.0]))
         area = (2 * np.radians(40.0)) * 25.0 * 50.0  # exact midsurface area
@@ -541,14 +539,14 @@ class TestLoads:
     def test_area_vector_matches_element_sums(self, case_id, mesh, quad):
         """area (x) f is the per-element sum of N f dA over the rule's points."""
         case = make_case(case_id)
-        patch = Patch(make_uniform(case.surface, *mesh))
+        patch = make_uniform(case.surface, *mesh)
         f = np.array([0.3, -1.2, -90.0])
         _, area = assemble(patch, case.material, gauss_rule(quad), "cas")
         F = area_load_by_elements(patch, gauss_rule(quad), f)
         assert np.abs(load_area(area, f) - F).max() <= 1e-15 * np.abs(F).max()
 
     def test_zero_edge_load(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         F = load_edge_line(patch, "u1", 3, np.zeros(3))
         assert np.all(F == 0.0)
 
@@ -557,28 +555,28 @@ class TestLoads:
     def test_straight_edge_total(self, edge, length):
         """The total is q times the edge length, and only the control points
         of that edge are loaded."""
-        patch = Patch(make_uniform(flat_patch(a=2.0, b=3.0), 3, 2))
+        patch = make_uniform(flat_patch(a=2.0, b=3.0), 3, 2)
         q = np.array([0.5, 0.0, -1.0])
         F = load_edge_line(patch, edge, 3, q)
         assert abs(F[0::3].sum() - q[0] * length) < 1e-12
         assert abs(F[2::3].sum() - q[2] * length) < 1e-12
         on_edge = np.zeros(patch.n_cp, dtype=bool)
-        on_edge[edge_lines(edge, patch.surface.shape)] = True
+        on_edge[edge_lines(edge, patch.shape)] = True
         assert np.array_equal(np.any(F.reshape(-1, 3) != 0.0, axis=1), on_edge)
 
     def test_strip_free_end_total(self):
         t = 0.1
-        patch = Patch(make_uniform(ALL_SURFACES["strip"](), 8, 1))
+        patch = make_uniform(ALL_SURFACES["strip"](), 8, 1)
         F = load_edge_line(patch, "u1", 3, np.array([-0.1 * t ** 3, 0.0, 0.0]))
         assert abs(F[0::3].sum() + 0.1 * t ** 3) < 1e-14
 
     def test_non_boundary_edge_raises(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         with pytest.raises(ValueError):
             load_edge_line(patch, "mid", 3, np.zeros(3))
 
     def test_point_load_at_corner(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         P = np.array([1.0, 2.0, 3.0])
         F = load_point(patch, (0.0, 0.0), P)
         g = 0  # control point (iu, iv) = (0, 0): grid index iu * n_v + iv
@@ -587,21 +585,21 @@ class TestLoads:
 
     def test_point_loads_add_in_order(self):
         """Several points in one call give the sum of one call per point."""
-        patch = Patch(make_uniform(flat_patch(), 3, 2))
+        patch = make_uniform(flat_patch(), 3, 2)
         theta = [(0.0, 0.0), (0.3, 0.4), (1.0, 0.0), (0.3, 0.45)]
         P = [(1.0, 2.0, 3.0), (-0.5, 0.25, 1.0), (0.0, 4.0, 0.0), (0.1, 0.2, 0.3)]
-        one_by_one = np.zeros(patch.n_dof)
+        one_by_one = np.zeros(3 * patch.n_cp)
         for t, p in zip(theta, P):
             one_by_one += load_point(patch, t, p)
         assert np.array_equal(load_point(patch, theta, P), one_by_one)
 
     def test_nan_point_raises(self):
-        patch = Patch(make_uniform(flat_patch(), 3, 2))
+        patch = make_uniform(flat_patch(), 3, 2)
         with pytest.raises(DomainError):
             load_point(patch, [(float("nan"), 0.5)], [(1.0, 0.0, 0.0)])
 
     def test_zero_point_load(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         F = load_point(patch, (0.3, 0.4), np.zeros(3))
         assert np.all(F == 0.0)
 
@@ -609,7 +607,7 @@ class TestLoads:
 def constrained(case_id, mesh, kind, quad=3):
     """The assembled K and F of a benchmark case and their reduced system."""
     case = make_case(case_id)
-    patch = Patch(make_uniform(case.surface, *mesh))
+    patch = make_uniform(case.surface, *mesh)
     K, area = assemble(patch, case.material, gauss_rule(quad), kind)
     F = build_loads(case, patch, quad, area)
     return K, F, apply_constraints(K, F, *case.constraints(patch))
@@ -617,40 +615,39 @@ def constrained(case_id, mesh, kind, quad=3):
 
 class TestConstraints:
     def test_no_constraints_identity(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
-        red = apply_constraints(K, np.zeros(patch.n_dof), [])
-        assert len(red.free) == patch.n_dof
+        red = apply_constraints(K, np.zeros(3 * patch.n_cp), [])
+        assert len(red.free) == 3 * patch.n_cp
         U = red.expand(np.ones(len(red.free)))
         assert np.all(U == 1.0)
 
     def test_fixed_count(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
-        red = apply_constraints(K, np.zeros(patch.n_dof),
-                                fix_cps(edge_lines("u0", patch.surface.shape)))
+        red = apply_constraints(K, np.zeros(3 * patch.n_cp),
+                                fix_cps(edge_lines("u0", patch.shape)))
         assert len(red.free) == 27 - 9
 
     def test_all_fixed_raises(self):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
         with pytest.raises(ValueError):
-            apply_constraints(K, np.zeros(patch.n_dof), np.arange(patch.n_dof))
+            apply_constraints(K, np.zeros(3 * patch.n_cp), np.arange(3 * patch.n_cp))
 
     def test_multipoint_tie(self):
         """A two-dof tie U_a = U_b is satisfied exactly by the expansion."""
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         K, area = assemble(patch, MAT, gauss_rule(3), "cs")
         row = (np.array([13, 16]), np.array([1.0, -1.0]))
         F = load_area(area, np.array([0.0, 1.0, 0.0]))
-        red = apply_constraints(K, F, fix_cps(edge_lines("u0", patch.surface.shape)), (row,))
+        red = apply_constraints(K, F, fix_cps(edge_lines("u0", patch.shape)), (row,))
         U = red.expand(np.asarray(solve_spd(red.K, red.F).U, float))
         assert abs(U[13] - U[16]) < 1e-12 * max(1.0, abs(U).max())
 
     def test_work_balance(self):
         case = make_case("scordelis", slenderness=1e2)
-        surface = make_uniform(case.surface, 8, 8)
-        patch = Patch(surface)
+        patch = make_uniform(case.surface, 8, 8)
         K, area = assemble(patch, case.material, gauss_rule(3), "cas")
         red = apply_constraints(K, build_loads(case, patch, 3, area), *case.constraints(patch))
         U = np.asarray(solve_spd(red.K, red.F).U, float)
@@ -666,11 +663,11 @@ class TestConstraints:
 
     @pytest.mark.parametrize("dof", [10 ** 6, -1])
     def test_multipoint_dof_out_of_range(self, dof):
-        patch = Patch(flat_patch())
+        patch = flat_patch()
         K, _ = assemble(patch, MAT, gauss_rule(2), "cs")
         row = (np.array([13, dof]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="out of range"):
-            apply_constraints(K, np.zeros(patch.n_dof), [], (row,))
+            apply_constraints(K, np.zeros(3 * patch.n_cp), [], (row,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("at", [0, 2])
@@ -710,9 +707,9 @@ class TestConstraints:
         and of the symmetry edge meet at a corner, where one reduces to
         nothing and is dropped."""
         case = make_case(case_id)
-        patch = Patch(make_uniform(case.surface, *mesh))
+        patch = make_uniform(case.surface, *mesh)
         fixed, rows = case.constraints(patch)
-        n = patch.n_dof
+        n = 3 * patch.n_cp
         red = apply_constraints(sp.identity(n, format="csr"), np.zeros(n), fixed, rows)
         T = red.T
         for dofs, coeffs in rows:
@@ -837,7 +834,7 @@ class TestEliminationBits:
     ])
     def test_reduced_system_matches_the_first_formulation(self, case_id, mesh, kind):
         case = make_case(case_id)
-        patch = Patch(make_uniform(case.surface, *mesh))
+        patch = make_uniform(case.surface, *mesh)
         K, area = assemble(patch, case.material, gauss_rule(3), kind)
         F = build_loads(case, patch, 3, area)
         fixed, rows = case.constraints(patch)
@@ -878,11 +875,11 @@ class TestZeroEnergyModes:
     ])
     def test_counts(self, case_id, mesh, kind, quad):
         case = make_case(case_id)
-        patch = Patch(make_uniform(case.surface, *mesh))
+        patch = make_uniform(case.surface, *mesh)
         K, _ = assemble(patch, case.material, gauss_rule(quad), kind)
         generator = int(kind == "cas" and case_id in ("strip", "scordelis"))
         assert _zero_modes(K.toarray()) == 6 + generator
-        red = apply_constraints(K, np.zeros(patch.n_dof), *case.constraints(patch))
+        red = apply_constraints(K, np.zeros(3 * patch.n_cp), *case.constraints(patch))
         assert _zero_modes(red.K.toarray()) == generator
 
     @pytest.mark.parametrize("quad", [2, 3])
@@ -897,14 +894,14 @@ class TestZeroEnergyModes:
         largest on the strip and 3.7e-12 to 1.1e-11 on the roof, 8x and 27x
         below that bound."""
         case = make_case(case_id)
-        patch = Patch(make_uniform(case.surface, *mesh))
+        patch = make_uniform(case.surface, *mesh)
         red = apply_constraints(assemble(patch, case.material, gauss_rule(quad), "cas")[0],
-                                np.zeros(patch.n_dof), *case.constraints(patch))
+                                np.zeros(3 * patch.n_cp), *case.constraints(patch))
         K = red.K.toarray()
         d = 1.0 / np.sqrt(np.diag(K))
         lam, V = np.linalg.eigh(K * d[:, None] * d[None, :])
         U = red.expand(d * V[:, 0]).reshape(-1, 3)
-        boundary = np.concatenate([edge_lines(e, patch.surface.shape)
+        boundary = np.concatenate([edge_lines(e, patch.shape)
                                    for e in ("u0", "u1", "v0", "v1")])
         bound = np.finfo(float).eps * lam[-1] / lam[1]
         assert np.abs(U[boundary]).max() <= bound * np.abs(U).max()

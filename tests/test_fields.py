@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_SURFACES
-from klshell import (DomainError, KnotVector, NurbsSurface, Patch, ShellMaterial,
+from klshell import (DomainError, KnotVector, NurbsSurface, ShellMaterial,
                      SingularGeometryError, SolutionField, apply_constraints, assemble,
                      displacement_at, energies, gauss_rule, l2_resultant_error,
                      make_uniform, sample, solve_spd, surface_eval, write_field)
@@ -23,13 +23,12 @@ def flat_patch():
     for i, x in enumerate((0.0, 0.5, 1.0)):
         for j, y in enumerate((0.0, 0.5, 1.0)):
             ctrl[i, j] = [x, y, 0.0]
-    return Patch(NurbsSurface(KV2, KV2, ctrl, np.ones((3, 3))))
+    return NurbsSurface(KV2, KV2, ctrl, np.ones((3, 3)))
 
 
 def solved_case(case_id, slenderness, mesh, kind):
     case = make_case(case_id, slenderness=slenderness)
-    surface = make_uniform(case.surface, *mesh)
-    patch = Patch(surface)
+    patch = make_uniform(case.surface, *mesh)
     K, area = assemble(patch, case.material, gauss_rule(3), kind)
     red = apply_constraints(K, build_loads(case, patch, 3, area), *case.constraints(patch))
     U = red.expand(np.asarray(solve_spd(red.K, red.F).U, float)).reshape(-1, 3)
@@ -41,7 +40,8 @@ def resultants_in(sol, eids, theta):
     in the element eids (n,) names: on a knot line, in either neighbour."""
     theta = np.asarray(theta, dtype=float)
     ev = elements._batch_eval(sol.patch, eids, theta[:, None, :])
-    ev["xi"] = elements._to_parent(sol.patch, eids, theta)[:, None, :]
+    lo, hi = elements._boxes(sol.patch, eids)
+    ev["xi"] = (2.0 * (theta - lo) / (hi - lo) - 1.0)[:, None, :]
     return {key: v[:, 0] for key, v in fields._resultant_fields(sol, ev).items()}
 
 
@@ -79,7 +79,7 @@ class TestResultants:
         patch = flat_patch()
         alpha = 1e-3
         U = np.array([[alpha * q[0], 0.0, 0.0]
-                      for q in patch.surface.ctrl.reshape(-1, 3)])
+                      for q in patch.ctrl.reshape(-1, 3)])
         sol = SolutionField(patch, U, "cs", MAT)
         expect = MAT.membrane_stiffness * alpha  # nhat11 = E t e11 / (1 - nu^2)
         p = sample(sol, [(0.1, 0.9), (0.5, 0.5)])
@@ -94,8 +94,7 @@ class TestResultants:
 
     def test_cas_membrane_force_continuous_across_edges(self):
         """Corner-interpolated strains give C0 membrane forces for any U."""
-        surface = make_uniform(ALL_SURFACES["hemisphere"](), 4, 4)
-        patch = Patch(surface)
+        patch = make_uniform(ALL_SURFACES["hemisphere"](), 4, 4)
         rng = np.random.default_rng(21)
         U = rng.standard_normal((patch.n_cp, 3)) * 1e-3
         sol = SolutionField(patch, U, "cas", MAT)
@@ -113,7 +112,7 @@ class TestResultantSubsets:
 
     @pytest.fixture(scope="class", params=["cs", "cas"])
     def sol(self, request):
-        patch = Patch(make_uniform(ALL_SURFACES["scordelis"](), 4, 3))
+        patch = make_uniform(ALL_SURFACES["scordelis"](), 4, 3)
         U = np.random.default_rng(5).standard_normal((patch.n_cp, 3)) * 1e-3
         return SolutionField(patch, U, request.param, MAT)
 
@@ -146,10 +145,10 @@ class TestDegenerateGeometry:
     def collapsed():
         """Flat 4x2 elements whose first three control-point rows meet in one
         point: the first element row, elements 0 and 1, has no tangent plane."""
-        s = make_uniform(flat_patch().surface, 4, 2)
+        s = make_uniform(flat_patch(), 4, 2)
         ctrl = s.ctrl.copy()
         ctrl[:3] = ctrl[0, 0]
-        return Patch(NurbsSurface(s.kv_u, s.kv_v, ctrl, s.weights))
+        return NurbsSurface(s.kv_u, s.kv_v, ctrl, s.weights)
 
     @pytest.mark.parametrize("path", ["assemble", "energies", "l2", "constraints"])
     def test_chunk_paths_name_the_degenerate_elements(self, path):
@@ -208,7 +207,7 @@ class TestL2Error:
         patch = flat_patch()
         alpha = 2e-3
         U = np.array([[alpha * q[0], 0.0, 0.0]
-                      for q in patch.surface.ctrl.reshape(-1, 3)])
+                      for q in patch.ctrl.reshape(-1, 3)])
         sol = SolutionField(patch, U, "cs", MAT)
         expect = MAT.membrane_stiffness * alpha
         err, = l2_resultant_error(sol, (lambda pos: np.full(pos.shape[:-1], expect),),
@@ -309,7 +308,7 @@ class TestFieldSampler:
         interior knot lines, where the bending moments jump between
         elements, so each row depends on which element owns its point.
         """
-        patch = Patch(make_uniform(ALL_SURFACES["hemisphere"](), 2, 2))
+        patch = make_uniform(ALL_SURFACES["hemisphere"](), 2, 2)
         U = np.random.default_rng(17).standard_normal((patch.n_cp, 3)) * 1e-3
         sol = SolutionField(patch, U, kind, MAT)
         write_field(sol, tmp_path / "field.dat", {}, density=5)
@@ -317,7 +316,7 @@ class TestFieldSampler:
         assert rows.shape == (25, 15)
         expect = []
         for t1, t2 in rows[:, :2]:
-            r, = surface_eval(patch.surface, t1, t2, order=0)
+            r, = surface_eval(patch, t1, t2, order=0)
             p = sample(sol, [(t1, t2)])
             expect.append([t1, t2, *r, *p["u"][0], *p["n"][0], *p["m"][0],
                            p["neff"][0, 0]])

@@ -11,7 +11,9 @@ import ast
 import collections
 import glob
 import importlib
+import inspect
 import os
+import re
 
 import pytest
 
@@ -149,3 +151,31 @@ def test_every_definition_is_reached():
     defining = [label for label in sources if label.startswith("src")
                 and not label.endswith("__init__.py")]
     assert unreached(sources, defining, {attr for _, attr in traced_names()}) == []
+
+
+def test_patch_is_only_the_traced_alias_of_the_surface():
+    """The refined surface is the mesh.  ``klshell.elements.Patch`` survives
+    as a second name of ``NurbsSurface`` only because perfbench/tracer.py
+    traces mesh construction under it and reads ``conn`` and ``n_elements``
+    off the mesh ``assemble`` takes; no other line of the package, the
+    scripts or the tests names it."""
+    elements = importlib.import_module("klshell.elements")
+    nurbs = importlib.import_module("klshell.nurbs")
+    cases = importlib.import_module("klshell.cases")
+    assert elements.Patch is nurbs.NurbsSurface
+    mesh = nurbs.make_uniform(cases.make_case("hypar").surface, 4, 2)
+    assert mesh.n_elements == 8
+    assert mesh.conn.shape == (8, 9) and mesh.conn.dtype == "int64"
+
+    lines, first = inspect.getsourcelines(test_patch_is_only_the_traced_alias_of_the_surface)
+    naming = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "klshell", "*.py"))
+                       + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+                       + glob.glob(os.path.join(ROOT, "tests", "*.py"))):
+        this = os.path.samefile(path, __file__)
+        with open(path, encoding="utf-8") as f:
+            naming += [f"{os.path.relpath(path, ROOT)}: {line.strip()}"
+                       for number, line in enumerate(f, start=1)
+                       if re.search(r"\bPatch\b", line)
+                       and not (this and first <= number < first + len(lines))]
+    assert naming == [os.path.join("src", "klshell", "elements.py") + ": Patch = NurbsSurface"]

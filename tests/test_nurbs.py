@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import ALL_SURFACES, basis_at, hemisphere_surface, strip_surface
 from klshell import (DomainError, KnotVector, NurbsSurface, insert_knots,
                      make_uniform, surface_eval)
-from klshell.elements import Patch, tensor_rule
+from klshell.elements import tensor_rule
 from klshell.nurbs import _basis_ders_at_span, find_spans, rational_eval
 
 KV2 = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -261,7 +261,7 @@ class TestRationalEvalBitwise:
     @pytest.fixture(scope="class")
     def patches(self):
         """Each net refined to a 64 x 32 mesh: 2048 elements."""
-        return {name: Patch(make_uniform(f(), 64, 32)) for name, f in ALL_SURFACES.items()}
+        return {name: make_uniform(f(), 64, 32) for name, f in ALL_SURFACES.items()}
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(ALL_SURFACES))
@@ -273,14 +273,14 @@ class TestRationalEvalBitwise:
         rng = np.random.default_rng(n_el + order)
         eids = rng.permutation(patch.n_elements)[:n_el]
         su, sv = patch.element_spans(eids)
-        ku, kv = patch.surface.kv_u.knots, patch.surface.kv_v.knots
+        ku, kv = patch.kv_u.knots, patch.kv_v.knots
         xi = np.concatenate([tensor_rule(3).points, [[-1, -1], [-1, 1], [1, -1], [1, 1]]])
         lo = np.stack([ku[su], kv[sv]], axis=-1)[:, None, :]
         hi = np.stack([ku[su + 1], kv[sv + 1]], axis=-1)[:, None, :]
         theta = lo + 0.5 * (xi + 1.0) * (hi - lo)
-        self.assert_same_bits(patch.surface, su[:, None], sv[:, None],
+        self.assert_same_bits(patch, su[:, None], sv[:, None],
                               theta[..., 0], theta[..., 1], order)
-        self.assert_same_bits(patch.surface, su[:, None], sv[:, None],
+        self.assert_same_bits(patch, su[:, None], sv[:, None],
                               theta[:, :1, 0], theta[:, :1, 1], order)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -288,7 +288,7 @@ class TestRationalEvalBitwise:
     def test_points_and_a_scalar(self, patches, name, order):
         """(n,) points with their own spans or all in one span pair, and a
         single scalar point."""
-        s = patches[name].surface
+        s = patches[name]
         t = np.random.default_rng(order).random((50, 2))
         t[:4] = [[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.0, 1.0]]
         su, sv = find_spans(s.kv_u, t[:, 0]), find_spans(s.kv_v, t[:, 1])

@@ -10,7 +10,7 @@ import klshell.solver as solver
 from klshell import (IndefiniteSystemError, NumericalError, SingularSystemError,
                      solve_spd)
 from klshell.cases import make_case, solve_case
-from klshell.elements import Patch, apply_constraints, assemble, gauss_rule
+from klshell.elements import apply_constraints, assemble, gauss_rule
 from klshell.nurbs import make_uniform
 from klshell.solver import _shifted_factor, relative_residual
 
@@ -301,7 +301,7 @@ class TestInverseIterationCertificate:
 def reduced_system(case_id, slenderness, mesh, kind="cas"):
     """The constrained (K, F) that ``solve_case`` hands to the solver."""
     case = make_case(case_id, slenderness=slenderness)
-    patch = Patch(make_uniform(case.surface, *mesh))
+    patch = make_uniform(case.surface, *mesh)
     K, area = assemble(patch, case.material, gauss_rule(3), kind)
     reduced = apply_constraints(K, cases.build_loads(case, patch, 3, area),
                                 *case.constraints(patch))
