@@ -213,10 +213,13 @@ _GEOMETRY = {"strip": strip_surface(), "hemisphere": hemisphere_surface(),
 # Case factories
 # ---------------------------------------------------------------------------
 
-STRIP_REFERENCES = {1e1: -9.4561e-1, 1e2: -9.4250e-1, 1e3: -9.4247e-1}
-HEMISPHERE_REFERENCES = {2.5e2: -9.3521e-2, 2.5e3: -9.1594e-2, 2.5e4: -9.0817e-2}
-SCORDELIS_REFERENCES = {1e2: -3.0059e-1, 1e3: -3.2010e1}
-HYPAR_REFERENCES = {1e2: -9.3128e-5, 1e3: -6.3957e-3, 1e4: -5.3059e-1}
+# The published deflection at the monitor: benchmark -> {slenderness: value}.
+REFERENCES = {
+    "strip": {1e1: -9.4561e-1, 1e2: -9.4250e-1, 1e3: -9.4247e-1},
+    "hemisphere": {2.5e2: -9.3521e-2, 2.5e3: -9.1594e-2, 2.5e4: -9.0817e-2},
+    "scordelis": {1e2: -3.0059e-1, 1e3: -3.2010e1},
+    "hypar": {1e2: -9.3128e-5, 1e3: -6.3957e-3, 1e4: -5.3059e-1},
+}
 
 
 def _radial_xy(pos):
@@ -252,7 +255,7 @@ def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
                                                          np.array([qx, 0.0, 0.0])),
         supports=(("u0", (0, 1, 2), True, None),), monitor_theta=(1.0, 0.5),
         monitor_dir=_radial_xy, slenderness=slenderness,
-        reference=STRIP_REFERENCES.get(slenderness),
+        reference=REFERENCES["strip"].get(slenderness),
         initial_mesh=(2, 1), refine_v=False, analytic=analytic,
         implicit_residual=lambda pos: (pos[..., 0] ** 2 + pos[..., 1] ** 2
                                        - R * R) / (R * R))
@@ -275,7 +278,7 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
         supports=(("u0", (1,), True, None), ("u1", (0,), True, None),
                   ("u0", (2,), False, 0.0)),
         monitor_theta=(0.0, 0.0), monitor_dir=_radial_sphere, slenderness=slenderness,
-        reference=HEMISPHERE_REFERENCES.get(slenderness),
+        reference=REFERENCES["hemisphere"].get(slenderness),
         initial_mesh=(2, 2), refine_v=True,
         implicit_residual=lambda pos: (np.sum(pos ** 2, axis=-1) - R * R) / (R * R))
 
@@ -291,7 +294,7 @@ def make_scordelis(slenderness: float = 1e2) -> BenchmarkCase:
         supports=(("v0", (0, 2), False, None), ("v1", (0, 2), False, None),
                   ("u0", (1,), False, 0.5)),
         monitor_theta=(1.0, 0.5), monitor_dir=_vertical, slenderness=slenderness,
-        reference=SCORDELIS_REFERENCES.get(slenderness),
+        reference=REFERENCES["scordelis"].get(slenderness),
         initial_mesh=(4, 4), refine_v=True,
         implicit_residual=lambda pos: (pos[..., 0] ** 2 + pos[..., 2] ** 2
                                        - R * R) / (R * R))
@@ -307,25 +310,25 @@ def make_hypar(slenderness: float = 1e3) -> BenchmarkCase:
         loads=lambda patch, quad_n, area: load_area(area, [0.0, 0.0, -qz]),
         supports=(("u0", (0, 1, 2), True, None), ("v0", (1,), True, None)),
         monitor_theta=(1.0, 0.0), monitor_dir=_vertical, slenderness=slenderness,
-        reference=HYPAR_REFERENCES.get(slenderness),
+        reference=REFERENCES["hypar"].get(slenderness),
         initial_mesh=(2, 1), refine_v=True,
         implicit_residual=lambda pos: pos[..., 2] - (pos[..., 0] ** 2
                                                      - pos[..., 1] ** 2))
 
 
-_FACTORIES = {"strip": make_strip, "hemisphere": make_hemisphere,
+BENCHMARKS = {"strip": make_strip, "hemisphere": make_hemisphere,
               "scordelis": make_scordelis, "hypar": make_hypar}
 
 
 def make_case(case_id: str, slenderness: float | None = None) -> BenchmarkCase:
     """Build a benchmark case by id, at its default or the given slenderness."""
-    if case_id not in _FACTORIES:
+    if case_id not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {case_id!r}")
     if slenderness is None:
-        return _FACTORIES[case_id]()
+        return BENCHMARKS[case_id]()
     if not (math.isfinite(slenderness) and slenderness > 0.0):
         raise ValueError("slenderness must be a positive finite number")
-    return _FACTORIES[case_id](slenderness)
+    return BENCHMARKS[case_id](slenderness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Command-line driver: run one benchmark mesh or a convergence sweep.
 
 Writes ``report.csv`` (one row per refinement level) and optionally
-``field.dat`` (sampled displacements and resultants), printing a one-line
+``field.dat`` (sampled displacements and resultants), then prints a one-line
 summary per level.  Exit codes: 0 success, 2 usage error (a request whose
 estimated memory exceeds ``MEMORY_CEILING``, refused before any mesh is
 built, a mesh or sample grid too large for memory, or an output file that
-cannot be written, among them), 3 numerical failure.
+cannot be written, among them), 3 numerical failure, in the solve or while
+writing.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import argparse
 import os
 import sys
 
-from .cases import make_case, run_convergence, solve_case, write_report_csv
+from .cases import BENCHMARKS, make_case, run_convergence, solve_case, write_report_csv
+from .elements import CAS, CS, QUAD_ORDERS
 from .errors import (IndefiniteSystemError, NumericalError,
                      SingularGeometryError, SingularSystemError)
 from .fields import write_field
@@ -49,15 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="klshell",
         description="Kirchhoff-Love shell benchmarks with quadratic NURBS "
                     "cs/cas elements")
-    p.add_argument("--benchmark", required=True,
-                   choices=["strip", "hemisphere", "scordelis", "hypar"])
-    p.add_argument("--element", default="cas", choices=["cs", "cas"])
-    p.add_argument("--quad", type=int, default=3, choices=[2, 3],
+    p.add_argument("--benchmark", required=True, choices=BENCHMARKS)
+    p.add_argument("--element", default=CAS, choices=(CS, CAS))
+    p.add_argument("--quad", type=int, default=3, choices=QUAD_ORDERS,
                    help="Gauss points per direction")
     p.add_argument("--slenderness", type=float,
                    help="R/t (L/t for the hypar); the case's default if omitted")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--levels", type=count, default=None,
+    g.add_argument("--levels", type=count, default=5,
                    help="number of uniform refinement levels to sweep")
     g.add_argument("--elements-per-side", type=count, default=None,
                    help="solve a single uniform mesh with this many elements "
@@ -75,9 +76,8 @@ def main(argv=None) -> int:
         case = make_case(args.benchmark, slenderness=args.slenderness)
     except ValueError as exc:
         parser.error(str(exc))
-    levels = args.levels if args.levels is not None else 5
     # the finest mesh; past 64 levels every case is far above the ceiling
-    finest = (case.mesh_at_level(min(levels, 64) - 1) if args.elements_per_side is None
+    finest = (case.mesh_at_level(min(args.levels, 64) - 1) if args.elements_per_side is None
               else case.mesh_per_side(args.elements_per_side))
     need = request_bytes(case, finest, args.sample_density)
     if need > MEMORY_CEILING:
@@ -94,13 +94,26 @@ def main(argv=None) -> int:
         if args.elements_per_side is not None:
             results = [solve_case(case, finest, args.element, args.quad)]
         else:
-            results = run_convergence(case, args.element, args.quad, levels)
+            results = run_convergence(case, args.element, args.quad, args.levels)
+        write_report_csv(results, os.path.join(args.outdir, "report.csv"))
+        if args.sample_density is not None:
+            last = results[-1]
+            header = {"benchmark": case.id, "element": args.element,
+                      "mesh": f"{last.mesh[0]}x{last.mesh[1]}",
+                      "slenderness": format(case.slenderness, ".17g")}
+            write_field(last.solution, os.path.join(args.outdir, "field.dat"),
+                        header, density=args.sample_density)
     except (NumericalError, SingularSystemError, IndefiniteSystemError,
             SingularGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        return out_of_memory(exc)
+        print(f"out of memory: {str(exc) or 'an allocation failed'}; ask for fewer "
+              "elements or a smaller --sample-density", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write to {args.outdir}: {exc}", file=sys.stderr)
+        return 2
 
     for level, res in enumerate(results):
         norm = "" if res.normalized is None else f"  norm {res.normalized:+.5f}"
@@ -111,29 +124,7 @@ def main(argv=None) -> int:
             print(f"level {level} accepted at the evaluation floor: "
                   f"residual {res.trace.residual:.1e} > rtol {RESIDUAL_RTOL:.0e}",
                   file=sys.stderr)
-
-    try:
-        write_report_csv(results, os.path.join(args.outdir, "report.csv"))
-        if args.sample_density is not None:
-            last = results[-1]
-            header = {"benchmark": case.id, "element": args.element,
-                      "mesh": f"{last.mesh[0]}x{last.mesh[1]}",
-                      "slenderness": format(case.slenderness, ".17g")}
-            write_field(last.solution, os.path.join(args.outdir, "field.dat"),
-                        header, density=args.sample_density)
-    except MemoryError as exc:
-        return out_of_memory(exc)
-    except OSError as exc:
-        print(f"cannot write to {args.outdir}: {exc}", file=sys.stderr)
-        return 2
     return 0
-
-
-def out_of_memory(exc: MemoryError) -> int:
-    """Report a mesh or sample grid too large for memory: exit 2."""
-    print(f"out of memory: {str(exc) or 'an allocation failed'}; ask for fewer "
-          "elements or a smaller --sample-density", file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .shell import ShellMaterial, bending_rows, constitutive_voigt, frame_arrays
 
 CS = "cs"
 CAS = "cas"
+QUAD_ORDERS = (2, 3)  # Gauss points per direction of the element rules
 
 # parent-square corners in (u, v), u-major; L columns follow this order
 _CORNERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
@@ -66,8 +67,8 @@ def tensor_rule(n_per_dir: int) -> QuadratureRule:
 
 
 def gauss_rule(n_per_dir: int) -> QuadratureRule:
-    """Element integration rule; the discretization uses 2x2 or 3x3 points."""
-    if n_per_dir not in (2, 3):
+    """Element integration rule, n_per_dir in ``QUAD_ORDERS``."""
+    if n_per_dir not in QUAD_ORDERS:
         raise ValueError(f"unsupported quadrature order {n_per_dir} (use 2 or 3)")
     return tensor_rule(n_per_dir)
 

@@ -11,7 +11,7 @@ import pytest
 import klshell.cases as cases
 import klshell.cli as cli
 from klshell.cases import REPORT_COLUMNS
-from klshell.errors import NumericalError
+from klshell.errors import NumericalError, SingularGeometryError
 from klshell.solver import solve_spd
 
 
@@ -157,6 +157,27 @@ class TestExitCodes:
         assert rc == 3
         assert "synthetic failure" in capsys.readouterr().err
 
+    def test_numerical_failure_while_writing_is_exit_3(self, tmp_path, monkeypatch,
+                                                       capsys):
+        """A degenerate point met while sampling the field ends the run like
+        a failed solve: one stderr line, the report kept, no level line."""
+        def degenerate(*a, **k):
+            raise SingularGeometryError("a1 x a2 = 0", [3])
+        monkeypatch.setattr(cli, "write_field", degenerate)
+        rc = cli.main(["--benchmark", "strip", "--levels", "2",
+                       "--sample-density", "3", "--outdir", str(tmp_path)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: elements [3]: a1 x a2 = 0\n"
+        assert "level" not in captured.out
+        assert (tmp_path / "report.csv").is_file()
+        assert not (tmp_path / "field.dat").exists()
+
+    def test_levels_default_to_5(self, tmp_path, capsys):
+        assert cli.main(["--benchmark", "strip", "--outdir", str(tmp_path)]) == 0
+        rows = (tmp_path / "report.csv").read_text().strip().split("\n")
+        assert [row.split(",")[1] for row in rows[1:]] == ["2", "4", "8", "16", "32"]
+        assert capsys.readouterr().out.count("level ") == 5
 
     @pytest.mark.parametrize("where", ["solve_case", "write_field"])
     def test_out_of_memory_is_exit_2(self, tmp_path, monkeypatch, capsys, where):

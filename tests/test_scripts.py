@@ -22,18 +22,41 @@ def load_script(name, monkeypatch):
 
 def test_benchmark_sweeps_write_one_csv_per_sweep(tmp_path, monkeypatch, capsys):
     script = load_script("run_benchmark_sweeps", monkeypatch)
-    sweeps = {case_id: values[:1] for case_id, values in script.SWEEPS.items()}
-    monkeypatch.setattr(script, "SWEEPS", sweeps)
+    sweeps = {case_id: dict(list(values.items())[:1])
+              for case_id, values in script.REFERENCES.items()}
+    monkeypatch.setattr(script, "REFERENCES", sweeps)
     monkeypatch.setattr(script, "LEVELS", dict.fromkeys(sweeps, 1))
     monkeypatch.setattr(sys, "argv", ["run_benchmark_sweeps.py", "--outdir", str(tmp_path)])
-    script.main()
+    assert script.main() == 0
     out = capsys.readouterr().out
     for case_id, (s,) in sweeps.items():
-        name = f"{case_id}_cas_q3_s{s:g}.csv"
-        header, row = (tmp_path / name).read_text().strip().split("\n")
+        name = f"{case_id}_cas_q3_s{s:g}"
+        header, row = (tmp_path / name / "report.csv").read_text().strip().split("\n")
         assert header == ",".join(REPORT_COLUMNS)
         assert len(row.split(",")) == len(REPORT_COLUMNS)
-        assert f"{name}: 1 levels, finest deflection " in out
+        assert f"{name}\nlevel 0  elems " in out
+    assert out.count("level ") == len(sweeps)
+
+
+def test_benchmark_sweeps_stop_at_the_first_failing_sweep(tmp_path, monkeypatch, capsys):
+    """The run ends with the exit code of the first sweep whose
+    ``cli.main`` returns non-zero, and starts no sweep after it."""
+    script = load_script("run_benchmark_sweeps", monkeypatch)
+    calls = []
+
+    def main(argv):
+        calls.append(argv)
+        return 3 if len(calls) == 2 else 0
+
+    monkeypatch.setattr(script.cli, "main", main)
+    assert script.main(["--outdir", str(tmp_path), "--element", "cs", "--quad", "2"]) == 3
+    assert len(calls) == 2
+    first, second = (dict(zip(argv[::2], argv[1::2])) for argv in calls)
+    assert first == {"--benchmark": "strip", "--element": "cs", "--quad": "2",
+                     "--slenderness": "10.0", "--levels": "8",
+                     "--outdir": str(tmp_path / "strip_cs_q2_s10")}
+    assert second["--slenderness"] == "100.0"
+    assert capsys.readouterr().out == "strip_cs_q2_s10\nstrip_cs_q2_s100\n"
 
 
 def test_roof_table_prints_every_slenderness_and_element(monkeypatch, capsys):
