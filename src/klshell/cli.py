@@ -4,9 +4,9 @@ Writes ``report.csv`` (one row per refinement level) and optionally
 ``field.dat`` (sampled displacements and resultants), then prints a one-line
 summary per level.  Exit codes: 0 success, 2 usage error (a request whose
 estimated memory exceeds ``MEMORY_CEILING``, refused before any mesh is
-built, a mesh or sample grid too large for memory, or an output file that
-cannot be written, among them), 3 numerical failure, in the solve or while
-writing.
+built, a mesh or sample grid too large for memory, or any OS error in the
+run, an unwritable output among them), 3 numerical failure, in the solve or
+while writing.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slenderness", type=float,
                    help="R/t (L/t for the hypar); the case's default if omitted")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--levels", type=count, default=5,
+    g.add_argument("--levels", type=count, default=None,
                    help="number of uniform refinement levels to sweep")
     g.add_argument("--elements-per-side", type=count, default=None,
                    help="solve a single uniform mesh with this many elements "
@@ -76,8 +76,11 @@ def main(argv=None) -> int:
         case = make_case(args.benchmark, slenderness=args.slenderness)
     except ValueError as exc:
         parser.error(str(exc))
+    # not a parser default: argparse would take `--levels 5`, the cached int
+    # object of a default 5, as not given and let --elements-per-side join it
+    levels = args.levels or 5
     # the finest mesh; past 64 levels every case is far above the ceiling
-    finest = (case.mesh_at_level(min(args.levels, 64) - 1) if args.elements_per_side is None
+    finest = (case.mesh_at_level(min(levels, 64) - 1) if args.elements_per_side is None
               else case.mesh_per_side(args.elements_per_side))
     need = request_bytes(case, finest, args.sample_density)
     if need > MEMORY_CEILING:
@@ -94,7 +97,7 @@ def main(argv=None) -> int:
         if args.elements_per_side is not None:
             results = [solve_case(case, finest, args.element, args.quad)]
         else:
-            results = run_convergence(case, args.element, args.quad, args.levels)
+            results = run_convergence(case, args.element, args.quad, levels)
         write_report_csv(results, os.path.join(args.outdir, "report.csv"))
         if args.sample_density is not None:
             last = results[-1]

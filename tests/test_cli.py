@@ -117,6 +117,16 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["--levels", "5", "--elements-per-side", "4"],
+        ["--elements-per-side", "4", "--levels", "5"],
+    ], ids=["levels-first", "elements-first"])
+    def test_conflicting_flags_at_the_default_level_count(self, argv):
+        """`--levels 5`, the count used when it is omitted, still conflicts."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--benchmark", "strip", *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
         ["--elements-per-side", "0"],
         ["--elements-per-side", "-3"],
         ["--slenderness", "0"],
@@ -264,6 +274,20 @@ class TestExitCodes:
         assert str(tmp_path / name) in err
         assert err.count("\n") == 1
         assert (tmp_path / "report.csv").is_file() == (name == "field.dat")
+
+    def test_os_error_in_the_solve_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        """The writes' handler covers the solve: an OS error there ends the
+        run with one stderr line carrying the error, and no output."""
+        def denied(*a, **k):
+            raise PermissionError(13, "Permission denied", "/synthetic")
+        monkeypatch.setattr(cli, "run_convergence", denied)
+        assert cli.main(["--benchmark", "strip", "--outdir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"cannot write to {tmp_path}: "
+                                "[Errno 13] Permission denied: '/synthetic'\n")
+        assert captured.out == ""
+        assert not (tmp_path / "report.csv").exists()
+
 
 class TestModuleEntryPoint:
     """``python -m klshell`` in a fresh interpreter, with PYTHONPATH=src."""

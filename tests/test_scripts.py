@@ -5,6 +5,8 @@ import math
 import os
 import sys
 
+import pytest
+
 from klshell.cases import REPORT_COLUMNS
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -57,6 +59,17 @@ def test_benchmark_sweeps_stop_at_the_first_failing_sweep(tmp_path, monkeypatch,
                      "--outdir": str(tmp_path / "strip_cs_q2_s10")}
     assert second["--slenderness"] == "100.0"
     assert capsys.readouterr().out == "strip_cs_q2_s10\nstrip_cs_q2_s100\n"
+
+
+def test_benchmark_sweeps_leave_on_a_cli_usage_error(tmp_path, monkeypatch, capsys):
+    """The script's --quad is checked by the CLI: a quadrature it does not
+    offer ends the run with klshell's usage error, exit 2, before solving."""
+    script = load_script("run_benchmark_sweeps", monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--outdir", str(tmp_path), "--quad", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: klshell")
+    assert not any(tmp_path.iterdir())
 
 
 def test_roof_table_prints_every_slenderness_and_element(monkeypatch, capsys):
