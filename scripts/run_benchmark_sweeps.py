@@ -5,11 +5,10 @@ One sweep is one benchmark at one of its published slendernesses, run as
 one ``klshell.cli.main`` call that writes
 results/<benchmark>_<element>_q<n>_s<slenderness>/report.csv.  The sweep's
 name is printed before its level lines; the first sweep whose ``cli.main``
-returns non-zero stops the run with its code.  Usage errors that ``cli.main``
-reports through argparse (an --element or --quad it does not offer, an
---outdir it cannot create) leave as its ``SystemExit(2)`` with klshell's usage
-text.  Levels are kept moderate by default; pass --full for the fine-mesh
-sweeps used in the reference-deflection checks (slow).
+returns non-zero stops the run with its code, a usage error (an --element or
+--quad it does not offer, an --outdir it cannot create) among them.  Levels
+are kept moderate by default; pass --full for the fine-mesh sweeps used in
+the reference-deflection checks (slow).
 """
 
 import argparse

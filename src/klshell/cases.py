@@ -53,7 +53,6 @@ class BenchmarkCase:
     initial_mesh: tuple[int, int]
     refine_v: bool                    # refine the second direction with the first
     analytic: dict | None = None      # component -> callable(positions)
-    implicit_residual: object = None  # callable(positions) -> normalized residual
 
     def constraints(self, patch: NurbsSurface):
         """The supports on a patch as (fixed dofs, multipoint rows), in order.
@@ -256,9 +255,7 @@ def make_strip(slenderness: float = 1e2) -> BenchmarkCase:
         supports=(("u0", (0, 1, 2), True, None),), monitor_theta=(1.0, 0.5),
         monitor_dir=_radial_xy, slenderness=slenderness,
         reference=REFERENCES["strip"].get(slenderness),
-        initial_mesh=(2, 1), refine_v=False, analytic=analytic,
-        implicit_residual=lambda pos: (pos[..., 0] ** 2 + pos[..., 1] ** 2
-                                       - R * R) / (R * R))
+        initial_mesh=(2, 1), refine_v=False, analytic=analytic)
 
 
 def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
@@ -279,8 +276,7 @@ def make_hemisphere(slenderness: float = 2.5e2) -> BenchmarkCase:
                   ("u0", (2,), False, 0.0)),
         monitor_theta=(0.0, 0.0), monitor_dir=_radial_sphere, slenderness=slenderness,
         reference=REFERENCES["hemisphere"].get(slenderness),
-        initial_mesh=(2, 2), refine_v=True,
-        implicit_residual=lambda pos: (np.sum(pos ** 2, axis=-1) - R * R) / (R * R))
+        initial_mesh=(2, 2), refine_v=True)
 
 
 def make_scordelis(slenderness: float = 1e2) -> BenchmarkCase:
@@ -295,9 +291,7 @@ def make_scordelis(slenderness: float = 1e2) -> BenchmarkCase:
                   ("u0", (1,), False, 0.5)),
         monitor_theta=(1.0, 0.5), monitor_dir=_vertical, slenderness=slenderness,
         reference=REFERENCES["scordelis"].get(slenderness),
-        initial_mesh=(4, 4), refine_v=True,
-        implicit_residual=lambda pos: (pos[..., 0] ** 2 + pos[..., 2] ** 2
-                                       - R * R) / (R * R))
+        initial_mesh=(4, 4), refine_v=True)
 
 
 def make_hypar(slenderness: float = 1e3) -> BenchmarkCase:
@@ -311,9 +305,7 @@ def make_hypar(slenderness: float = 1e3) -> BenchmarkCase:
         supports=(("u0", (0, 1, 2), True, None), ("v0", (1,), True, None)),
         monitor_theta=(1.0, 0.0), monitor_dir=_vertical, slenderness=slenderness,
         reference=REFERENCES["hypar"].get(slenderness),
-        initial_mesh=(2, 1), refine_v=True,
-        implicit_residual=lambda pos: pos[..., 2] - (pos[..., 0] ** 2
-                                                     - pos[..., 1] ** 2))
+        initial_mesh=(2, 1), refine_v=True)
 
 
 BENCHMARKS = {"strip": make_strip, "hemisphere": make_hemisphere,
@@ -387,8 +379,10 @@ def write_report_csv(results, path) -> None:
     """Write one CSV row (``REPORT_COLUMNS``) per result, level = list index,
     in full double precision.
 
-    Wall times are intentionally not written so identical configurations
-    produce bitwise-identical files.
+    Wall times are intentionally not written, so identical configurations
+    produce bitwise-identical files on one BLAS thread; on more, OpenBLAS
+    splits the band factor by the CPUs it may use, and the last bits can
+    follow their count (ROADMAP item 18).
     """
     def fmt(v):
         if v is None:

@@ -2,11 +2,17 @@
 
 Writes ``report.csv`` (one row per refinement level) and optionally
 ``field.dat`` (sampled displacements and resultants), then prints a one-line
-summary per level.  Exit codes: 0 success, 2 usage error (a request whose
-estimated memory exceeds ``MEMORY_CEILING``, refused before any mesh is
-built, a mesh or sample grid too large for memory, or any OS error in the
-run, an unwritable output among them), 3 numerical failure, in the solve or
-while writing.
+summary per level.  ``main`` returns its exit code (only ``--help`` exits,
+with 0, through argparse), one rule per code:
+
+- 0: every output written; each level accepted at its evaluation floor
+  adds a notice on stderr.
+- 2: one stderr line.  ``klshell: error:`` for a refused request, before
+  any directory is made: argparse's usage errors, a slenderness the case
+  rejects and an estimate above ``MEMORY_CEILING``.  ``out of memory:`` for
+  a ``MemoryError``; ``cannot write to <outdir>:`` for any ``OSError``, an
+  ``--outdir`` that cannot be made and an unwritable output among them.
+- 3: one ``numerical failure:`` line, for a failed solve or field sample.
 """
 
 from __future__ import annotations
@@ -66,34 +72,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-density", type=count, default=None,
                    help="write field.dat sampled on this parametric grid")
     p.add_argument("--outdir", default=".")
+
+    def refuse(message):  # to main's one handler, not argparse's usage and exit
+        raise ValueError(message)
+    p.error = refuse
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         case = make_case(args.benchmark, slenderness=args.slenderness)
+        # not a parser default: argparse would take `--levels 5`, the cached int
+        # object of a default 5, as not given and let --elements-per-side join it
+        levels = args.levels or 5
+        # the finest mesh; past 64 levels every case is far above the ceiling
+        finest = (case.mesh_at_level(min(levels, 64) - 1) if args.elements_per_side is None
+                  else case.mesh_per_side(args.elements_per_side))
+        need = request_bytes(case, finest, args.sample_density)
+        if need > MEMORY_CEILING:
+            raise ValueError(f"request too large: about {need / 1e9:.3g} GB estimated, "
+                             f"above the {MEMORY_CEILING / 1e9:.3g} GB ceiling; ask for "
+                             "fewer elements or a smaller --sample-density")
     except ValueError as exc:
-        parser.error(str(exc))
-    # not a parser default: argparse would take `--levels 5`, the cached int
-    # object of a default 5, as not given and let --elements-per-side join it
-    levels = args.levels or 5
-    # the finest mesh; past 64 levels every case is far above the ceiling
-    finest = (case.mesh_at_level(min(levels, 64) - 1) if args.elements_per_side is None
-              else case.mesh_per_side(args.elements_per_side))
-    need = request_bytes(case, finest, args.sample_density)
-    if need > MEMORY_CEILING:
-        print(f"request too large: about {need / 1e9:.3g} GB estimated, above the "
-              f"{MEMORY_CEILING / 1e9:.3g} GB ceiling; ask for fewer elements or "
-              "a smaller --sample-density", file=sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
         os.makedirs(args.outdir, exist_ok=True)
-    except OSError as exc:
-        parser.error(str(exc))
-
-    try:
         if args.elements_per_side is not None:
             results = [solve_case(case, finest, args.element, args.quad)]
         else:
@@ -124,7 +130,7 @@ def main(argv=None) -> int:
               f"  dofs {res.n_dof}  deflection {res.deflection:+.6e}"
               f"{norm}  [{res.wall_s:.2f}s]")
         if res.trace.reason == "floor":
-            print(f"level {level} accepted at the evaluation floor: "
+            print(f"level {level} accepted at the evaluation floor {res.trace.floor:.1e}: "
                   f"residual {res.trace.residual:.1e} > rtol {RESIDUAL_RTOL:.0e}",
                   file=sys.stderr)
     return 0

@@ -30,6 +30,15 @@ ALL_SURFACES = {
     "hypar": hypar_surface,
 }
 
+# The implicit equation of each benchmark surface, normalized: zero on it.
+# Radii 10 (strip, hemisphere) and 25 (roof); the hypar is z = x^2 - y^2.
+IMPLICIT_RESIDUALS = {
+    "strip": lambda pos: (pos[..., 0] ** 2 + pos[..., 1] ** 2 - 100.0) / 100.0,
+    "hemisphere": lambda pos: (np.sum(pos ** 2, axis=-1) - 100.0) / 100.0,
+    "scordelis": lambda pos: (pos[..., 0] ** 2 + pos[..., 2] ** 2 - 625.0) / 625.0,
+    "hypar": lambda pos: pos[..., 2] - (pos[..., 0] ** 2 - pos[..., 1] ** 2),
+}
+
 
 def basis_at(surface, t1, t2):
     """Rational basis, geometry and frame arrays at one parametric point.

@@ -1,16 +1,24 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+import contextlib
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import klshell.cases as cases
 import klshell.cli as cli
-from klshell.cases import REPORT_COLUMNS
+from klshell.cases import BENCHMARKS, REPORT_COLUMNS
+from klshell.elements import CAS, CS, QUAD_ORDERS
 from klshell.errors import NumericalError, SingularGeometryError
 from klshell.solver import solve_spd
 
@@ -89,15 +97,27 @@ class TestRuns:
 
 class TestFloorAcceptance:
     @pytest.mark.parametrize("slenderness,at_floor", [("1e4", True), ("1e2", False)])
-    def test_reported_on_stderr_only(self, tmp_path, capsys, slenderness, at_floor):
+    def test_reported_on_stderr_only(self, tmp_path, monkeypatch, capsys, slenderness,
+                                     at_floor):
+        """The notice gives the level's evaluation floor and its residual."""
+        traces = []
+
+        def recorded(*args):
+            res = cases.solve_case(*args)
+            traces.append(res.trace)
+            return res
+
+        monkeypatch.setattr(cli, "solve_case", recorded)
         rc = cli.main(["--benchmark", "hypar", "--element", "cas",
                        "--slenderness", slenderness, "--elements-per-side", "32",
                        "--outdir", str(tmp_path)])
         assert rc == 0
         captured = capsys.readouterr()
-        line = "level 0 accepted at the evaluation floor: residual "
-        assert (line in captured.err) == at_floor
-        assert ("> rtol 1e-10" in captured.err) == at_floor
+        trace, = traces
+        assert (trace.reason == "floor") == at_floor
+        assert captured.err == (f"level 0 accepted at the evaluation floor {trace.floor:.1e}: "
+                                f"residual {trace.residual:.1e} > rtol 1e-10\n"
+                                if at_floor else "")
         assert "evaluation floor" not in captured.out
         header, row = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert header == ",".join(REPORT_COLUMNS)
@@ -105,57 +125,65 @@ class TestFloorAcceptance:
 
 
 class TestExitCodes:
-    def test_usage_error_is_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--benchmark", "nosuch"])
-        assert exc.value.code == 2
+    def test_usage_error_is_exit_2(self, capsys):
+        assert cli.main(["--benchmark", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("klshell: error: argument --benchmark: invalid choice: 'nosuch'")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
-    def test_conflicting_flags(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--benchmark", "strip", "--levels", "2",
-                      "--elements-per-side", "4"])
-        assert exc.value.code == 2
+    def test_conflicting_flags(self, capsys):
+        assert cli.main(["--benchmark", "strip", "--levels", "2",
+                         "--elements-per-side", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "klshell: error: argument --elements-per-side: not allowed with argument --levels\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["--levels", "5", "--elements-per-side", "4"],
-        ["--elements-per-side", "4", "--levels", "5"],
+    @pytest.mark.parametrize("argv,first,second", [
+        (["--levels", "5", "--elements-per-side", "4"], "--elements-per-side", "--levels"),
+        (["--elements-per-side", "4", "--levels", "5"], "--levels", "--elements-per-side"),
     ], ids=["levels-first", "elements-first"])
-    def test_conflicting_flags_at_the_default_level_count(self, argv):
+    def test_conflicting_flags_at_the_default_level_count(self, argv, first, second,
+                                                          capsys):
         """`--levels 5`, the count used when it is omitted, still conflicts."""
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--benchmark", "strip", *argv])
-        assert exc.value.code == 2
+        assert cli.main(["--benchmark", "strip", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"klshell: error: argument {first}: not allowed with argument {second}\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["--elements-per-side", "0"],
-        ["--elements-per-side", "-3"],
-        ["--slenderness", "0"],
-        ["--slenderness", "-5"],
-        ["--slenderness", "nan"],
-        ["--slenderness", "inf"],
-        ["--slenderness", "1e-300"],
-        ["--slenderness", "1e300"],
-        ["--sample-density", "-2"],
-        ["--levels", "0"],
+    @pytest.mark.parametrize("argv", [  # (flags, the error line's message)
+        (["--elements-per-side", "0"], "argument --elements-per-side: 0 is not >= 1"),
+        (["--elements-per-side", "-3"], "argument --elements-per-side: -3 is not >= 1"),
+        (["--slenderness", "0"], "slenderness must be a positive finite number"),
+        (["--slenderness", "-5"], "slenderness must be a positive finite number"),
+        (["--slenderness", "nan"], "slenderness must be a positive finite number"),
+        (["--slenderness", "inf"], "slenderness must be a positive finite number"),
+        (["--slenderness", "1e-300"], "thickness 1e+301 puts the membrane or bending "
+                                      "stiffness outside the normal float range"),
+        (["--slenderness", "1e300"], "thickness 1e-299 puts the membrane or bending "
+                                     "stiffness outside the normal float range"),
+        (["--sample-density", "-2"], "argument --sample-density: -2 is not >= 1"),
+        (["--levels", "0"], "argument --levels: 0 is not >= 1"),
     ])
-    def test_bad_value_is_exit_2_before_solving(self, argv, tmp_path):
+    def test_bad_value_is_exit_2_before_solving(self, argv, tmp_path, capsys):
+        flags, message = argv
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--benchmark", "strip", *argv, "--outdir", str(out)])
-        assert exc.value.code == 2
+        assert cli.main(["--benchmark", "strip", *flags, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == f"klshell: error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    @pytest.mark.parametrize("below,errno", [("", "[Errno 17] File exists"),
+                                             ("sub", "[Errno 20] Not a directory")],
+                             ids=["file", "below-file"])
     def test_outdir_on_a_file_is_exit_2_before_solving(self, tmp_path, monkeypatch,
-                                                       below):
+                                                       capsys, below, errno):
+        """An --outdir that cannot be made is reported by the handler of
+        every OS error: one line naming the directory and the error."""
         def unreachable(*a, **k):
             raise AssertionError("solved despite an unusable --outdir")
         monkeypatch.setattr(cli, "run_convergence", unreachable)
         blocker = tmp_path / "file"
         blocker.write_text("kept")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--benchmark", "strip", "--outdir", str(blocker / below)])
-        assert exc.value.code == 2
+        outdir = str(blocker / below)
+        assert cli.main(["--benchmark", "strip", "--outdir", outdir]) == 2
+        assert capsys.readouterr().err == f"cannot write to {outdir}: {errno}: {outdir!r}\n"
         assert blocker.read_text() == "kept"
 
     def test_numerical_failure_is_exit_3(self, tmp_path, monkeypatch, capsys):
@@ -232,7 +260,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main([*argv, "--outdir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("request too large: about ")
+        assert err.startswith("klshell: error: request too large: about ")
         assert f"above the {ceiling / 1e9:.3g} GB ceiling" in err
         assert err.count("\n") == 1
         assert not out.exists()
@@ -259,7 +287,9 @@ class TestExitCodes:
             raise AssertionError("meshed despite a refused request")
         monkeypatch.setattr(cases, "make_uniform", unreachable)
         assert cli.main([*argv, "--outdir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("request too large: about ")
+        err = capsys.readouterr().err
+        assert err.startswith("klshell: error: request too large: about ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["report.csv", "field.dat"])
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys, name):
@@ -289,6 +319,56 @@ class TestExitCodes:
         assert not (tmp_path / "report.csv").exists()
 
 
+def log_uniform(lo, hi):
+    """Floats whose log10 is uniform on [lo, hi]; the ends are `example`s."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+MESH = st.one_of(st.tuples(st.just("--levels"), st.integers(1, 3)),
+                 st.tuples(st.just("--elements-per-side"), st.integers(1, 9)))
+CLI_ARGS = st.tuples(st.sampled_from(list(BENCHMARKS)), st.sampled_from([CS, CAS]),
+                     st.sampled_from(QUAD_ORDERS), MESH,
+                     st.one_of(st.none(), st.integers(1, 6)),
+                     st.one_of(log_uniform(-110, 110), log_uniform(-1, 7)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(CLI_ARGS)
+@example(("strip", CAS, 3, ("--levels", 1), None, 1e-110))
+@example(("hypar", CS, 2, ("--elements-per-side", 2), 2, 1e110))
+@example(("hemisphere", CAS, 2, ("--levels", 1), None, 1e-1))
+@example(("scordelis", CS, 3, ("--elements-per-side", 3), 1, 1e7))
+def test_every_input_returns_0_2_or_3(args):
+    """Over benchmark, element, quadrature, small meshes, an optional sample
+    grid and slenderness from 1e-110 to 1e110, ``cli.main`` returns 0, 2 or
+    3.  Exit 2 or 3 prints exactly one stderr line, and exit 2 makes no
+    --outdir; exit 0 writes one row per level, every non-empty cell finite,
+    and prints nothing on stderr but floor notices."""
+    benchmark, element, quad, (mesh_flag, n), density, slenderness = args
+    argv = ["--benchmark", benchmark, "--element", element, "--quad", str(quad),
+            mesh_flag, str(n), "--slenderness", repr(slenderness)]
+    if density is not None:
+        argv += ["--sample-density", str(density)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([*argv, "--outdir", str(out)])
+        err = err.getvalue()
+        assert rc in (0, 2, 3)
+        if rc:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert rc == 3 or not out.exists()
+            return
+        assert all(" accepted at the evaluation floor " in line
+                   for line in err.splitlines()), err
+        with open(out / "report.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+    assert header == list(REPORT_COLUMNS)
+    assert len(rows) == (n if mesh_flag == "--levels" else 1)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row if cell)
+
+
 class TestModuleEntryPoint:
     """``python -m klshell`` in a fresh interpreter, with PYTHONPATH=src."""
 
@@ -309,5 +389,17 @@ class TestModuleEntryPoint:
     def test_usage_error_exits_2(self, tmp_path):
         proc = self.run(["--benchmark", "strip", "--levels", "0"], tmp_path)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("usage: klshell")
+        assert proc.stderr == "klshell: error: argument --levels: 0 is not >= 1\n"
+        assert proc.stdout == ""
         assert not (tmp_path / "report.csv").exists()
+
+    def test_help_exits_0_through_argparse(self, tmp_path, monkeypatch, capsys):
+        """--help is the one way out of ``cli.main`` that is not a return."""
+        monkeypatch.setenv("COLUMNS", "80")  # the same wrapping in both processes
+        proc = self.run(["--help"], tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == proc.stdout
+        assert proc.stdout.startswith("usage: klshell [-h] --benchmark {strip,hemisphere,")

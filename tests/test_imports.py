@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every function,
-class and method of the package is named by the package or the scripts,
-and every name the benchmark harness reaches into exists.
+class, method and dataclass field of the package is named by the package
+or the scripts, and every name the benchmark harness reaches into exists.
 
 No linter is a test dependency, so these are small ``ast`` checks over the
 package modules (``__init__`` re-exports by design), the scripts and the
@@ -78,30 +78,34 @@ def attribute_reads(tree) -> collections.Counter:
 
 
 def definitions(tree):
-    """The top-level functions and classes of a module, with ``names_in``,
-    and the methods and properties of its classes, dunders left out, with
-    ``attribute_reads``: the count that reaches them."""
+    """(name, node, count) of the top-level functions and classes of a
+    module, with ``names_in``, and of the methods, properties and dataclass
+    fields of its classes, dunders left out, with ``attribute_reads``: the
+    count that reaches them."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node, names_in
+            yield node.name, node, names_in
         if isinstance(node, ast.ClassDef):
-            yield from ((item, attribute_reads) for item in node.body
-                        if isinstance(item, ast.FunctionDef)
-                        and not (item.name.startswith("__") and item.name.endswith("__")))
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item, attribute_reads
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, item, attribute_reads
 
 
 def unreached(sources: dict, defining, reached=()) -> list[str]:
     """Definitions in the ``defining`` labels of ``sources`` (label -> text)
     that no source reaches outside the definition itself, nor ``reached``
-    lists.  A function or class is reached by any use of its name; a method
-    or property only by an attribute read, so that a local variable of the
-    same name does not reach it."""
+    lists.  A function or class is reached by any use of its name; a method,
+    property or field only by an attribute read, so that a local variable
+    or a constructor keyword of the same name does not reach it."""
     trees = {label: ast.parse(text) for label, text in sources.items()}
     total = {count: sum(map(count, trees.values()), collections.Counter())
              for count in (names_in, attribute_reads)}
-    return [f"{label}: {node.name} (line {node.lineno})" for label in defining
-            for node, count in definitions(trees[label])
-            if node.name not in reached and total[count][node.name] == count(node)[node.name]]
+    return [f"{label}: {name} (line {node.lineno})" for label in defining
+            for name, node, count in definitions(trees[label])
+            if name not in reached and total[count][name] == count(node)[name]]
 
 
 def test_check_catches_an_unreached_definition():
@@ -111,10 +115,13 @@ def test_check_catches_an_unreached_definition():
                      "    @property\n    def p(self):\n        return used()\n\n"
                      "    def q(self):\n        return self.p\n\n"
                      "    def n(self):\n        return 0\n\n"
-                     "class D:\n    pass\n\nclass E:\n    pass\n"),
-               "init": "from .m import D\n"}
+                     "class D:\n    pass\n\nclass E:\n    pass\n\n"
+                     "@dataclass\nclass F:\n    kept: int\n    built: int = 0\n\n"
+                     "def f_of(x):\n    return F(kept=x.kept, built=x)\n"),
+               "init": "from .m import D, f_of\n"}
     assert unreached(sources, ["m"], reached={"E"}) == [
-        "m: alone (line 4)", "m: C (line 7)", "m: q (line 15)", "m: n (line 18)"]
+        "m: alone (line 4)", "m: C (line 7)", "m: q (line 15)", "m: n (line 18)",
+        "m: built (line 30)"]
 
 
 def traced_names():
@@ -139,8 +146,8 @@ def test_traced_name_resolves(module, attr):
 
 
 def test_every_definition_is_reached():
-    """Nothing in the package lives only for the tests: each function, class
-    and method is named by the package (``__init__`` re-exports count) or a
+    """Nothing in the package lives only for the tests: each function, class,
+    method and dataclass field is named by the package (``__init__`` re-exports count) or a
     script, or is a name the benchmark harness traces."""
     paths = (glob.glob(os.path.join(ROOT, "src", "klshell", "*.py"))
              + glob.glob(os.path.join(ROOT, "scripts", "*.py")))

@@ -5,8 +5,6 @@ import math
 import os
 import sys
 
-import pytest
-
 from klshell.cases import REPORT_COLUMNS
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -63,13 +61,30 @@ def test_benchmark_sweeps_stop_at_the_first_failing_sweep(tmp_path, monkeypatch,
 
 def test_benchmark_sweeps_leave_on_a_cli_usage_error(tmp_path, monkeypatch, capsys):
     """The script's --quad is checked by the CLI: a quadrature it does not
-    offer ends the run with klshell's usage error, exit 2, before solving."""
+    offer ends the run through the script's return, exit 2, after the first
+    sweep's name and klshell's one error line, before solving."""
     script = load_script("run_benchmark_sweeps", monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--outdir", str(tmp_path), "--quad", "5"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: klshell")
+    assert script.main(["--outdir", str(tmp_path), "--quad", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "strip_cas_q5_s10\n"
+    assert captured.err == ("klshell: error: argument --quad: invalid choice: 5 "
+                            "(choose from 2, 3)\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_benchmark_sweeps_leave_on_an_outdir_on_a_file(tmp_path, monkeypatch, capsys):
+    """An --outdir the CLI cannot make ends the run the same way, with the
+    CLI's one line naming the sweep's directory."""
+    script = load_script("run_benchmark_sweeps", monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    assert script.main(["--outdir", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "strip_cas_q3_s10\n"
+    outdir = str(blocker / "strip_cas_q3_s10")
+    assert captured.err == (f"cannot write to {outdir}: [Errno 20] Not a directory: "
+                            f"{outdir!r}\n")
+    assert blocker.read_text() == "kept"
 
 
 def test_roof_table_prints_every_slenderness_and_element(monkeypatch, capsys):
